@@ -1,7 +1,8 @@
 """Command-line entry points and machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration or
-input.  Reports are JSON with fixed field order; tabular outputs are CSV.
+input, or a library error (a size bound, an unsupported case), reported in
+one line.  Reports are JSON with fixed field order; tabular outputs are CSV.
 """
 from __future__ import annotations
 
@@ -15,9 +16,10 @@ from .decay import (ROOT_FIRST, SCHEDULES, conjecture_check, gmn_contribution,
                     run_decay)
 from .gmn import enumerate_diagrams, weight_W
 from .js import js_tree_values, js_wallcross
-from .ks import infer_weak_spectrum, verify_wall_identity
+from .ks import FactorizationError, infer_weak_spectrum, verify_wall_identity
 from .lattice import Theory, theory_by_name
-from .spectrum import DEFAULT_K, SpectrumTable, spectrum_table
+from .spectrum import (DEFAULT_K, SpectrumTable, UnknownSpectrumError,
+                       spectrum_table)
 from . import tba
 
 PASS, FAIL, CONFIG_ERROR = 0, 1, 2
@@ -336,6 +338,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return CONFIG_ERROR
+    except (ValueError, UnknownSpectrumError, FactorizationError,
+            NotImplementedError) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return CONFIG_ERROR
 
 

@@ -8,19 +8,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
-from .lattice import (MINUS, PLUS, Charge, Theory, cadd, cross, cscale,
-                      czero, same_ray)
+from .lattice import MINUS, PLUS, Charge, Theory, cross, cscale, same_ray
 from .spectrum import SpectrumTable
 from .symbolic import Value
 from .trees import canon_oriented, canon_unoriented, enumerate_labelled_trees
 
 
-def _slope_cmp(theory: Theory, region: str, a: Charge, b: Charge) -> int:
-    """-1/0/+1 as phase(Z_a) is below/equal/above phase(Z_b)."""
-    za, zb = theory.z(region, a), theory.z(region, b)
+def _int_z(theory: Theory, region: str, charges) -> list[tuple[int, int]]:
+    """Central charges of the charges, each read once and scaled by the
+    theory's common denominator to integers.  One positive scale keeps
+    every direction and every sum, so slope tests become integer cross
+    products."""
+    d = theory.z_denominator
+    out = []
+    for g in charges:
+        re, im = theory.z(region, g)
+        out.append((re.numerator * (d // re.denominator),
+                    im.numerator * (d // im.denominator)))
+    return out
+
+
+def _slope_cmp(za, zb) -> int:
+    """-1/0/+1 as phase(za) is below/equal/above phase(zb)."""
     c = cross(za, zb)
     return -1 if c > 0 else (1 if c < 0 else 0)
 
@@ -35,87 +47,83 @@ def s_symbol(theory: Theory, alphas: list[Charge]) -> int:
     n = len(alphas)
     if n == 0:
         raise ValueError("empty decomposition")
+    strong = _int_z(theory, PLUS, alphas)
+    weak = _int_z(theory, MINUS, alphas)
+    head = weak[0]
+    tail = (sum(w[0] for w in weak[1:]), sum(w[1] for w in weak[1:]))
     sign = 1
-    head = alphas[0]
-    tail = czero(len(head))
-    for a in alphas[1:]:
-        tail = cadd(tail, a)
     for i in range(n - 1):
-        cs = _slope_cmp(theory, PLUS, alphas[i], alphas[i + 1])
-        cw = _slope_cmp(theory, MINUS, head, tail)
+        cs = _slope_cmp(strong[i], strong[i + 1])
+        cw = _slope_cmp(head, tail)
         if cs <= 0 and cw > 0:
             sign = -sign
-        elif cs > 0 and cw <= 0:
-            pass
-        else:
+        elif not (cs > 0 and cw <= 0):
             return 0
-        if i + 1 < n - 1:
-            head = cadd(head, alphas[i + 1])
-            tail = tuple(x - y for x, y in zip(tail, alphas[i + 1]))
+        w = weak[i + 1]
+        head = (head[0] + w[0], head[1] + w[1])
+        tail = (tail[0] - w[0], tail[1] - w[1])
     return sign
 
 
-def _compositions(n: int):
-    """Ordered partitions of {1..n} into consecutive blocks (as sizes)."""
-    if n == 0:
-        yield []
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield [first] + rest
+def _chunk_weight(theory: Theory, alphas: list[Charge], a: int, b: int,
+                  joinable: list[bool]) -> Fraction:
+    """Sum over the block cuts of alphas[a:b] of S(block sums) / prod size!.
+
+    Gap k (between parts k-1 and k) is always a cut unless joinable[k].
+    """
+    optional = [k for k in range(a + 1, b) if joinable[k]]
+    total = Fraction(0)
+    for join in product((False, True), repeat=len(optional)):
+        joined = {k for k, j in zip(optional, join) if j}
+        betas: list[Charge] = []
+        fac = 1
+        start = a
+        for k in range(a + 1, b + 1):
+            if k not in joined:
+                betas.append(tuple(map(sum, zip(*alphas[start:k]))))
+                fac *= factorial(k - start)
+                start = k
+        sign = s_symbol(theory, betas)
+        if sign:
+            total += Fraction(sign, fac)
+    return total
 
 
 def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
-    """U: nested sum over slope-compatible coarsenings weighting S symbols."""
+    """U: nested sum over slope-compatible coarsenings weighting S symbols.
+
+    The parts are merged into consecutive blocks on one strong ray (weight
+    1/size! each), and the block sums are split into consecutive chunks
+    whose weak central charge lies on the ray of the total, each weighted
+    by its S symbol; a term with l chunks carries (-1)^(l-1)/l.  A chunk
+    is a range alphas[a:b] with weight G(a, b) = _chunk_weight, so the
+    nested sum is a DP over cut positions:
+    f[b][l] = sum_a f[a][l-1] G(a, b) and U = sum_l (-1)^(l-1)/l f[n][l].
+    """
     n = len(alphas)
-    total = alphas[0]
-    for a in alphas[1:]:
-        total = cadd(total, a)
-    w_total = theory.z(MINUS, total)
-    result = Fraction(0)
-    for blocks in _compositions(n):
-        # consecutive blocks of equal strong-side slope
-        idx = 0
-        betas: list[Charge] = []
-        beta_seqs: list[list[Charge]] = []
-        ok = True
-        fac = Fraction(1)
-        for size in blocks:
-            seq = alphas[idx:idx + size]
-            idx += size
-            if any(not same_ray(theory.z(PLUS, seq[0]), theory.z(PLUS, b))
-                   for b in seq[1:]):
-                ok = False
-                break
-            s = seq[0]
-            for b in seq[1:]:
-                s = cadd(s, b)
-            betas.append(s)
-            beta_seqs.append(seq)
-            fac /= factorial(size)
-        if not ok:
-            continue
-        m = len(betas)
-        for chunks in _compositions(m):
-            # every chunk must share the weak-side slope of the total
-            idx2 = 0
-            good = True
-            sprod = Fraction(1)
-            for size in chunks:
-                part = betas[idx2:idx2 + size]
-                psum = part[0]
-                for b in part[1:]:
-                    psum = cadd(psum, b)
-                if not same_ray(theory.z(MINUS, psum), w_total):
-                    good = False
-                    break
-                sprod *= s_symbol(theory, betas[idx2:idx2 + size])
-                idx2 += size
-            if not good or sprod == 0:
+    strong = _int_z(theory, PLUS, alphas)
+    prefix = [(0, 0)]
+    for re, im in _int_z(theory, MINUS, alphas):
+        prefix.append((prefix[-1][0] + re, prefix[-1][1] + im))
+    w_total = prefix[n]
+    # same_ray is an equivalence, so a block lies on one strong ray iff
+    # each of its adjacent pairs does
+    joinable = [False] + [same_ray(strong[k - 1], strong[k]) for k in range(1, n)]
+    f = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    f[0][0] = Fraction(1)
+    for b in range(1, n + 1):
+        for a in range(b):
+            if not any(f[a]):
                 continue
-            length = len(chunks)
-            result += Fraction((-1) ** (length - 1), length) * sprod * fac
-    return result
+            chunk = (prefix[b][0] - prefix[a][0], prefix[b][1] - prefix[a][1])
+            if not same_ray(chunk, w_total):
+                continue
+            g = _chunk_weight(theory, alphas, a, b, joinable)
+            if g:
+                for l in range(1, b + 1):
+                    f[b][l] += f[a][l - 1] * g
+    return sum((Fraction((-1) ** (l - 1), l) * f[n][l] for l in range(1, n + 1)),
+               Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +183,25 @@ def decompositions(theory: Theory, table: SpectrumTable,
     return sorted(orderings)
 
 
-def _edge_weight(theory: Theory, a: Charge, b: Charge, signed: bool) -> int:
-    p = theory.pair(a, b)
-    return (-p if p % 2 else p) if signed else p
+def _edge_weights(theory: Theory, alphas: tuple[Charge, ...],
+                  signed: bool) -> list[list[int]]:
+    """Table w[i][j] (i < j) of the edge weight <alpha_i, alpha_j>, with
+    its (-1)^<,> factor dropped when signed; labelled-tree edges have
+    i < j.  Built once per decomposition instead of once per tree edge."""
+    n = len(alphas)
+    w = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        p = theory.pair(alphas[i], alphas[j])
+        w[i][j] = (-p if p % 2 else p) if signed else p
+    return w
+
+
+def _tree_weight(theory: Theory, alphas: tuple[Charge, ...]) -> int:
+    """Sum over the labelled trees on the parts of the product of their
+    signed edge weights."""
+    weights = _edge_weights(theory, alphas, signed=True)
+    return sum(prod(weights[i][j] for i, j in edges)
+               for edges in enumerate_labelled_trees(len(alphas)))
 
 
 def twist_value(theory: Theory, alphas: tuple[Charge, ...]) -> Value:
@@ -227,21 +251,18 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
             continue
         base = u * dts * Fraction((-1) ** (n - 1), 2 ** (n - 1))
         tw = twist_value(theory, alphas) if twisted else Value.rational(1)
+        weights = _edge_weights(theory, alphas, signed=not twisted)
+        charges = list(alphas)
         for edges in enumerate_labelled_trees(n):
-            w = 1
-            for (i, j) in edges:
-                w *= _edge_weight(theory, alphas[i], alphas[j], signed=not twisted)
-                if w == 0:
-                    break
+            w = prod(weights[i][j] for i, j in edges)
             if w == 0:
                 continue
             term = tw * Value.rational(base * w)
-            charges = list(alphas)
             key = canon_unoriented(n, edges, charges)
             okey = canon_oriented(n, edges, charges)
             tv = groups.get(key)
             if tv is None:
-                tv = groups[key] = TreeValue(charges, edges)
+                tv = groups[key] = TreeValue(list(alphas), list(edges))
             tv.total = tv.total + term
             tv.orientations[okey] = tv.orientations.get(okey, Value.zero()) + term
     return {k: v for k, v in groups.items()
@@ -266,13 +287,6 @@ def js_wallcross(theory: Theory, table: SpectrumTable, target: Charge,
             dts *= table.dt(a)
         if dts == 0:
             continue
-        tree_w = 0
-        for edges in enumerate_labelled_trees(n):
-            w = 1
-            for (i, j) in edges:
-                w *= _edge_weight(theory, alphas[i], alphas[j], signed=True)
-                if w == 0:
-                    break
-            tree_w += w
-        total += u * dts * tree_w * Fraction((-1) ** (n - 1), 2 ** (n - 1))
+        total += (u * dts * _tree_weight(theory, alphas)
+                  * Fraction((-1) ** (n - 1), 2 ** (n - 1)))
     return total

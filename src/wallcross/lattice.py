@@ -11,7 +11,8 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 Charge = tuple[int, ...]
 Vec2 = tuple[Fraction, Fraction]  # central charge value (re, im)
@@ -117,11 +118,27 @@ class Theory:
         return sum(a[i] * self.pairing[i][j] * b[j]
                    for i in range(self.rank) for j in range(self.rank))
 
+    @cached_property
+    def _z_memo(self) -> dict[tuple[str, Charge], Vec2]:
+        return {}
+
+    @cached_property
+    def z_denominator(self) -> int:
+        """Common denominator of the basis central charges: every
+        z_denominator * Z_gamma is an integer vector."""
+        return lcm(*(x.denominator for v in self.z_plus + self.z_minus for x in v))
+
     def z(self, region: str, gamma: Charge) -> Vec2:
-        zs = self.z_plus if region == PLUS else self.z_minus
-        re = sum((Fraction(n) * z[0] for n, z in zip(gamma, zs)), Fraction(0))
-        im = sum((Fraction(n) * z[1] for n, z in zip(gamma, zs)), Fraction(0))
-        return (re, im)
+        """Central charge Z_gamma on one side of the wall, memoised per
+        theory (the values are immutable)."""
+        key = (region, gamma)
+        memo = self._z_memo
+        if key not in memo:
+            zs = self.z_plus if region == PLUS else self.z_minus
+            re = sum((Fraction(n) * z[0] for n, z in zip(gamma, zs)), Fraction(0))
+            im = sum((Fraction(n) * z[1] for n, z in zip(gamma, zs)), Fraction(0))
+            memo[key] = (re, im)
+        return memo[key]
 
     def is_effective(self, gamma: Charge) -> bool:
         if is_zero(gamma):

@@ -1,7 +1,8 @@
 """Labelled tree enumeration and canonical forms of charge-decorated trees."""
 from __future__ import annotations
 
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 
 from .lattice import Charge
 
@@ -10,20 +11,23 @@ MAX_TREE_VERTICES = 7
 Edge = tuple[int, int]
 
 
-def enumerate_labelled_trees(n: int) -> list[list[Edge]]:
-    """All labelled trees on vertices 0..n-1 via Prufer sequences."""
+@cache
+def enumerate_labelled_trees(n: int) -> tuple[tuple[Edge, ...], ...]:
+    """All labelled trees on vertices 0..n-1 via Prufer sequences.
+
+    Each edge is (i, j) with i < j.  The table is built once per process
+    and shared by every caller, so it is made of tuples; the n(n-1)/2
+    edge tuples are shared between trees to keep the n = 7 table small.
+    """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > MAX_TREE_VERTICES:
         raise ValueError(f"tree size {n} exceeds bound {MAX_TREE_VERTICES}")
     if n == 1:
-        return [[]]
-    if n == 2:
-        return [[(0, 1)]]
-    out = []
-    for seq in product(range(n), repeat=n - 2):
-        out.append(tree_from_prufer(list(seq), n))
-    return out
+        return ((),)
+    edge = {e: e for e in combinations(range(n), 2)}
+    return tuple(tuple(edge[e] for e in tree_from_prufer(list(seq), n))
+                 for seq in product(range(n), repeat=n - 2))
 
 
 def tree_from_prufer(seq: list[int], n: int) -> list[Edge]:

@@ -75,6 +75,14 @@ def test_bad_charge_exit_2(tmp_path):
     assert code == 2
 
 
+def test_library_error_exit_2(tmp_path, capsys):
+    # 8 parts exceed the labelled-tree bound: one line, no traceback
+    code, rep = run(tmp_path, "js", "nf0", "3,5")
+    assert code == 2 and rep is None
+    err = capsys.readouterr().err
+    assert err == "error: ValueError: tree size 8 exceeds bound 7\n"
+
+
 def test_config_file_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"target": "1,1"}))

@@ -70,6 +70,20 @@ def test_tree_values_sum_to_invariant(nf0, nf0_strong):
     assert total == Value.rational(js_wallcross(nf0, nf0_strong, target))
 
 
+def test_tree_values_survive_caller_mutation(nf0, nf0_strong):
+    def snapshot(groups):
+        return {k: (list(tv.charges), list(tv.edges), tv.total, dict(tv.orientations))
+                for k, tv in groups.items()}
+
+    first = js_tree_values(nf0, nf0_strong, (2, 3))
+    want = snapshot(first)
+    for tv in first.values():
+        assert isinstance(tv.edges, list)
+        tv.edges.reverse()
+        tv.edges.append((0, 0))
+    assert snapshot(js_tree_values(nf0, nf0_strong, (2, 3))) == want
+
+
 def test_twisted_trees_nf1():
     th = theory_by_name("nf1")
     table = spectrum_table("nf1", "strong")

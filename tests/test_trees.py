@@ -1,3 +1,5 @@
+import pytest
+
 from wallcross.trees import (canon_oriented, canon_unoriented, centroids,
                              enumerate_labelled_trees, tree_from_prufer,
                              tree_shape)
@@ -7,6 +9,15 @@ def test_cayley_counts():
     for n in range(1, 7):
         expect = 1 if n <= 2 else n ** (n - 2)
         assert len(enumerate_labelled_trees(n)) == expect
+
+
+def test_labelled_tree_table_is_shared_and_immutable():
+    trees = enumerate_labelled_trees(5)
+    assert enumerate_labelled_trees(5) is trees
+    assert isinstance(trees, tuple)
+    assert all(isinstance(t, tuple) for t in trees)
+    with pytest.raises(TypeError):
+        trees[0][0] = (3, 4)
 
 
 def test_trees_are_distinct_and_valid():
