@@ -18,8 +18,7 @@ from .gmn import enumerate_diagrams, weight_W
 from .js import js_tree_values, js_wallcross
 from .ks import FactorizationError, infer_weak_spectrum, verify_wall_identity
 from .lattice import Theory, theory_by_name
-from .spectrum import (DEFAULT_K, SpectrumTable, UnknownSpectrumError,
-                       spectrum_table)
+from .spectrum import DEFAULT_K, UnknownSpectrumError, spectrum_table
 from . import tba
 
 PASS, FAIL, CONFIG_ERROR = 0, 1, 2
@@ -204,6 +203,8 @@ def cmd_ks_oracle(args) -> int:
 def cmd_numeric(args) -> int:
     spec = tba.QuadratureSpec(nodes=args.nodes, T=args.T, tol=args.tol)
     zeta = complex(args.zeta_re, args.zeta_im)
+    if zeta == 0:
+        raise ConfigError("zeta = --zeta-re + i --zeta-im must be nonzero")
     checks = {}
     names = args.checks or ["residue_move", "scale_invariance", "decay_fit",
                             "ov_fixed_point"]
@@ -319,22 +320,45 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _config_ok(action: argparse.Action, value) -> bool:
+    """Whether the command line could give the option this value."""
+    if action.nargs == 0:
+        return isinstance(value, bool)
+    if action.nargs == "*":
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    kind = {None: str, int: int, float: (int, float)}[action.type]
+    return (isinstance(value, kind) and not isinstance(value, bool)
+            and (action.choices is None or value in action.choices))
+
+
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
+    """Override args from the --config JSON object.  Each key must be an
+    option of the subcommand, and each value of that option's type and
+    among its choices, as on the command line."""
+    try:
+        with open(args.config) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise ConfigError(str(e))
+    if not isinstance(data, dict):
+        raise ConfigError("top level must be an object")
+    sub = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    options = {a.dest: a for a in sub._actions if a.dest != "help"}
+    for key, value in data.items():
+        action = options.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigError(f"{key!r} is not an option of {sub.prog}")
+        if not _config_ok(action, value):
+            raise ConfigError(f"{key!r} cannot be {value!r}")
+        setattr(args, action.dest, value)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return CONFIG_ERROR
-        if not isinstance(overrides, dict):
-            print("config error: top level must be an object", file=sys.stderr)
-            return CONFIG_ERROR
-        for k, v in overrides.items():
-            setattr(args, k.replace("-", "_"), v)
     try:
+        if args.config:
+            _apply_config(parser, args)
         return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -20,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import (CCW, CW, MINUS, PLUS, Charge, RayCoincidenceError,
+from .lattice import (CCW, MINUS, PLUS, Charge, RayCoincidenceError,
                       Theory, Vec2, cadd, cross, direction_key, sweep_crossing)
 from .gmn import RootedDiagram, enumerate_diagrams, weight_W
 from .js import js_tree_values
 from .spectrum import SpectrumTable, spectrum_table
 from .symbolic import Value, free_unknowns, solve_linear
-from .trees import canon_unoriented
+from .trees import adjacency, canon_unoriented, charge_label, encode
 
 BELOW = "below"
 ABOVE = "above"
@@ -137,20 +137,15 @@ class _State:
         """Canonical label of the frozen integral: each vertex carries its
         accumulated charge and its contour ray; the sweeping vertex sits
         exactly on the coincident ray."""
-        root = next(i for i in self.alive() if self.parent[i] is None)
-
-        def ray_label(i):
-            vec = end if i == moving else self.active_ray(theory, i)
-            dx, dy = direction_key(vec)
-            return f"{dx},{dy}" + ("!" if i == moving else "")
-
-        def walk(i):
-            kids = sorted(walk(j) for j in self.alive()
-                          if j != root and self.parent[j] == i)
-            label = ",".join(str(x) for x in self.charges[i])
-            return f"({label}@{ray_label(i)}|{';'.join(kids)})"
-
-        return walk(root)
+        alive = self.alive()
+        root = next(i for i in alive if self.parent[i] is None)
+        labels = [""] * len(self.charges)
+        for i in alive:
+            dx, dy = direction_key(end if i == moving else self.active_ray(theory, i))
+            labels[i] = (f"{charge_label(self.charges[i])}@{dx},{dy}"
+                         + ("!" if i == moving else ""))
+        edges = [(self.parent[j], j) for j in alive if self.parent[j] is not None]
+        return encode(root, -1, adjacency(len(self.charges), edges), labels)[0]
 
 
 def _approach_side(start: Vec2, end: Vec2) -> str:

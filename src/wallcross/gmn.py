@@ -10,13 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .lattice import Charge, Theory, cadd, czero, primitive
 from .spectrum import SpectrumTable, f_coeff
-from .js import strong_parts, _multisets
+from .js import _edge_weights, _multisets, strong_parts
 from .symbolic import Value
-from .trees import enumerate_labelled_trees
+from .trees import adjacency, charge_label, encode, enumerate_labelled_trees
 
 
 @dataclass(frozen=True)
@@ -44,15 +43,12 @@ class RootedDiagram:
     def edges(self) -> list[tuple[int, int]]:
         return [(p, i) for i, p in enumerate(self.parent) if p is not None]
 
-    def depth(self, i: int) -> int:
-        d = 0
-        while self.parent[i] is not None:
-            i = self.parent[i]
-            d += 1
-        return d
+    def _encoded(self) -> tuple[str, int]:
+        labels = [charge_label(c) for c in self.charges]
+        return encode(self.root, -1, adjacency(self.n, self.edges()), labels)
 
     def canonical(self) -> str:
-        return _encode(self, self.root)
+        return self._encoded()[0]
 
     def describe(self) -> str:
         def walk(i):
@@ -62,32 +58,9 @@ class RootedDiagram:
         return walk(self.root)
 
 
-def _encode(diag: RootedDiagram, i: int) -> str:
-    parts = sorted(_encode(diag, j) for j in diag.children(i))
-    label = ",".join(str(x) for x in diag.charges[i])
-    return f"({label}|{';'.join(parts)})"
-
-
 def aut_order(diag: RootedDiagram) -> int:
     """Order of the automorphism group of the rooted decorated tree."""
-    def walk(i: int) -> tuple[str, int]:
-        encs = []
-        order = 1
-        for j in diag.children(i):
-            e, o = walk(j)
-            encs.append(e)
-            order *= o
-        encs.sort()
-        run = 1
-        for k in range(1, len(encs) + 1):
-            if k < len(encs) and encs[k] == encs[k - 1]:
-                run += 1
-            else:
-                order *= factorial(run)
-                run = 1
-        label = ",".join(str(x) for x in diag.charges[i])
-        return f"({label}|{';'.join(encs)})", order
-    return walk(diag.root)[1]
+    return diag._encoded()[1]
 
 
 def root_direction(theory: Theory) -> Charge:
@@ -111,29 +84,24 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
         n = len(ms)
         if max_vertices is not None and n > max_vertices:
             continue
-        charges = list(ms)
-        roots = [i for i, c in enumerate(charges) if primitive(c) == rdir]
+        roots = [i for i, c in enumerate(ms) if primitive(c) == rdir]
         if not roots:
             continue
+        weights = _edge_weights(theory, ms, signed=False)
         for edges in enumerate_labelled_trees(n):
-            if any(theory.pair(charges[a], charges[b]) == 0 for a, b in edges):
+            if any(weights[a][b] == 0 for a, b in edges):
                 continue
-            adj: list[list[int]] = [[] for _ in range(n)]
-            for a, b in edges:
-                adj[a].append(b)
-                adj[b].append(a)
+            adj = adjacency(n, edges)
             for r in roots:
                 parent: list[int | None] = [None] * n
                 stack = [r]
-                visited = {r}
                 while stack:
                     v = stack.pop()
                     for u in adj[v]:
-                        if u not in visited:
-                            visited.add(u)
+                        if u != r and parent[u] is None:
                             parent[u] = v
                             stack.append(u)
-                diag = RootedDiagram(tuple(charges), tuple(parent))
+                diag = RootedDiagram(ms, tuple(parent))
                 seen.setdefault(diag.canonical(), diag)
     return sorted(seen.values(), key=lambda d: (d.n, d.canonical()))
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, prod
+from typing import Iterator
 
 from .lattice import MINUS, PLUS, Charge, Theory, cross, cscale, same_ray
 from .spectrum import SpectrumTable
@@ -183,11 +184,34 @@ def decompositions(theory: Theory, table: SpectrumTable,
     return sorted(orderings)
 
 
+def _weighted_decompositions(theory: Theory, table: SpectrumTable,
+                             target: Charge, max_vertices: int | None
+                             ) -> Iterator[tuple[tuple[Charge, ...], Fraction]]:
+    """Each ordered decomposition with at most max_vertices parts whose
+    coefficient U * prod DT * (-1)^(n-1) / 2^(n-1) is nonzero, with that
+    coefficient."""
+    if not theory.is_effective(target):
+        raise ValueError(f"target {target} is not effective")
+    for alphas in decompositions(theory, table, target):
+        n = len(alphas)
+        if max_vertices is not None and n > max_vertices:
+            continue
+        u = u_symbol(theory, list(alphas))
+        if u == 0:
+            continue
+        dts = Fraction(1)
+        for a in alphas:
+            dts *= table.dt(a)
+        if dts == 0:
+            continue
+        yield alphas, u * dts * Fraction((-1) ** (n - 1), 2 ** (n - 1))
+
+
 def _edge_weights(theory: Theory, alphas: tuple[Charge, ...],
                   signed: bool) -> list[list[int]]:
     """Table w[i][j] (i < j) of the edge weight <alpha_i, alpha_j>, with
     its (-1)^<,> factor dropped when signed; labelled-tree edges have
-    i < j.  Built once per decomposition instead of once per tree edge."""
+    i < j.  Built once per set of parts instead of once per tree edge."""
     n = len(alphas)
     w = [[0] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
@@ -234,22 +258,10 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
     When twisted, each term carries the refinement twist, so values are
     directly comparable with decay-calculus contributions.
     """
-    if not theory.is_effective(target):
-        raise ValueError(f"target {target} is not effective")
     groups: dict[str, TreeValue] = {}
-    for alphas in decompositions(theory, table, target):
+    for alphas, base in _weighted_decompositions(theory, table, target,
+                                                 max_vertices):
         n = len(alphas)
-        if max_vertices is not None and n > max_vertices:
-            continue
-        u = u_symbol(theory, list(alphas))
-        if u == 0:
-            continue
-        dts = Fraction(1)
-        for a in alphas:
-            dts *= table.dt(a)
-        if dts == 0:
-            continue
-        base = u * dts * Fraction((-1) ** (n - 1), 2 ** (n - 1))
         tw = twist_value(theory, alphas) if twisted else Value.rational(1)
         weights = _edge_weights(theory, alphas, signed=not twisted)
         charges = list(alphas)
@@ -272,21 +284,6 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
 def js_wallcross(theory: Theory, table: SpectrumTable, target: Charge,
                  max_vertices: int | None = None) -> Fraction:
     """Untwisted weak-side DT invariant of the target charge."""
-    if not theory.is_effective(target):
-        raise ValueError(f"target {target} is not effective")
-    total = Fraction(0)
-    for alphas in decompositions(theory, table, target):
-        n = len(alphas)
-        if max_vertices is not None and n > max_vertices:
-            continue
-        u = u_symbol(theory, list(alphas))
-        if u == 0:
-            continue
-        dts = Fraction(1)
-        for a in alphas:
-            dts *= table.dt(a)
-        if dts == 0:
-            continue
-        total += (u * dts * _tree_weight(theory, alphas)
-                  * Fraction((-1) ** (n - 1), 2 ** (n - 1)))
-    return total
+    return sum((c * _tree_weight(theory, alphas) for alphas, c in
+                _weighted_decompositions(theory, table, target, max_vertices)),
+               Fraction(0))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import MINUS, PLUS, Charge, Theory, czero, is_zero
+from .lattice import MINUS, PLUS, Charge, Theory, is_zero
 from .spectrum import WEAK, SpectrumTable
 
 Series = dict[Charge, Fraction]
@@ -115,12 +115,6 @@ def ks_auto(theory: Theory, gamma: Charge, omega: int, N: int) -> KSAuto:
     return KSAuto(theory, mults, N)
 
 
-def ks_apply(theory: Theory, gamma: Charge, omega: int, mu: int, N: int) -> Series:
-    """Image of the basis variable x_mu, including its own x_mu factor."""
-    g = ks_auto(theory, gamma, omega, N).mults[mu]
-    return series_mul(theory, {theory.unit(mu): Fraction(1)}, g, N)
-
-
 def compose(theory: Theory, autos: list[KSAuto], N: int,
             reverse: bool = True) -> KSAuto:
     """Composite of the listed operators.
@@ -153,7 +147,11 @@ def _phase_sorted(theory: Theory, region: str,
 
 def spectrum_auto(theory: Theory, table: SpectrumTable, region: str,
                   N: int) -> KSAuto:
-    """Ordered product of the KS operators of one spectrum table."""
+    """Ordered product of the KS operators of one spectrum table; N >= 1,
+    since below degree 1 every product is the identity and a check built
+    on it would compare nothing."""
+    if N < 1:
+        raise ValueError(f"truncation degree N must be at least 1, got {N}")
     charges = [g for g in table.charges()
                if theory.is_effective(g) and eff_degree(theory, g) <= N]
     ordered = _phase_sorted(theory, region, charges)

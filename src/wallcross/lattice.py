@@ -7,8 +7,6 @@ phase comparisons are exact (2d cross products of rational vectors).
 """
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -145,19 +143,11 @@ class Theory:
             return False
         return all(s * n >= 0 for s, n in zip(self.effective_signs, gamma))
 
-    def effective_generators(self) -> list[Charge]:
-        return [cscale(s, self.unit(i)) for i, s in enumerate(self.effective_signs)]
-
     # -- rays ----------------------------------------------------------
     def ray_key(self, region: str, gamma: Charge) -> tuple[int, int]:
         """Exact label of the BPS ray ell_gamma (spanned by -Z_gamma)."""
         re, im = self.z(region, gamma)
         return direction_key((-re, -im))
-
-    def ray_phase(self, region: str, gamma: Charge) -> float:
-        """Phase of Z_gamma in degrees (display only; compare ray_key)."""
-        re, im = self.z(region, gamma)
-        return math.degrees(math.atan2(im, re))
 
     def pinned(self, gamma: Charge) -> bool:
         """Ray position identical on both sides of the wall."""
@@ -196,41 +186,6 @@ class Theory:
             raise ValueError("sigma units differ by an odd charge")
         return -1 if self.pair(gamma, diff) % 2 else 1
 
-    # -- serialization -------------------------------------------------
-    def to_json(self) -> dict:
-        def vecs(zs):
-            return [[str(a), str(b)] for a, b in zs]
-        return {
-            "name": self.name,
-            "basis": list(self.basis),
-            "pairing": [list(r) for r in self.pairing],
-            "z_plus": vecs(self.z_plus),
-            "z_minus": vecs(self.z_minus),
-            "effective_signs": list(self.effective_signs),
-            "root_index": self.root_index,
-            "sigma_trivial": self.sigma_trivial,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "Theory":
-        def vecs(rows):
-            return tuple((Fraction(a), Fraction(b)) for a, b in rows)
-        return cls(
-            name=d["name"],
-            basis=tuple(d["basis"]),
-            pairing=tuple(tuple(r) for r in d["pairing"]),
-            z_plus=vecs(d["z_plus"]),
-            z_minus=vecs(d["z_minus"]),
-            effective_signs=tuple(d["effective_signs"]),
-            root_index=int(d["root_index"]),
-            sigma_trivial=bool(d["sigma_trivial"]),
-        )
-
-    @classmethod
-    def load(cls, path) -> "Theory":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 def sweep_crossing(start: Vec2, end: Vec2, target: Vec2) -> int | None:
     """Does the ray moving from `start` to `end` cross the `target` ray?
@@ -254,15 +209,6 @@ def sweep_crossing(start: Vec2, end: Vec2, target: Vec2) -> int | None:
     else:
         inside = cross(start, target) < 0 and cross(target, end) < 0
     return orient if inside else None
-
-
-def crossing(theory: Theory, gamma_moved: Charge, from_region: str,
-             to_region: str, eta_target: Charge, target_region: str) -> int | None:
-    """Crossing sense when ell_{gamma_moved} is pushed between wall sides."""
-    start = theory.z(from_region, gamma_moved)
-    end = theory.z(to_region, gamma_moved)
-    tgt = theory.z(target_region, eta_target)
-    return sweep_crossing(start, end, tgt)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,8 @@
 the f-coefficients attached to tree vertices."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from .lattice import (Charge, Theory, cneg, cscale, content, primitive,
                       theory_by_name)
@@ -141,13 +139,6 @@ def spectrum_table(theory_name: str, region: str, K: int = DEFAULT_K) -> Spectru
     raise ValueError(f"no spectrum rules for theory {theory_name!r}")
 
 
-def load_table(theory_name: str, region: str) -> SpectrumTable:
-    """Load the frozen packaged table."""
-    name = f"{theory_name}_{region}.json"
-    with resources.files("wallcross.data").joinpath(name).open() as fh:
-        return SpectrumTable.from_json(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # f-coefficients
 
@@ -158,9 +149,6 @@ class FCoeff:
     direction: Charge
     plain: Fraction
     sigma_coeff: Fraction
-
-    def is_zero(self) -> bool:
-        return self.plain == 0 and self.sigma_coeff == 0
 
 
 def f_coeff(theory: Theory, table: SpectrumTable, gamma: Charge) -> FCoeff:

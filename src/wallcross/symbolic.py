@@ -75,10 +75,6 @@ class Value:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, q) -> "Value":
-        q = _Q(q)
-        return Value({k: v / q for k, v in self.terms.items()})
-
     def __eq__(self, other) -> bool:
         return self.terms == _coerce(other).terms
 
@@ -102,9 +98,6 @@ class Value:
 
     def rational_part(self) -> "Value":
         return Value({k: v for k, v in self.terms.items() if k[1] is None})
-
-    def symbol_part(self) -> "Value":
-        return Value({k: v for k, v in self.terms.items() if k[1] is not None})
 
     def substitute(self, assignment: dict[str, Fraction]) -> "Value":
         out = Value()
@@ -136,20 +129,39 @@ class Value:
             text += (" - " + b[1:]) if b.startswith("-") else (" + " + b)
         return text
 
-    # -- serialization ------------------------------------------------
-    def to_json(self) -> list:
-        return [[s, n, str(v)] for (s, n), v in sorted(
-            self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1] or ""))]
-
-    @classmethod
-    def from_json(cls, data) -> "Value":
-        return cls({(int(s), n): _Q(v) for s, n, v in data})
-
 
 def _coerce(x) -> Value:
     if isinstance(x, Value):
         return x
     return Value.rational(x)
+
+
+def _row_reduce(equations: list[tuple[dict[str, Fraction], Fraction]],
+                unknowns: list[str]) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan elimination of the augmented matrix of the system.
+
+    Returns the reduced rows (coefficients by unknown, then rhs) and the
+    pivot columns; rows past the last pivot row have zero coefficients.
+    """
+    rows = [[eq.get(u, _Q(0)) for u in unknowns] + [rhs] for eq, rhs in equations]
+    pivots: list[int] = []
+    r = 0
+    for c in range(len(unknowns)):
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        piv = rows[r][c]
+        rows[r] = [x / piv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
 
 
 def solve_linear(equations: list[tuple[dict[str, Fraction], Fraction]],
@@ -162,32 +174,13 @@ def solve_linear(equations: list[tuple[dict[str, Fraction], Fraction]],
     which case free unknowns are fixed to zero (a particular solution).
     Use free_unknowns() to find out which ones were free.
     """
-    rows = [[eq.get(u, _Q(0)) for u in unknowns] + [rhs] for eq, rhs in equations]
-    n = len(unknowns)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    for row in rows[r:]:
-        if row[-1]:
-            raise ValueError("inconsistent singular-symbol system")
-    if len(pivots) < n and not allow_free:
-        missing = [unknowns[c] for c in range(n) if c not in pivots]
-        raise ValueError(f"underdetermined singular symbols: {missing}")
-    sol = {unknowns[c]: _Q(0) for c in range(n) if c not in pivots}
+    rows, pivots = _row_reduce(equations, unknowns)
+    if any(row[-1] for row in rows[len(pivots):]):
+        raise ValueError("inconsistent singular-symbol system")
+    free = [u for c, u in enumerate(unknowns) if c not in pivots]
+    if free and not allow_free:
+        raise ValueError(f"underdetermined singular symbols: {free}")
+    sol = {u: _Q(0) for u in free}
     sol.update({unknowns[c]: rows[i][-1] for i, c in enumerate(pivots)})
     return sol
 
@@ -195,23 +188,5 @@ def solve_linear(equations: list[tuple[dict[str, Fraction], Fraction]],
 def free_unknowns(equations: list[tuple[dict[str, Fraction], Fraction]],
                   unknowns: list[str]) -> list[str]:
     """Names of unknowns not pinned down by the system (free parameters)."""
-    rows = [[eq.get(u, _Q(0)) for u in unknowns] for eq, _ in equations]
-    n = len(unknowns)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [unknowns[c] for c in range(n) if c not in pivots]
+    _, pivots = _row_reduce(equations, unknowns)
+    return [u for c, u in enumerate(unknowns) if c not in pivots]

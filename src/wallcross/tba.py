@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -31,10 +29,6 @@ class QuadratureSpec:
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         t, w = np.polynomial.legendre.leggauss(self.nodes)
         return t * self.T, w * self.T
-
-    def truncation_error(self, R: float, absZ: float) -> float:
-        """Bound on the discarded tails exp(-2 pi R |Z| cosh T)."""
-        return math.exp(-TWO_PI * R * absZ * (math.cosh(self.T) - 1.0))
 
 
 DEFAULT_SPEC = QuadratureSpec()

@@ -57,10 +57,10 @@ def adjacency(n: int, edges: list[Edge]) -> list[list[int]]:
     return adj
 
 
-def centroids(n: int, edges: list[Edge]) -> list[int]:
+def centroids(adj: list[list[int]]) -> list[int]:
+    n = len(adj)
     if n == 1:
         return [0]
-    adj = adjacency(n, edges)
     deg = [len(a) for a in adj]
     leaves = [i for i in range(n) if deg[i] == 1]
     removed = [False] * n
@@ -79,26 +79,39 @@ def centroids(n: int, edges: list[Edge]) -> list[int]:
     return [i for i in range(n) if not removed[i]]
 
 
-def _encode(root: int, parent: int, adj: list[list[int]],
-            charges: list[Charge], arrows: dict[Edge, bool] | None) -> str:
+def charge_label(charge: Charge) -> str:
+    return ",".join(str(x) for x in charge)
+
+
+def encode(root: int, parent: int, adj: list[list[int]], labels: list[str],
+           arcs: set[Edge] | None = None) -> tuple[str, int]:
+    """Canonical string and automorphism order of the labelled subtree at
+    `root` away from `parent` (-1 for the whole tree).  Given `arcs`, each
+    child's string is tagged "o" (arc away from the parent) or "i".  Each
+    run of k equal child strings multiplies the order by k!.
+    """
     parts = []
+    order = 1
     for child in adj[root]:
-        if child == parent:
-            continue
-        sub = _encode(child, root, adj, charges, arrows)
-        if arrows is not None:
-            away = arrows[(root, child)] if (root, child) in arrows else not arrows[(child, root)]
-            sub = ("o" if away else "i") + sub
-        parts.append(sub)
+        if child != parent:
+            sub, o = encode(child, root, adj, labels, arcs)
+            if arcs is not None:
+                sub = ("o" if (root, child) in arcs else "i") + sub
+            parts.append(sub)
+            order *= o
     parts.sort()
-    label = ",".join(str(x) for x in charges[root])
-    return f"({label}|{';'.join(parts)})"
+    run = 1
+    for a, b in zip(parts, parts[1:]):
+        run = run + 1 if a == b else 1
+        order *= run
+    return f"({labels[root]}|{';'.join(parts)})", order
 
 
 def canon_unoriented(n: int, edges: list[Edge], charges: list[Charge]) -> str:
     """Canonical string of an unoriented charge-labelled tree."""
     adj = adjacency(n, edges)
-    return min(_encode(c, -1, adj, charges, None) for c in centroids(n, edges))
+    labels = [charge_label(c) for c in charges]
+    return min(encode(c, -1, adj, labels)[0] for c in centroids(adj))
 
 
 def canon_oriented(n: int, arcs: list[Edge], charges: list[Charge]) -> str:
@@ -108,23 +121,5 @@ def canon_oriented(n: int, arcs: list[Edge], charges: list[Charge]) -> str:
     for rooting so that equal decorated digraphs get equal strings.
     """
     adj = adjacency(n, arcs)
-    arrows = {(a, b): True for a, b in arcs}
-    return min(_encode(c, -1, adj, charges, arrows) for c in centroids(n, arcs))
-
-
-def tree_shape(spec) -> tuple[list[Charge], list[Edge]]:
-    """Build (charges, edges) from a nested [charge, [children...]] literal."""
-    charges: list[Charge] = []
-    edges: list[Edge] = []
-
-    def walk(node, parent):
-        charge, children = node
-        idx = len(charges)
-        charges.append(tuple(charge))
-        if parent is not None:
-            edges.append((parent, idx))
-        for ch in children:
-            walk(ch, idx)
-
-    walk(spec, None)
-    return charges, edges
+    labels = [charge_label(c) for c in charges]
+    return min(encode(c, -1, adj, labels, set(arcs))[0] for c in centroids(adj))

@@ -97,3 +97,44 @@ def test_config_file_invalid(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
     assert main(["--config", str(cfg), "js", "nf0", "1,1"]) == 2
+
+
+def test_ks_oracle_needs_a_positive_degree(tmp_path, capsys):
+    # N = 0 compares two identity products: nothing would be checked
+    code, rep = run(tmp_path, "ks-oracle", "nf0", "--N", "0")
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        "error: ValueError: truncation degree N must be at least 1, got 0\n")
+
+
+@pytest.mark.parametrize("check", ["scale_invariance", "ov_fixed_point"])
+def test_numeric_rejects_zero_zeta(tmp_path, capsys, check):
+    code, rep = run(tmp_path, "numeric", check, "--nodes", "40",
+                    "--zeta-re", "0", "--zeta-im", "0")
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err.startswith("config error: zeta")
+
+
+@pytest.mark.parametrize("overrides,message", [
+    ({"fn": 3}, "'fn' is not an option of wallcross gmn"),
+    ({"max_vertices": "x"}, "'max_vertices' cannot be 'x'"),
+    ({"schedule": "sideways"}, "'schedule' cannot be 'sideways'"),
+])
+def test_config_file_checks_keys_and_values(tmp_path, capsys, overrides,
+                                            message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    code = main(["--config", str(cfg), "gmn", "nf0", "1,1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: " + message)
+
+
+def test_config_file_typed_values(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max-vertices": 2, "schedule": "leaf-first"}))
+    out = tmp_path / "r.json"
+    code = main(["--config", str(cfg), "gmn", "nf0", "1,2",
+                 "--output", str(out)])
+    assert code == 0
+    diagrams = json.loads(out.read_text())["diagrams"]
+    assert [d["diagram"] for d in diagrams] == ["(1+0)[(0+2)]"]

@@ -18,7 +18,6 @@ def test_rooted_diagram_basics():
     assert d.root == 0
     assert d.total() == (1, 2)
     assert d.children(0) == [1, 2]
-    assert d.depth(2) == 1
     assert d.describe() == "(1+0)[(0+1),(0+1)]"
 
 

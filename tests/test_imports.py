@@ -1,0 +1,31 @@
+"""Each module of the package uses every name it imports."""
+import ast
+from pathlib import Path
+
+import pytest
+
+import wallcross
+
+MODULES = sorted(Path(wallcross.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(set(imported) - used)
+
+
+def test_unused_imports_are_found():
+    source = "import json\nfrom math import gcd, lcm\nx = lcm(2, 3)\n"
+    assert unused_imports(source) == ["gcd", "json"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

@@ -4,7 +4,7 @@ import pytest
 
 from wallcross.ks import (FactorizationError, agreement_degree, compose,
                           eff_degree, identity_auto, infer_weak_spectrum,
-                          ks_apply, ks_auto, series_mul, series_one,
+                          ks_auto, series_mul, series_one,
                           series_pow, spectrum_auto, verify_wall_identity)
 from wallcross.lattice import MINUS, PLUS, Theory, theory_by_name
 from wallcross.spectrum import SpectrumTable, spectrum_table
@@ -37,13 +37,12 @@ def test_series_pow_truncates(nf0):
 
 def test_basic_operator_action(nf0):
     # the operator of gamma multiplies x_mu by (1 - sigma x_gamma)^<gamma,mu>
-    d, m = (1, 0), (0, 1)
-    acted = ks_apply(nf0, d, 1, 1, N)   # action on x_m, <d, m> = 2
-    assert acted[m] == 1
-    assert acted[(1, 1)] == -2
-    assert acted[(2, 1)] == 1
+    d = (1, 0)
+    mults = ks_auto(nf0, d, 1, N).mults
+    # x_m -> x_m (1 - x_d)^2 since <d, m> = 2 and sigma(d) = 1
+    assert mults[1] == {(0, 0): Q(1), d: Q(-2), (2, 0): Q(1)}
     # x_d is fixed by its own operator
-    assert ks_apply(nf0, d, 1, 0, N) == {d: Q(1)}
+    assert mults[0] == series_one(nf0)
 
 
 def test_compose_identity(nf0):

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.lattice import (MINUS, PLUS, Theory, cadd, cneg, content, cross,
-                               crossing, direction_key, primitive, same_ray,
-                               su2_theory, sweep_crossing, theory_by_name)
+from wallcross.lattice import (CCW, MINUS, PLUS, cadd, cneg, content, cross,
+                               direction_key, primitive, same_ray, su2_theory,
+                               sweep_crossing, theory_by_name)
 
 Q = Fraction
 
@@ -34,8 +34,6 @@ def test_catalog_theories_consistent(nf):
     for i in range(th.rank):
         for j in range(th.rank):
             assert th.pairing[i][j] == -th.pairing[j][i]
-    # round-trip through JSON
-    assert Theory.from_json(th.to_json()) == th
 
 
 def test_nf0_pairing_and_phases(nf0):
@@ -43,8 +41,8 @@ def test_nf0_pairing_and_phases(nf0):
     assert nf0.pair(d, m) == 2
     assert nf0.sigma_trivial
     # at strong coupling the two rays bound a cone that closes at weak
-    assert nf0.ray_phase(PLUS, d) > nf0.ray_phase(PLUS, m)
-    assert nf0.ray_phase(MINUS, d) < nf0.ray_phase(MINUS, m)
+    assert cross(nf0.z(PLUS, m), nf0.z(PLUS, d)) > 0     # phase d above m
+    assert cross(nf0.z(MINUS, m), nf0.z(MINUS, d)) < 0   # and below it
     assert not nf0.pinned(d)
     assert not nf0.pinned(m)
 
@@ -83,8 +81,11 @@ def test_sweep_crossing_orientation():
     assert sweep_crossing(right, left, (Q(-1), Q(-1))) is None
 
 
-def test_crossing_wrapper(nf0):
-    # moving gamma_m from strong to weak sweeps it over nothing but
-    # rays inside the closing cone
-    res = crossing(nf0, (0, 1), PLUS, MINUS, (1, 0), MINUS)
-    assert res in (1, -1, None)
+def test_sweep_crossing_on_central_charges(nf0):
+    # pushing Z_m from the strong to the weak side turns it
+    # counterclockwise over the weak ray of gamma_d, but not over its
+    # strong ray, which lies beyond the sweep
+    d, m = (1, 0), (0, 1)
+    start, end = nf0.z(PLUS, m), nf0.z(MINUS, m)
+    assert sweep_crossing(start, end, nf0.z(MINUS, d)) == CCW
+    assert sweep_crossing(start, end, nf0.z(PLUS, d)) is None

@@ -16,10 +16,6 @@ def test_quadrature_integrates_gaussian():
     assert abs(got - math.sqrt(math.pi)) < 1e-12
 
 
-def test_truncation_error_is_small():
-    assert SPEC.truncation_error(3.0, 1.0) < 1e-6
-
-
 def test_rho_residue():
     # rho has residue 2 at tau = sigma: contour integral around the pole
     sigma = 0.3 + 0.1j
