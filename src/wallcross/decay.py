@@ -154,12 +154,13 @@ def _approach_side(start: Vec2, end: Vec2) -> str:
 
 
 def _sweep(theory: Theory, st: _State, i: int, start: Vec2, end: Vec2,
-           new_ray: Charge, new_status: str, out: list["_State"],
-           result: TraceResult, log) -> _State | None:
-    """Push vertex i's ray from start to end.
+           out: list["_State"], result: TraceResult, log) -> _State | None:
+    """Push vertex i's ray from start to end, the weak-side ray of its
+    charge.
 
     Residue branches are appended to `out`; returns the continued main
-    state, or None when the sweep is singular (ends on an active ray).
+    state, with vertex i balanced on its weak-side ray, or None when the
+    sweep is singular (ends on an active ray).
     """
     crossings: list[tuple[int, int]] = []
     singular = False
@@ -200,8 +201,8 @@ def _sweep(theory: Theory, st: _State, i: int, start: Vec2, end: Vec2,
         log(f"residue: vertex {i} crossed {j}, branch sign {branch.sign}")
     if singular:
         return None
-    st.ray[i] = new_ray
-    st.status[i] = new_status
+    st.ray[i] = st.charges[i]
+    st.status[i] = _MINUS
     return st
 
 
@@ -223,22 +224,16 @@ def _run(theory: Theory, stack: list[_State], schedule: str,
         alive = st.alive()
         st.pending = [k for k in st.pending if st.status[k] == _PLUS]
         unbal = [k for k in alive if st.status[k] == _UNBAL]
-        if st.pending:
-            i = st.pending.pop(0)
-            start = theory.z(PLUS, st.charges[i])
-            end = theory.z(MINUS, st.charges[i])
-            log(f"promote {i} {st.charges[i]}")
-            cont = _sweep(theory, st, i, start, end, st.charges[i], _MINUS,
-                          stack, result, log)
-            if cont is not None:
-                stack.append(cont)
-            continue
-        if unbal:
-            i = min(unbal, key=lambda k: (st.depth(k), k))
-            start = theory.z(MINUS, st.ray[i])
-            end = theory.z(MINUS, st.charges[i])
-            log(f"rebalance {i} {st.ray[i]} -> {st.charges[i]}")
-            cont = _sweep(theory, st, i, start, end, st.charges[i], _MINUS,
+        if st.pending or unbal:
+            if st.pending:
+                i = st.pending.pop(0)
+                start = theory.z(PLUS, st.charges[i])
+                log(f"promote {i} {st.charges[i]}")
+            else:
+                i = min(unbal, key=lambda k: (st.depth(k), k))
+                start = theory.z(MINUS, st.ray[i])
+                log(f"rebalance {i} {st.ray[i]} -> {st.charges[i]}")
+            cont = _sweep(theory, st, i, start, theory.z(MINUS, st.charges[i]),
                           stack, result, log)
             if cont is not None:
                 stack.append(cont)

@@ -1,26 +1,26 @@
-"""Truncated Kontsevich-Soibelman automorphisms of the classical torus
-algebra.
+"""Truncated Kontsevich-Soibelman products on the classical torus algebra.
 
-A spectrum acts on the basis variables x_mu by the ordered product of the
-operators x_mu -> x_mu (1 - sigma(gamma) x_gamma)^{Omega <gamma,mu>}, taken
-in decreasing phase order of Z_gamma in the relevant region.  The strong
-and weak products must agree; conversely the weak exponents can be peeled
-off degree by degree from the strong product.
+The operator of a state (gamma, Omega) is the algebra map acting on a
+monomial by x^e -> x^e (1 - sigma(gamma) x_gamma)^{Omega <gamma,e>}.  A
+spectrum gives the ordered product of these operators, taken in
+decreasing phase order of Z_gamma in the relevant region.  The strong
+and weak products must agree; conversely the weak exponents can be
+peeled off degree by degree from the strong product.
 
-Series are kept as sparse maps charge-exponent -> Fraction, truncated at
-total effective degree N.  Automorphisms are stored by their multipliers
-G_mu with x_mu -> x_mu * G_mu, so negative basis coordinates of effective
-charges (Nf >= 1) need no special casing.
+Series are sparse maps charge-exponent -> int (every coefficient is an
+integer), truncated at total effective degree N.  A product is stored by
+its multipliers G_mu with x_mu -> x_mu * G_mu, and is built by applying
+each operator to the current terms of x_mu G_mu one group of equal
+exponent at a time, so no series is ever substituted into another.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import MINUS, PLUS, Charge, Theory, is_zero
+from .lattice import MINUS, PLUS, Charge, Theory
 from .spectrum import WEAK, SpectrumTable
 
-Series = dict[Charge, Fraction]
+Series = dict[Charge, int]
 
 
 class FactorizationError(Exception):
@@ -31,14 +31,10 @@ def eff_degree(theory: Theory, e: Charge) -> int:
     return sum(s * x for s, x in zip(theory.effective_signs, e))
 
 
-def series_one(theory: Theory) -> Series:
-    return {theory.zero(): Fraction(1)}
-
-
-def series_add(a: Series, b: Series) -> Series:
+def series_sub(a: Series, b: Series) -> Series:
     out = dict(a)
     for e, c in b.items():
-        out[e] = out.get(e, Fraction(0)) + c
+        out[e] = out.get(e, 0) - c
         if not out[e]:
             del out[e]
     return out
@@ -51,87 +47,54 @@ def series_mul(theory: Theory, a: Series, b: Series, N: int) -> Series:
             e = tuple(x + y for x, y in zip(ea, eb))
             if eff_degree(theory, e) > N:
                 continue
-            out[e] = out.get(e, Fraction(0)) + ca * cb
+            out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
 
-def series_pow(theory: Theory, a: Series, k: int, N: int) -> Series:
-    """a**k for integer k; negative k inverts (unit constant term required)."""
-    if k < 0:
-        u = {e: -c for e, c in a.items() if not is_zero(e)}
-        if a.get(theory.zero()) != 1:
-            raise ValueError("can only invert a series with constant term 1")
-        inv = series_one(theory)
-        term = series_one(theory)
-        for _ in range(N):
-            term = series_mul(theory, term, u, N)
-            if not term:
-                break
-            inv = series_add(inv, term)
-        a, k = inv, -k
-    r = series_one(theory)
-    for _ in range(k):
-        r = series_mul(theory, r, a, N)
-    return r
-
-
-def series_eval(theory: Theory, s: Series, mults: list[Series], N: int) -> Series:
-    """Substitute x_i -> x_i * mults[i]; returns the transformed series."""
-    out: Series = {}
-    for e, c in s.items():
-        term: Series = {e: c}
-        for i, k in enumerate(e):
-            if k:
-                term = series_mul(theory, term,
-                                  series_pow(theory, mults[i], k, N), N)
-        out = series_add(out, term)
+def binomial_series(theory: Theory, gamma: Charge, k: int, N: int) -> Series:
+    """(1 - sigma(gamma) x_gamma)^k through effective degree N, for any
+    integer k (generalised binomial coefficients when k < 0)."""
+    if not theory.is_effective(gamma):
+        raise ValueError(f"{gamma} is not effective")
+    deg, sg = eff_degree(theory, gamma), theory.sigma_value(gamma)
+    out: Series = {theory.zero(): 1}
+    c, j = 1, 0
+    while (j + 1) * deg <= N:
+        # C(k, j+1) = C(k, j) (k-j) / (j+1) is an integer, so // is exact
+        c = -sg * c * (k - j) // (j + 1)
+        j += 1
+        if not c:
+            break
+        out[tuple(j * x for x in gamma)] = c
     return out
 
 
-# ---------------------------------------------------------------------------
-# automorphisms
+def compose(theory: Theory, states: list[tuple[Charge, int]],
+            N: int) -> tuple[Series, ...]:
+    """Multipliers G_mu of T_1 ... T_k for states [(gamma_1, Omega_1), ...].
 
-@dataclass(frozen=True)
-class KSAuto:
-    """x_mu -> x_mu * mults[mu], truncated at effective degree N."""
-    theory: Theory
-    mults: tuple[Series, ...]
-    N: int
-
-
-def identity_auto(theory: Theory, N: int) -> KSAuto:
-    return KSAuto(theory, tuple(series_one(theory) for _ in range(theory.rank)), N)
-
-
-def ks_auto(theory: Theory, gamma: Charge, omega: int, N: int) -> KSAuto:
-    """KS operator of a single state (gamma, Omega)."""
-    if not theory.is_effective(gamma):
-        raise ValueError(f"{gamma} is not effective")
-    sg = theory.sigma_value(gamma)
-    base = series_add(series_one(theory), {gamma: Fraction(-sg)})
-    mults = tuple(
-        series_pow(theory, base, omega * theory.pair(gamma, theory.unit(mu)), N)
-        for mu in range(theory.rank))
-    return KSAuto(theory, mults, N)
-
-
-def compose(theory: Theory, autos: list[KSAuto], N: int,
-            reverse: bool = True) -> KSAuto:
-    """Composite of the listed operators.
-
-    With reverse=True the list is read as "applied first" .. "applied last"
-    in reversed order, which matches feeding a spectrum in decreasing phase
-    order on both sides of the identity.
+    T_k acts first: x_mu G_mu starts as x_mu, and each operator from T_k
+    back to T_1 multiplies every current term x^{mu+e} by
+    (1 - sigma x_gamma)^{Omega <gamma, mu+e>}.
     """
-    order = list(reversed(autos)) if reverse else list(autos)
-    total = identity_auto(theory, N)
-    for a in order:
-        mults = tuple(
-            series_mul(theory, a.mults[mu],
-                       series_eval(theory, total.mults[mu], list(a.mults), N), N)
-            for mu in range(theory.rank))
-        total = KSAuto(theory, mults, N)
-    return total
+    mults: list[Series] = [{theory.zero(): 1} for _ in range(theory.rank)]
+    for gamma, omega in reversed(states):
+        p = [omega * theory.pair(gamma, theory.unit(i))
+             for i in range(theory.rank)]
+        for mu, g in enumerate(mults):
+            groups: dict[int, Series] = {}
+            for e, c in g.items():
+                k = p[mu] + sum(x * y for x, y in zip(p, e))
+                groups.setdefault(k, {})[e] = c
+            out: Series = {}
+            for k, terms in groups.items():
+                if k:
+                    terms = series_mul(theory, terms,
+                                       binomial_series(theory, gamma, k, N), N)
+                for e, c in terms.items():
+                    out[e] = out.get(e, 0) + c
+            mults[mu] = {e: c for e, c in out.items() if c}
+    return tuple(mults)
 
 
 def _phase_sorted(theory: Theory, region: str,
@@ -146,25 +109,24 @@ def _phase_sorted(theory: Theory, region: str,
 
 
 def spectrum_auto(theory: Theory, table: SpectrumTable, region: str,
-                  N: int) -> KSAuto:
-    """Ordered product of the KS operators of one spectrum table; N >= 1,
-    since below degree 1 every product is the identity and a check built
-    on it would compare nothing."""
+                  N: int) -> tuple[Series, ...]:
+    """Multipliers of the ordered product of one spectrum table's KS
+    operators; N >= 1, since below degree 1 every product is the identity
+    and a check built on it would compare nothing."""
     if N < 1:
         raise ValueError(f"truncation degree N must be at least 1, got {N}")
     charges = [g for g in table.charges()
                if theory.is_effective(g) and eff_degree(theory, g) <= N]
     ordered = _phase_sorted(theory, region, charges)
-    autos = [ks_auto(theory, g, table.omega(g), N) for g in ordered]
-    return compose(theory, autos, N, reverse=True)
+    return compose(theory, [(g, table.omega(g)) for g in ordered], N)
 
 
-def agreement_degree(theory: Theory, a: KSAuto, b: KSAuto, N: int) -> int:
-    """Largest d <= N with all coefficients of both actions equal up to d."""
+def agreement_degree(theory: Theory, a: tuple[Series, ...],
+                     b: tuple[Series, ...], N: int) -> int:
+    """Largest d <= N with all coefficients of both products equal up to d."""
     worst = N
     for mu in range(theory.rank):
-        diff = series_add(a.mults[mu], {e: -c for e, c in b.mults[mu].items()})
-        for e in diff:
+        for e in series_sub(a[mu], b[mu]):
             worst = min(worst, eff_degree(theory, e) - 1)
     return worst
 
@@ -192,11 +154,9 @@ def infer_weak_spectrum(theory: Theory, strong: SpectrumTable,
         table = SpectrumTable(theory.name, WEAK, None, True, d - 1,
                               dict(entries))
         current = spectrum_auto(theory, table, MINUS, N)
-        discrepancy: dict[Charge, dict[int, Fraction]] = {}
+        discrepancy: dict[Charge, dict[int, int]] = {}
         for mu in range(theory.rank):
-            diff = series_add(target.mults[mu],
-                              {e: -c for e, c in current.mults[mu].items()})
-            for e, c in diff.items():
+            for e, c in series_sub(target[mu], current[mu]).items():
                 de = eff_degree(theory, e)
                 if de < d:
                     raise FactorizationError(

@@ -72,16 +72,6 @@ class SpectrumTable:
             "entries": [[list(g), w] for g, w in sorted(self.entries.items())],
         }
 
-    @classmethod
-    def from_json(cls, d: dict) -> "SpectrumTable":
-        if d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported spectrum schema {d.get('schema_version')}")
-        return cls(
-            theory=d["theory"], region=d["region"],
-            truncation=d["truncation"], complete=d["complete"],
-            covered_degree=d["covered_degree"],
-            entries={tuple(g): int(w) for g, w in d["entries"]})
-
 
 def spectrum_table(theory_name: str, region: str, K: int = DEFAULT_K) -> SpectrumTable:
     """Generate a table from the catalog rules (families truncated at K)."""

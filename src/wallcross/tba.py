@@ -194,26 +194,6 @@ def ov_magnetic(model: OVModel, zeta, spec: QuadratureSpec = DEFAULT_SPEC):
     return zctx.x_sf((0, 1), zeta) * np.exp(corr)
 
 
-def ov_tba_rhs(model: OVModel, zeta, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Right side of the integral equation for x_m with x_e semiflat.
-
-    Written from the generic form: for each state (gamma', Omega') the
-    exponent gains -(Omega'/4 pi i) <gamma_m, gamma'> Int_{ell_gamma'}
-    rho log(1 - x_gamma').
-    """
-    zctx = model.context()
-    q = model.q
-    expo = 0.0 + 0.0j
-    for gp in ((q, 0), (-q, 0)):
-        pairing = gp[0]             # <gamma_m, gamma'>, orientation fixed by
-        # requiring agreement with the closed-form magnetic coordinate
-        pts, dz = ray_points(zctx.z(gp), spec)
-        xq = zctx.x_sf(gp, pts)
-        expo += -pairing / (4j * math.pi) * np.sum(rho(zeta, pts)
-                                                   * np.log(1.0 - xq) * dz)
-    return zctx.x_sf((0, 1), zeta) * np.exp(expo)
-
-
 def ov_instanton_magnetic(model: OVModel, zeta,
                           spec: QuadratureSpec = DEFAULT_SPEC, K: int = 30):
     """Magnetic coordinate from the single-vertex propagator sum.
@@ -241,10 +221,11 @@ def ov_fixed_point_residual(model: OVModel, zeta,
     """|x_m - RHS(x_m)| for the quadrature fixed point (x_e needs no update).
 
     x_m is built from the instanton sum, the right side from the log-kernel
-    integral equation, so the two sides take different code paths.
+    integral equation (`ov_magnetic`), so the two sides take different code
+    paths.
     """
     xm = ov_instanton_magnetic(model, zeta, spec)
-    return abs(xm - ov_tba_rhs(model, zeta, spec))
+    return abs(xm - ov_magnetic(model, zeta, spec))
 
 
 # ---------------------------------------------------------------------------

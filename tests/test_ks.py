@@ -2,58 +2,67 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.ks import (FactorizationError, agreement_degree, compose,
-                          eff_degree, identity_auto, infer_weak_spectrum,
-                          ks_auto, series_mul, series_one,
-                          series_pow, spectrum_auto, verify_wall_identity)
-from wallcross.lattice import MINUS, PLUS, Theory, theory_by_name
+from wallcross.ks import (binomial_series, compose, eff_degree,
+                          infer_weak_spectrum, series_mul, verify_wall_identity)
+from wallcross.lattice import PLUS, Theory, theory_by_name
 from wallcross.spectrum import SpectrumTable, spectrum_table
-
-Q = Fraction
 
 N = 8
 
 
-def x(*coords):
-    return {tuple(coords): Q(1)}
+def identity(theory):
+    return tuple({theory.zero(): 1} for _ in range(theory.rank))
 
 
 def test_series_arithmetic(nf0):
-    one = series_one(nf0)
-    a = {**one, (1, 0): Q(2)}
+    a = {(0, 0): 1, (1, 0): 2}
     sq = series_mul(nf0, a, a, N)
-    assert sq[(2, 0)] == 4
-    assert sq[(1, 0)] == 4
-    inv = series_pow(nf0, a, -1, N)
-    assert series_mul(nf0, a, inv, N) == one
+    assert sq == {(0, 0): 1, (1, 0): 4, (2, 0): 4}
+    assert series_mul(nf0, sq, {(0, 0): 1, (1, 1): 1}, 2) == {
+        (0, 0): 1, (1, 0): 4, (2, 0): 4, (1, 1): 1}
 
 
 def test_series_pow_truncates(nf0):
-    a = {**series_one(nf0), (1, 0): Q(1)}
-    p = series_pow(nf0, a, 5, 3)
-    assert all(eff_degree(nf0, e) <= 3 for e in p)
-    assert p[(3, 0)] == 10
+    # (1 - x_d)^5 through degree 3: sigma(d) = 1, coefficient of x_d^3 is -10
+    p = binomial_series(nf0, (1, 0), 5, 3)
+    assert p == {(0, 0): 1, (1, 0): -5, (2, 0): 10, (3, 0): -10}
+    # (1 - x_g)^-3 with g of degree 2: C(-3, 2) = 6 at x_g^2 = degree 4
+    q = binomial_series(nf0, (1, 1), -3, 5)
+    assert q == {(0, 0): 1, (1, 1): 3, (2, 2): 6}
+    with pytest.raises(ValueError):
+        binomial_series(nf0, (1, -1), 1, 3)
+
+
+@pytest.mark.parametrize("k", range(-4, 5))
+def test_binomial_series_inverse(k, nf0, nf1):
+    for theory, gamma in ((nf0, (1, 0)), (nf0, (1, 2)), (nf1, (1, 1, -1))):
+        a = binomial_series(theory, gamma, k, N)
+        b = binomial_series(theory, gamma, -k, N)
+        assert all(eff_degree(theory, e) <= N for e in a)
+        assert all(type(c) is int for c in a.values())
+        assert series_mul(theory, a, b, N) == {theory.zero(): 1}
 
 
 def test_basic_operator_action(nf0):
     # the operator of gamma multiplies x_mu by (1 - sigma x_gamma)^<gamma,mu>
     d = (1, 0)
-    mults = ks_auto(nf0, d, 1, N).mults
+    mults = compose(nf0, [(d, 1)], N)
     # x_m -> x_m (1 - x_d)^2 since <d, m> = 2 and sigma(d) = 1
-    assert mults[1] == {(0, 0): Q(1), d: Q(-2), (2, 0): Q(1)}
+    assert mults[1] == {(0, 0): 1, d: -2, (2, 0): 1}
     # x_d is fixed by its own operator
-    assert mults[0] == series_one(nf0)
+    assert mults[0] == {(0, 0): 1}
 
 
 def test_compose_identity(nf0):
-    auto = ks_auto(nf0, (1, 0), 1, N)
-    assert compose(nf0, [auto, identity_auto(nf0, N)], N).mults == auto.mults
+    assert compose(nf0, [], N) == identity(nf0)
+    assert compose(nf0, [((1, 0), 1), ((1, 1), 0)], N) == \
+        compose(nf0, [((1, 0), 1)], N)
 
 
-def test_inverse_operator(nf0):
-    g = (1, 1)
-    both = compose(nf0, [ks_auto(nf0, g, 1, N), ks_auto(nf0, g, -1, N)], N)
-    assert agreement_degree(nf0, both, identity_auto(nf0, N), N) >= N
+def test_inverse_operator(nf0, nf1):
+    for theory, g in ((nf0, (1, 1)), (nf0, (1, 2)), (nf1, (1, 1, -1))):
+        assert compose(theory, [(g, 1), (g, -1)], N) == identity(theory)
+        assert compose(theory, [(g, -2), (g, 2)], N) == identity(theory)
 
 
 def test_wall_identity_nf0(nf0):

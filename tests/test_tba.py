@@ -74,13 +74,6 @@ def test_ov_magnetic_matches_instanton_series():
     assert res < 10 * SPEC.tol
 
 
-def test_ov_tba_rhs_is_fixed_point():
-    m = tba.OVModel()
-    direct = tba.ov_magnetic(m, ZETA, SPEC)
-    rhs = tba.ov_tba_rhs(m, ZETA, SPEC)
-    assert abs(direct - rhs) < 1e-9 * max(1.0, abs(direct))
-
-
 def test_scale_invariance():
     for q in (1, 2):
         rel = tba.scale_invariance_check(tba.OVModel(q=q), ZETA, spec=SPEC)
