@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-from fractions import Fraction
 
 from .decay import (ROOT_FIRST, SCHEDULES, conjecture_check, gmn_contribution,
                     run_decay)
@@ -55,14 +54,6 @@ def _emit(report: dict, path: str | None) -> None:
         print(text)
 
 
-def _frac(q: Fraction) -> str:
-    return str(q)
-
-
-def _value(v) -> str:
-    return repr(v)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -85,16 +76,16 @@ def cmd_js(args) -> int:
     target = _parse_charge(theory, args.target)
     table = spectrum_table(theory.name, "strong")
     dt = js_wallcross(theory, table, target, max_vertices=args.max_vertices)
-    trees = js_tree_values(theory, table, target, twisted=True,
+    trees = js_tree_values(theory, table, target,
                            max_vertices=args.max_vertices)
     report = {
         "command": "js",
         "theory": theory.name,
         "target": list(target),
-        "dt_weak": _frac(dt),
+        "dt_weak": str(dt),
         "trees": [{"charges": [list(c) for c in tv.charges],
                    "edges": [list(e) for e in tv.edges],
-                   "total": _value(tv.total)}
+                   "total": repr(tv.total)}
                   for key, tv in sorted(trees.items())],
     }
     _emit(report, args.output)
@@ -111,11 +102,10 @@ def cmd_gmn(args) -> int:
     for diag in diagrams:
         wval, total = weight_W(theory, table, diag)
         out.append({"diagram": diag.describe(),
-                    "weight": _value(wval),
+                    "weight": repr(wval),
                     "total": list(total),
-                    "contribution": _value(
-                        gmn_contribution(theory, table, diag,
-                                         schedule=args.schedule))})
+                    "contribution": repr(gmn_contribution(
+                        theory, table, diag, schedule=args.schedule))})
     report = {"command": "gmn", "theory": theory.name,
               "target": list(target), "diagrams": out}
     _emit(report, args.output)
@@ -128,6 +118,8 @@ def cmd_decay_trace(args) -> int:
     table = spectrum_table(theory.name, "strong")
     diagrams = enumerate_diagrams(theory, table, target,
                                   max_vertices=args.max_vertices)
+    if not diagrams:
+        raise ConfigError(f"no framed diagrams with total charge {target}")
     if not 0 <= args.index < len(diagrams):
         raise ConfigError(f"diagram index {args.index} out of range "
                           f"(0..{len(diagrams) - 1})")
@@ -138,11 +130,11 @@ def cmd_decay_trace(args) -> int:
         "theory": theory.name,
         "diagram": diag.describe(),
         "schedule": args.schedule,
-        "eps_sum": _frac(trace.eps_sum),
-        "bracket": _value(trace.bracket()),
+        "eps_sum": str(trace.eps_sum),
+        "bracket": repr(trace.bracket()),
         "singular": [{"key": s.key, "side": s.side, "coeff": s.coeff}
                      for s in trace.singular],
-        "jumps": {k: (None if v is None else _frac(v))
+        "jumps": {k: (None if v is None else str(v))
                   for k, v in sorted(trace.jumps.items())},
         "steps": trace.steps,
     }
@@ -160,13 +152,13 @@ def cmd_check_conjecture(args) -> int:
         "theory": rep.theory,
         "target": list(rep.target),
         "ok": rep.ok,
-        "ledger": {k: _frac(v) for k, v in sorted(rep.ledger.items())},
+        "ledger": {k: str(v) for k, v in sorted(rep.ledger.items())},
         "free_symbols": rep.free_symbols,
         "constraints": [list(c) for c in rep.constraints],
         "trees": [{"charges": [list(c) for c in tc.charges],
                    "edges": [list(e) for e in tc.edges],
-                   "js": _value(tc.js_total),
-                   "gmn": _value(tc.resolved_gmn),
+                   "js": repr(tc.js_total),
+                   "gmn": repr(tc.resolved_gmn),
                    "framings": len(tc.framings),
                    "ok": tc.ok}
                   for key, tc in sorted(rep.trees.items())],

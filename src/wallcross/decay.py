@@ -295,11 +295,15 @@ def conjecture_check(theory: Theory, target: Charge,
 
     Singular symbols are solved from the linear system formed by the
     per-tree equalities together with the jump constraint pairing the
-    two approach sides of each coincident ray.
+    two approach sides of each coincident ray.  The target needs a
+    nonzero framing coordinate: every diagram's root lies on the framing
+    direction, and each contribution divides by that coordinate.
     """
+    if target[theory.root_index] == 0:
+        raise ValueError(f"target {target} has framing coordinate 0: "
+                         "no framed diagram exists")
     strong = spectrum_table(theory.name, "strong")
-    js = js_tree_values(theory, strong, target, twisted=True,
-                        max_vertices=max_vertices)
+    js = js_tree_values(theory, strong, target, max_vertices=max_vertices)
     diagrams = enumerate_diagrams(theory, strong, target, max_vertices=max_vertices)
 
     trees: dict[str, TreeCheck] = {}

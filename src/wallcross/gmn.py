@@ -77,6 +77,8 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
     """
     if not theory.is_effective(target):
         raise ValueError(f"target {target} is not effective")
+    if max_vertices is not None and max_vertices < 1:
+        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
     parts = strong_parts(theory, table, target)
     rdir = root_direction(theory)
     seen: dict[str, RootedDiagram] = {}
@@ -87,7 +89,7 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
         roots = [i for i, c in enumerate(ms) if primitive(c) == rdir]
         if not roots:
             continue
-        weights = _edge_weights(theory, ms, signed=False)
+        weights = _edge_weights(theory, ms)
         for edges in enumerate_labelled_trees(n):
             if any(weights[a][b] == 0 for a, b in edges):
                 continue

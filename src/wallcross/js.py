@@ -6,7 +6,7 @@ on the weak side (u-).  All comparisons are exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, prod
@@ -16,20 +16,6 @@ from .lattice import MINUS, PLUS, Charge, Theory, cross, cscale, same_ray
 from .spectrum import SpectrumTable
 from .symbolic import Value
 from .trees import canon_oriented, canon_unoriented, enumerate_labelled_trees
-
-
-def _int_z(theory: Theory, region: str, charges) -> list[tuple[int, int]]:
-    """Central charges of the charges, each read once and scaled by the
-    theory's common denominator to integers.  One positive scale keeps
-    every direction and every sum, so slope tests become integer cross
-    products."""
-    d = theory.z_denominator
-    out = []
-    for g in charges:
-        re, im = theory.z(region, g)
-        out.append((re.numerator * (d // re.denominator),
-                    im.numerator * (d // im.denominator)))
-    return out
 
 
 def _slope_cmp(za, zb) -> int:
@@ -48,8 +34,8 @@ def s_symbol(theory: Theory, alphas: list[Charge]) -> int:
     n = len(alphas)
     if n == 0:
         raise ValueError("empty decomposition")
-    strong = _int_z(theory, PLUS, alphas)
-    weak = _int_z(theory, MINUS, alphas)
+    strong = [theory.z(PLUS, a) for a in alphas]
+    weak = [theory.z(MINUS, a) for a in alphas]
     head = weak[0]
     tail = (sum(w[0] for w in weak[1:]), sum(w[1] for w in weak[1:]))
     sign = 1
@@ -102,9 +88,10 @@ def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
     f[b][l] = sum_a f[a][l-1] G(a, b) and U = sum_l (-1)^(l-1)/l f[n][l].
     """
     n = len(alphas)
-    strong = _int_z(theory, PLUS, alphas)
+    strong = [theory.z(PLUS, a) for a in alphas]
     prefix = [(0, 0)]
-    for re, im in _int_z(theory, MINUS, alphas):
+    for a in alphas:
+        re, im = theory.z(MINUS, a)
         prefix.append((prefix[-1][0] + re, prefix[-1][1] + im))
     w_total = prefix[n]
     # same_ray is an equivalence, so a block lies on one strong ray iff
@@ -189,9 +176,12 @@ def _weighted_decompositions(theory: Theory, table: SpectrumTable,
                              ) -> Iterator[tuple[tuple[Charge, ...], Fraction]]:
     """Each ordered decomposition with at most max_vertices parts whose
     coefficient U * prod DT * (-1)^(n-1) / 2^(n-1) is nonzero, with that
-    coefficient."""
+    coefficient times the refinement sign: prod_k sigma(alpha_k) is that
+    sign times sigma(target)."""
     if not theory.is_effective(target):
         raise ValueError(f"target {target} is not effective")
+    if max_vertices is not None and max_vertices < 1:
+        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
     for alphas in decompositions(theory, table, target):
         n = len(alphas)
         if max_vertices is not None and n > max_vertices:
@@ -204,86 +194,75 @@ def _weighted_decompositions(theory: Theory, table: SpectrumTable,
             dts *= table.dt(a)
         if dts == 0:
             continue
-        yield alphas, u * dts * Fraction((-1) ** (n - 1), 2 ** (n - 1))
+        sign = theory.sigma_reduce(list(alphas))[0]
+        yield alphas, sign * u * dts * Fraction((-1) ** (n - 1), 2 ** (n - 1))
 
 
-def _edge_weights(theory: Theory, alphas: tuple[Charge, ...],
-                  signed: bool) -> list[list[int]]:
-    """Table w[i][j] (i < j) of the edge weight <alpha_i, alpha_j>, with
-    its (-1)^<,> factor dropped when signed; labelled-tree edges have
-    i < j.  Built once per set of parts instead of once per tree edge."""
+def _edge_weights(theory: Theory, alphas: tuple[Charge, ...]) -> list[list[int]]:
+    """Table w[i][j] (i < j) of the edge weight <alpha_i, alpha_j>;
+    labelled-tree edges have i < j.  Built once per set of parts instead
+    of once per tree edge."""
     n = len(alphas)
     w = [[0] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
-        p = theory.pair(alphas[i], alphas[j])
-        w[i][j] = (-p if p % 2 else p) if signed else p
+        w[i][j] = theory.pair(alphas[i], alphas[j])
     return w
 
 
 def _tree_weight(theory: Theory, alphas: tuple[Charge, ...]) -> int:
     """Sum over the labelled trees on the parts of the product of their
-    signed edge weights."""
-    weights = _edge_weights(theory, alphas, signed=True)
+    edge weights."""
+    weights = _edge_weights(theory, alphas)
     return sum(prod(weights[i][j] for i, j in edges)
                for edges in enumerate_labelled_trees(len(alphas)))
-
-
-def twist_value(theory: Theory, alphas: tuple[Charge, ...]) -> Value:
-    """Refinement twist (prod_edges (-1)^<,>)^-1 prod_k sigma(alpha_k).
-
-    The edge-sign part is folded into the edge weights by the caller
-    (dropping their (-1)^<,> factors); this returns prod sigma(alpha_k)
-    reduced to a multiple of the sign unit sigma(total).
-    """
-    sign, _total = theory.sigma_reduce(list(alphas))
-    if theory.sigma_trivial:
-        return Value.rational(sign)
-    return Value.sign_unit(sign)
 
 
 @dataclass
 class TreeValue:
     charges: list[Charge]
     edges: list[tuple[int, int]]
-    total: Value = field(default_factory=Value.zero)
-    orientations: dict[str, Value] = field(default_factory=dict)
+    total: Value
+    orientations: dict[str, Value]
 
 
 def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
-                   twisted: bool = True,
                    max_vertices: int | None = None) -> dict[str, TreeValue]:
     """Wall-crossing sum grouped by underlying unoriented decorated tree,
     with per-orientation subtotals.
 
-    When twisted, each term carries the refinement twist, so values are
-    directly comparable with decay-calculus contributions.
+    The values are in units of sigma(target) (the sign unit s, or 1 when
+    sigma is trivial), so they are directly comparable with
+    decay-calculus contributions.
     """
-    groups: dict[str, TreeValue] = {}
+    # tree key -> (charges, edges, orientation key -> subtotal)
+    trees: dict[str, tuple[list[Charge], list[tuple[int, int]],
+                           dict[str, Fraction]]] = {}
     for alphas, base in _weighted_decompositions(theory, table, target,
                                                  max_vertices):
         n = len(alphas)
-        tw = twist_value(theory, alphas) if twisted else Value.rational(1)
-        weights = _edge_weights(theory, alphas, signed=not twisted)
+        weights = _edge_weights(theory, alphas)
         charges = list(alphas)
         for edges in enumerate_labelled_trees(n):
             w = prod(weights[i][j] for i, j in edges)
             if w == 0:
                 continue
-            term = tw * Value.rational(base * w)
             key = canon_unoriented(n, edges, charges)
+            if key not in trees:
+                trees[key] = (charges, list(edges), {})
+            sub = trees[key][2]
             okey = canon_oriented(n, edges, charges)
-            tv = groups.get(key)
-            if tv is None:
-                tv = groups[key] = TreeValue(list(alphas), list(edges))
-            tv.total = tv.total + term
-            tv.orientations[okey] = tv.orientations.get(okey, Value.zero()) + term
-    return {k: v for k, v in groups.items()
-            if v.total or any(x for x in v.orientations.values())}
+            sub[okey] = sub.get(okey, Fraction(0)) + base * w
+    unit = Value.rational if theory.sigma_trivial else Value.sign_unit
+    return {key: TreeValue(list(charges), edges, unit(sum(sub.values())),
+                           {k: unit(v) for k, v in sub.items()})
+            for key, (charges, edges, sub) in trees.items()
+            if any(sub.values())}
 
 
 def js_wallcross(theory: Theory, table: SpectrumTable, target: Charge,
                  max_vertices: int | None = None) -> Fraction:
-    """Untwisted weak-side DT invariant of the target charge."""
+    """Weak-side DT invariant of the target charge: the coefficient of
+    sigma(target) in the sum of js_tree_values."""
     return sum((c * _tree_weight(theory, alphas) for alphas, c in
                 _weighted_decompositions(theory, table, target, max_vertices)),
                Fraction(0))

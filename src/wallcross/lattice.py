@@ -3,17 +3,17 @@
 Charges are integer coordinate tuples in a fixed basis of vanishing
 cycles.  The antisymmetric pairing, the central-charge models on the two
 sides of the wall, and the quadratic refinement sign all live here.  All
-phase comparisons are exact (2d cross products of rational vectors).
+phase comparisons are exact (2d cross products of rational vectors; the
+catalog's central charges are integer vectors).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 Charge = tuple[int, ...]
-Vec2 = tuple[Fraction, Fraction]  # central charge value (re, im)
+Vec2 = tuple[Fraction, Fraction]  # central charge value (re, im), int or Fraction
 
 PLUS = "+"    # strong-coupling side of the wall
 MINUS = "-"   # weak-coupling side
@@ -116,42 +116,24 @@ class Theory:
         return sum(a[i] * self.pairing[i][j] * b[j]
                    for i in range(self.rank) for j in range(self.rank))
 
-    @cached_property
-    def _z_memo(self) -> dict[tuple[str, Charge], Vec2]:
-        return {}
-
-    @cached_property
-    def z_denominator(self) -> int:
-        """Common denominator of the basis central charges: every
-        z_denominator * Z_gamma is an integer vector."""
-        return lcm(*(x.denominator for v in self.z_plus + self.z_minus for x in v))
-
     def z(self, region: str, gamma: Charge) -> Vec2:
-        """Central charge Z_gamma on one side of the wall, memoised per
-        theory (the values are immutable)."""
-        key = (region, gamma)
-        memo = self._z_memo
-        if key not in memo:
-            zs = self.z_plus if region == PLUS else self.z_minus
-            re = sum((Fraction(n) * z[0] for n, z in zip(gamma, zs)), Fraction(0))
-            im = sum((Fraction(n) * z[1] for n, z in zip(gamma, zs)), Fraction(0))
-            memo[key] = (re, im)
-        return memo[key]
+        """Central charge Z_gamma on one side of the wall: the linear sum
+        of the basis central charges (integers in the catalog)."""
+        zs = self.z_plus if region == PLUS else self.z_minus
+        re = im = 0
+        for n, (x, y) in zip(gamma, zs):
+            re += n * x
+            im += n * y
+        return re, im
 
     def is_effective(self, gamma: Charge) -> bool:
         if is_zero(gamma):
             return False
         return all(s * n >= 0 for s, n in zip(self.effective_signs, gamma))
 
-    # -- rays ----------------------------------------------------------
-    def ray_key(self, region: str, gamma: Charge) -> tuple[int, int]:
-        """Exact label of the BPS ray ell_gamma (spanned by -Z_gamma)."""
-        re, im = self.z(region, gamma)
-        return direction_key((-re, -im))
-
     def pinned(self, gamma: Charge) -> bool:
         """Ray position identical on both sides of the wall."""
-        return self.ray_key(PLUS, gamma) == self.ray_key(MINUS, gamma)
+        return same_ray(self.z(PLUS, gamma), self.z(MINUS, gamma))
 
     # -- quadratic refinement ------------------------------------------
     def sigma_value(self, gamma: Charge) -> int:
@@ -214,14 +196,13 @@ def sweep_crossing(start: Vec2, end: Vec2, target: Vec2) -> int | None:
 # ---------------------------------------------------------------------------
 # the standard catalog
 
-_F = Fraction
-
 # the two default central-charge assignments ("magnetic-like" and
-# "electric-like" basis states); u+ is the strong-coupling side
-_TYPE_D_PLUS: Vec2 = (_F(-1), _F(10))
-_TYPE_D_MINUS: Vec2 = (_F(1, 2), _F(10))
-_TYPE_M_PLUS: Vec2 = (_F(1), _F(10))
-_TYPE_M_MINUS: Vec2 = (_F(-1, 2), _F(10))
+# "electric-like" basis states); u+ is the strong-coupling side.  Only
+# their phases enter any exact computation, so they are integer vectors.
+_TYPE_D_PLUS: Vec2 = (-2, 20)
+_TYPE_D_MINUS: Vec2 = (1, 20)
+_TYPE_M_PLUS: Vec2 = (2, 20)
+_TYPE_M_MINUS: Vec2 = (-1, 20)
 
 
 def su2_theory(nf: int) -> Theory:

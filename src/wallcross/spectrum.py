@@ -75,6 +75,8 @@ class SpectrumTable:
 
 def spectrum_table(theory_name: str, region: str, K: int = DEFAULT_K) -> SpectrumTable:
     """Generate a table from the catalog rules (families truncated at K)."""
+    if K < 0:
+        raise ValueError(f"family truncation K must be at least 0, got {K}")
     th = theory_by_name(theory_name)
     if region == STRONG:
         entries = {}

@@ -1,6 +1,7 @@
 """Labelled tree enumeration and canonical forms of charge-decorated trees."""
 from __future__ import annotations
 
+import heapq
 from functools import cache
 from itertools import combinations, product
 
@@ -36,7 +37,6 @@ def tree_from_prufer(seq: list[int], n: int) -> list[Edge]:
         degree[v] += 1
     edges: list[Edge] = []
     leaves = sorted(i for i in range(n) if degree[i] == 1)
-    import heapq
     heapq.heapify(leaves)
     for v in seq:
         leaf = heapq.heappop(leaves)

@@ -138,3 +138,42 @@ def test_config_file_typed_values(tmp_path):
     assert code == 0
     diagrams = json.loads(out.read_text())["diagrams"]
     assert [d["diagram"] for d in diagrams] == ["(1+0)[(0+2)]"]
+
+
+def test_js_reports_the_weak_invariant_with_refinement(tmp_path):
+    # sigma is not trivial on nf1: the weak table has no state at 2,2,-1
+    code, rep = run(tmp_path, "js", "nf1", "2,2,-1")
+    assert code == 0
+    assert rep["dt_weak"] == "0"
+
+
+@pytest.mark.parametrize("theory,target", [("nf0", "0,1"), ("nf1", "0,1,-1")])
+def test_check_conjecture_needs_a_framing_coordinate(tmp_path, capsys,
+                                                     theory, target):
+    code, rep = run(tmp_path, "check-conjecture", theory, target)
+    assert code == 2 and rep is None
+    assert "has framing coordinate 0" in capsys.readouterr().err
+
+
+def test_decay_trace_without_diagrams(tmp_path, capsys):
+    code, rep = run(tmp_path, "decay-trace", "nf0", "0,1")
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        "config error: no framed diagrams with total charge (0, 1)\n")
+
+
+@pytest.mark.parametrize("argv", [("check-conjecture", "nf0", "2,3"),
+                                  ("js", "nf0", "1,1"),
+                                  ("gmn", "nf0", "1,1")])
+def test_max_vertices_must_be_positive(tmp_path, capsys, argv):
+    code, rep = run(tmp_path, *argv, "--max-vertices", "0")
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        "error: ValueError: max_vertices must be at least 1, got 0\n")
+
+
+def test_spectrum_rejects_negative_truncation(tmp_path, capsys):
+    code, rep = run(tmp_path, "spectrum", "nf0", "weak", "--K", "-3")
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        "error: ValueError: family truncation K must be at least 0, got -3\n")

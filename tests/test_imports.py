@@ -1,4 +1,5 @@
-"""Each module of the package uses every name it imports."""
+"""Each module of the package imports at module level only, and uses every
+name it imports."""
 import ast
 from pathlib import Path
 
@@ -29,3 +30,25 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def nested_imports(source: str) -> list[str]:
+    """Names imported inside a function body."""
+    tree = ast.parse(source)
+    names = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names += [a.asname or a.name for a in node.names]
+    return sorted(names)
+
+
+def test_nested_imports_are_found():
+    source = "import json\ndef f():\n    import heapq\n    return json, heapq\n"
+    assert nested_imports(source) == ["heapq"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_imports_inside_functions(path):
+    assert nested_imports(path.read_text()) == []

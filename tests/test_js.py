@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from wallcross.js import (decompositions, js_tree_values, js_wallcross,
-                          s_symbol, strong_parts, twist_value, u_symbol)
+                          s_symbol, strong_parts, u_symbol)
 from wallcross.symbolic import Value
 from wallcross.spectrum import spectrum_table
 from wallcross.lattice import theory_by_name
@@ -38,15 +38,6 @@ def test_decompositions_cover_target(nf0, nf0_strong):
         assert total == (1, 2)
 
 
-def test_twist_value_sign(nf0, nf1):
-    # nf0 pairing is even: every twist is +1
-    assert twist_value(nf0, (D, M)) == Value.rational(1)
-    # odd pairings contribute the sign unit
-    v = twist_value(nf1, ((1, 0, 0), (0, 1, 0)))
-    assert v in (Value.sign_unit(1), Value.sign_unit(-1),
-                 Value.rational(1), Value.rational(-1))
-
-
 def test_wallcross_vector_multiplet(nf0, nf0_strong, nf0_weak):
     assert js_wallcross(nf0, nf0_strong, (1, 1)) == -2
     assert nf0_weak.omega((1, 1)) == -2
@@ -63,11 +54,17 @@ def test_wallcross_vanishing_states(nf0, nf0_strong, nf0_weak):
         assert js_wallcross(nf0, nf0_strong, target) == nf0_weak.dt(target)
 
 
-def test_tree_values_sum_to_invariant(nf0, nf0_strong):
-    target = (1, 2)
-    groups = js_tree_values(nf0, nf0_strong, target, twisted=False)
-    total = sum((tv.total for tv in groups.values()), Value.zero())
-    assert total == Value.rational(js_wallcross(nf0, nf0_strong, target))
+def test_tree_values_sum_to_invariant():
+    # the tree totals are in units of sigma(target): 1 when sigma is
+    # trivial, the sign unit s otherwise
+    for name, target in [("nf0", (1, 2)), ("nf1", (1, 1, -1)),
+                         ("nf1", (2, 2, -1)), ("nf2", (1, 1, 1, 1))]:
+        theory = theory_by_name(name)
+        table = spectrum_table(name, "strong")
+        unit = Value.rational(1) if theory.sigma_trivial else Value.sign_unit(1)
+        groups = js_tree_values(theory, table, target)
+        total = sum((tv.total for tv in groups.values()), Value.zero())
+        assert total == unit * js_wallcross(theory, table, target), (name, target)
 
 
 def test_tree_values_survive_caller_mutation(nf0, nf0_strong):
@@ -87,7 +84,7 @@ def test_tree_values_survive_caller_mutation(nf0, nf0_strong):
 def test_twisted_trees_nf1():
     th = theory_by_name("nf1")
     table = spectrum_table("nf1", "strong")
-    groups = js_tree_values(th, table, (1, 1, -1), twisted=True)
+    groups = js_tree_values(th, table, (1, 1, -1))
     totals = sorted(repr(tv.total) for tv in groups.values())
     assert totals == ["-1/2*s", "-1/2*s", "-s"]
     # total weak invariant carries sigma of the target

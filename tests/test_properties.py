@@ -1,5 +1,6 @@
 """Structural invariants checked over generated inputs."""
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 
 from wallcross.decay import SCHEDULES, run_decay
 from wallcross.gmn import enumerate_diagrams
+from wallcross.js import js_wallcross
+from wallcross.ks import infer_weak_spectrum
 from wallcross.lattice import cadd, cneg, content, theory_by_name
 from wallcross.spectrum import f_coeff, spectrum_table
 from wallcross.trees import enumerate_labelled_trees
@@ -99,6 +102,32 @@ def test_decay_terminates_and_is_closed(name, target):
             for step in trace.steps:
                 if "terminal singleton" in step:
                     assert label in step
+
+
+# effective degree bound per theory: 27 + 55 + 125 + 125 = 332 charges
+JS_KS_DEGREES = {"nf0": 6, "nf1": 5, "nf2": 5, "nf3": 4}
+
+
+@pytest.mark.parametrize("name", sorted(JS_KS_DEGREES))
+def test_js_matches_ks_inferred_spectrum(name):
+    # the combinatorial sum gives, at every effective charge up to the
+    # bound, the weak DT invariant of the spectrum that the KS ordered
+    # product infers from the strong one
+    th = theory_by_name(name)
+    N = JS_KS_DEGREES[name]
+    strong = spectrum_table(name, "strong")
+    weak = infer_weak_spectrum(th, strong, N)
+    checked, wrong = 0, []
+    for coords in product(range(N + 1), repeat=th.rank):
+        if not 1 <= sum(coords) <= N:
+            continue
+        gamma = tuple(s * x for s, x in zip(th.effective_signs, coords))
+        got, want = js_wallcross(th, strong, gamma), weak.dt(gamma)
+        checked += 1
+        if got != want:
+            wrong.append((gamma, got, want))
+    assert checked == {"nf0": 27, "nf1": 55, "nf2": 125, "nf3": 125}[name]
+    assert wrong == []
 
 
 def test_decay_schedule_independent_on_single_edge(nf0, nf0_strong):
