@@ -3,7 +3,8 @@
 For each theory and target charge, the combinatorial sum over ordered
 decompositions and the framed-diagram decay calculus are evaluated tree
 by tree; any coincident-ray symbols are solved from the jump constraints
-and printed.
+and printed.  Every total is a coefficient of the quadratic refinement
+sigma(target) of the target charge.
 """
 from wallcross.decay import conjecture_check
 from wallcross.lattice import theory_by_name

@@ -1,7 +1,7 @@
 """Command-line entry points and machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration or
-input, or a library error (a size bound, an unsupported case), reported in
+input, or a library error (such as a size bound), reported in
 one line.  Reports are JSON with fixed field order; tabular outputs are CSV.
 """
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from .decay import (ROOT_FIRST, SCHEDULES, conjecture_check, gmn_contribution,
                     run_decay)
 from .gmn import enumerate_diagrams, weight_W
-from .js import js_tree_values, js_wallcross
+from .js import js_tree_values
 from .ks import FactorizationError, infer_weak_spectrum, verify_wall_identity
 from .lattice import Theory, theory_by_name
 from .spectrum import DEFAULT_K, UnknownSpectrumError, spectrum_table
@@ -75,9 +75,10 @@ def cmd_js(args) -> int:
     theory = _theory(args.theory)
     target = _parse_charge(theory, args.target)
     table = spectrum_table(theory.name, "strong")
-    dt = js_wallcross(theory, table, target, max_vertices=args.max_vertices)
     trees = js_tree_values(theory, table, target,
                            max_vertices=args.max_vertices)
+    # the tree totals are coefficients of sigma(target) summing to the invariant
+    dt = sum(tv.total.coeff() for tv in trees.values())
     report = {
         "command": "js",
         "theory": theory.name,
@@ -102,7 +103,7 @@ def cmd_gmn(args) -> int:
     for diag in diagrams:
         wval, total = weight_W(theory, table, diag)
         out.append({"diagram": diag.describe(),
-                    "weight": repr(wval),
+                    "weight": str(wval),
                     "total": list(total),
                     "contribution": repr(gmn_contribution(
                         theory, table, diag, schedule=args.schedule))})
@@ -355,8 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return CONFIG_ERROR
-    except (ValueError, UnknownSpectrumError, FactorizationError,
-            NotImplementedError) as e:
+    except (ValueError, UnknownSpectrumError, FactorizationError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return CONFIG_ERROR
 

@@ -256,14 +256,13 @@ def gmn_contribution(theory: Theory, table: SpectrumTable, diag: RootedDiagram,
                      schedule: str = ROOT_FIRST,
                      trace: TraceResult | None = None) -> Value:
     """Contribution of one framed diagram to the weak-side invariant."""
-    wval, _ = weight_W(theory, table, diag)
-    if wval.is_rational() and wval.rational_part() == 0:
+    w, _ = weight_W(theory, table, diag)
+    if w == 0:
         return Value.zero()
-    total = diag.total()
-    p = total[theory.root_index]
+    p = diag.total()[theory.root_index]
     if trace is None:
         trace = run_decay(theory, diag, schedule=schedule)
-    return Value.rational(Fraction(-1, p)) * wval * trace.bracket()
+    return Value.rational(-w / p) * trace.bracket()
 
 
 @dataclass
@@ -336,16 +335,10 @@ def conjecture_check(theory: Theory, target: Charge,
     equations: list[tuple[dict[str, Fraction], Fraction]] = []
     for tc in trees.values():
         diff = tc.js_total - tc.gmn_total   # = -(symbol part of gmn) + rationals
-        for sp in (0, 1):
-            coeffs: dict[str, Fraction] = {}
-            for name in diff.symbols():
-                c = diff.coeff(sp, name)
-                if c:
-                    coeffs[name] = c
-                    if name not in names:
-                        names.append(name)
-            if coeffs:
-                equations.append((coeffs, -diff.coeff(sp, None)))
+        coeffs = {name: diff.coeff(name) for name in diff.symbols()}
+        if coeffs:
+            names.extend(name for name in coeffs if name not in names)
+            equations.append((coeffs, -diff.coeff()))
     constraints: list[tuple[str, str]] = []
     by_key: dict[str, dict[str, str]] = {}
     for name in names:

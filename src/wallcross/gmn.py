@@ -14,7 +14,6 @@ from fractions import Fraction
 from .lattice import Charge, Theory, cadd, czero, primitive
 from .spectrum import SpectrumTable, f_coeff
 from .js import _edge_weights, _multisets, strong_parts
-from .symbolic import Value
 from .trees import adjacency, charge_label, encode, enumerate_labelled_trees
 
 
@@ -109,32 +108,19 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
 
 
 def weight_W(theory: Theory, table: SpectrumTable,
-             diag: RootedDiagram) -> tuple[Value, Charge]:
+             diag: RootedDiagram) -> tuple[Fraction, Charge]:
     """Diagram weight: (-1)^n / |Aut| * f^root * prod <gamma_parent, f^child>.
 
-    Returns (coefficient, direction); the sign unit stands for the
-    refinement sign of the diagram's total charge.
+    Returns (coefficient, direction); the coefficient is in units of
+    sigma of the diagram's total charge: each f^gamma is c * sigma(gamma)
+    times a direction, and prod sigma(gamma) = sign * sigma(total).
     """
-    total = diag.total()
-    rational = Fraction((-1) ** diag.n, aut_order(diag))
-    sigma_charges: list[Charge] = []
+    w = Fraction((-1) ** diag.n * theory.sigma_reduce(list(diag.charges))[0],
+                 aut_order(diag))
     for i, c in enumerate(diag.charges):
-        fc = f_coeff(theory, table, c)
-        if fc.plain and fc.sigma_coeff:
-            raise NotImplementedError(f"mixed f-coefficient at {c}")
-        if fc.sigma_coeff:
-            rational *= fc.sigma_coeff
-            sigma_charges.append(c)
-        else:
-            rational *= fc.plain
+        coeff, direction = f_coeff(table, c)
+        w *= coeff
         p = diag.parent[i]
         if p is not None:
-            rational *= theory.pair(diag.charges[p], fc.direction)
-    if rational == 0:
-        return Value.zero(), primitive(diag.charges[diag.root])
-    if theory.sigma_trivial or not sigma_charges:
-        return Value.rational(rational), primitive(diag.charges[diag.root])
-    sign, subtotal = theory.sigma_reduce(sigma_charges)
-    # express sigma(subtotal) in units of sigma(total)
-    sign *= theory.sigma_to(subtotal, total)
-    return Value.sign_unit(sign * rational), primitive(diag.charges[diag.root])
+            w *= theory.pair(diag.charges[p], direction)
+    return w, primitive(diag.charges[diag.root])

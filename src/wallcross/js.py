@@ -230,9 +230,8 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
     """Wall-crossing sum grouped by underlying unoriented decorated tree,
     with per-orientation subtotals.
 
-    The values are in units of sigma(target) (the sign unit s, or 1 when
-    sigma is trivial), so they are directly comparable with
-    decay-calculus contributions.
+    The values are coefficients of sigma(target), as are the
+    decay-calculus contributions they are compared with.
     """
     # tree key -> (charges, edges, orientation key -> subtotal)
     trees: dict[str, tuple[list[Charge], list[tuple[int, int]],
@@ -252,9 +251,9 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
             sub = trees[key][2]
             okey = canon_oriented(n, edges, charges)
             sub[okey] = sub.get(okey, Fraction(0)) + base * w
-    unit = Value.rational if theory.sigma_trivial else Value.sign_unit
-    return {key: TreeValue(list(charges), edges, unit(sum(sub.values())),
-                           {k: unit(v) for k, v in sub.items()})
+    return {key: TreeValue(list(charges), edges,
+                           Value.rational(sum(sub.values())),
+                           {k: Value.rational(v) for k, v in sub.items()})
             for key, (charges, edges, sub) in trees.items()
             if any(sub.values())}
 

@@ -33,10 +33,6 @@ def cadd(a: Charge, b: Charge) -> Charge:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def csub(a: Charge, b: Charge) -> Charge:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def cneg(a: Charge) -> Charge:
     return tuple(-x for x in a)
 
@@ -100,7 +96,6 @@ class Theory:
     z_minus: tuple[Vec2, ...]
     effective_signs: tuple[int, ...]  # gamma effective iff sign*coord >= 0 each
     root_index: int              # basis direction carrying GMN framings
-    sigma_trivial: bool          # pairing even on BPS charges (Nf = 0)
 
     @property
     def rank(self) -> int:
@@ -125,6 +120,12 @@ class Theory:
             re += n * x
             im += n * y
         return re, im
+
+    @property
+    def sigma_trivial(self) -> bool:
+        """Even pairing, so sigma is +1 on every charge (Nf = 0).  No
+        computation depends on it; the benchmark workloads read it."""
+        return all(x % 2 == 0 for row in self.pairing for x in row)
 
     def is_effective(self, gamma: Charge) -> bool:
         if is_zero(gamma):
@@ -156,17 +157,6 @@ class Theory:
                 sign = -sign
             total = cadd(total, c)
         return sign, total
-
-    def sigma_to(self, gamma: Charge, target: Charge) -> int:
-        """Sign c with sigma(gamma) = c * sigma(target).
-
-        Defined when target - gamma is divisible by 2 (then sigma of the
-        difference is +1 independently of the refinement choice).
-        """
-        diff = csub(target, gamma)
-        if any(x % 2 for x in diff):
-            raise ValueError("sigma units differ by an odd charge")
-        return -1 if self.pair(gamma, diff) % 2 else 1
 
 
 def sweep_crossing(start: Vec2, end: Vec2, target: Vec2) -> int | None:
@@ -212,7 +202,7 @@ def su2_theory(nf: int) -> Theory:
             pairing=((0, 2), (-2, 0)),
             z_plus=(_TYPE_D_PLUS, _TYPE_M_PLUS),
             z_minus=(_TYPE_D_MINUS, _TYPE_M_MINUS),
-            effective_signs=(1, 1), root_index=0, sigma_trivial=True)
+            effective_signs=(1, 1), root_index=0)
     if nf == 1:
         # basis g1, g2, g3 with g3 = -g1 - g2 in the gauge lattice;
         # effective cone generated by g1, g2, -g3
@@ -223,14 +213,14 @@ def su2_theory(nf: int) -> Theory:
             pairing=((0, 1, -1), (-1, 0, 1), (1, -1, 0)),
             z_plus=(_TYPE_D_PLUS, _TYPE_M_PLUS, z3p),
             z_minus=(_TYPE_D_MINUS, _TYPE_M_MINUS, z3m),
-            effective_signs=(1, 1, -1), root_index=0, sigma_trivial=False)
+            effective_signs=(1, 1, -1), root_index=0)
     if nf == 2:
         return Theory(
             name="nf2", basis=("g1_1", "g2_1", "g1_2", "g2_2"),
             pairing=((0, 0, 1, 1), (0, 0, 1, 1), (-1, -1, 0, 0), (-1, -1, 0, 0)),
             z_plus=(_TYPE_D_PLUS, _TYPE_D_PLUS, _TYPE_M_PLUS, _TYPE_M_PLUS),
             z_minus=(_TYPE_D_MINUS, _TYPE_D_MINUS, _TYPE_M_MINUS, _TYPE_M_MINUS),
-            effective_signs=(1, 1, 1, 1), root_index=0, sigma_trivial=False)
+            effective_signs=(1, 1, 1, 1), root_index=0)
     if nf == 3:
         return Theory(
             name="nf3", basis=("g1_1", "g2_1", "g3_1", "g4_1", "g2"),
@@ -238,7 +228,7 @@ def su2_theory(nf: int) -> Theory:
                      (0, 0, 0, 0, 1), (-1, -1, -1, -1, 0)),
             z_plus=(_TYPE_D_PLUS,) * 4 + (_TYPE_M_PLUS,),
             z_minus=(_TYPE_D_MINUS,) * 4 + (_TYPE_M_MINUS,),
-            effective_signs=(1, 1, 1, 1, 1), root_index=0, sigma_trivial=False)
+            effective_signs=(1, 1, 1, 1, 1), root_index=0)
     raise ValueError(f"nf must be 0..3, got {nf}")
 
 

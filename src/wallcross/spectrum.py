@@ -5,8 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (Charge, Theory, cneg, cscale, content, primitive,
-                      theory_by_name)
+from .lattice import Charge, cneg, cscale, content, primitive, theory_by_name
 
 STRONG = "strong"
 WEAK = "weak"
@@ -134,34 +133,13 @@ def spectrum_table(theory_name: str, region: str, K: int = DEFAULT_K) -> Spectru
 # ---------------------------------------------------------------------------
 # f-coefficients
 
-@dataclass(frozen=True)
-class FCoeff:
-    """f^gamma = (plain + sigma_coeff * sigma(gamma)) * direction."""
-    gamma: Charge
-    direction: Charge
-    plain: Fraction
-    sigma_coeff: Fraction
+def f_coeff(table: SpectrumTable, gamma: Charge) -> tuple[Fraction, Charge]:
+    """Vertex coefficient
+    f^gamma = sum_n sigma(gamma/n)^n / n * Omega(gamma/n) * gamma/n
+    as (c, direction) with f^gamma = c * sigma(gamma) * direction.
 
-
-def f_coeff(theory: Theory, table: SpectrumTable, gamma: Charge) -> FCoeff:
-    """Vertex coefficient sum_n sigma(gamma/n)^n /n * Omega(gamma/n) * gamma/n.
-
-    For odd n, sigma(gamma/n)^n = sigma(gamma); even powers of sigma drop.
+    sigma(2 beta) = +1 for every refinement, so sigma(gamma/n)^n = sigma(gamma)
+    for each divisor n of the content of gamma, and f^gamma is
+    sigma(gamma) DT(gamma) gamma.
     """
-    d = content(gamma)
-    if d == 0:
-        raise ValueError("f-coefficient of the zero charge")
-    prim = primitive(gamma)
-    plain = Fraction(0)
-    sig = Fraction(0)
-    for n in range(1, d + 1):
-        if d % n:
-            continue
-        w = Fraction(table.omega(cscale(d // n, prim)) * (d // n), n)
-        if n % 2:
-            sig += w
-        else:
-            plain += w
-    if theory.sigma_trivial:
-        plain, sig = plain + sig * theory.sigma_value(gamma), Fraction(0)
-    return FCoeff(gamma, prim, plain, sig)
+    return table.dt(gamma) * content(gamma), primitive(gamma)

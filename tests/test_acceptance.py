@@ -102,22 +102,22 @@ def test_acceptance_3_diagram_weights(nf0, nf0_strong, nf1, nf2, nf3):
         (nf0, nf0_strong, (2, 3), "(1+0)[(0+1)[(1+0)[(0+1),(0+1)]]]",
          Value.rational(8)),
         (nf1, spectrum_table("nf1", "strong"), (1, 1, -1),
-         "(1+0+0)[(0+1+0)[(0+0+-1)]]", Value.sign_unit(-1)),
+         "(1+0+0)[(0+1+0)[(0+0+-1)]]", Value.rational(-1)),
         (nf1, spectrum_table("nf1", "strong"), (1, 1, -1),
-         "(1+0+0)[(0+0+-1)[(0+1+0)]]", Value.sign_unit(1)),
+         "(1+0+0)[(0+0+-1)[(0+1+0)]]", Value.rational(1)),
         (nf2, spectrum_table("nf2", "strong"), (1, 1, 1, 1),
-         "(1+0+0+0)[(0+0+0+1)[(0+1+0+0)[(0+0+1+0)]]]", Value.sign_unit(-1)),
+         "(1+0+0+0)[(0+0+0+1)[(0+1+0+0)[(0+0+1+0)]]]", Value.rational(-1)),
         (nf3, spectrum_table("nf3", "strong"), (1, 1, 1, 1, 2),
          "(1+0+0+0+0)[(0+0+0+0+2)[(0+0+0+1+0),(0+0+1+0+0),(0+1+0+0+0)]]",
-         Value.sign_unit(4)),
+         Value.rational(4)),
     ]
     ok = True
     for th, table, target, text, want in cases:
         d = diagram_by_describe(th, table, target, text, max_vertices=5)
         w, _ = weight_W(th, table, d)
         ok = ok and w == want
-    report("diagram weights 2, -2, -4, 8, -s, s, -s, 4s on the catalogued "
-           "framings", ok)
+    report("diagram weights 2, -2, -4, 8, -1, 1, -1, 4 (coefficients of "
+           "sigma(target)) on the catalogued framings", ok)
 
 
 # -- 4. decay contributions --------------------------------------------------
@@ -168,7 +168,7 @@ def test_acceptance_5_agreement_catalog():
             ok = ok and len(rep.free_symbols) == 1
         if name == "nf3":
             (tc,) = rep.trees.values()
-            ok = ok and tc.js_total == Value.sign_unit(4)
+            ok = ok and tc.js_total == Value.rational(4)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 60.0
     report(f"both wall-crossing computations agree on all {len(CATALOG)} "
@@ -191,7 +191,7 @@ def test_acceptance_6_ordered_product_oracle(nf0):
                   pairing=((0, 1), (-1, 0)),
                   z_plus=((f(-1), f(10)), (f(1), f(10))),
                   z_minus=((f(1, 2), f(10)), (f(-1, 2), f(10))),
-                  effective_signs=(1, 1), root_index=0, sigma_trivial=False)
+                  effective_signs=(1, 1), root_index=0)
     pent_strong = SpectrumTable("pentagon", PLUS, None, True, None,
                                 {(1, 0): 1, (0, 1): 1})
     pgot = infer_weak_spectrum(pent, pent_strong, 10)

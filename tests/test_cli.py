@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from wallcross import js
 from wallcross.cli import main
+from wallcross.lattice import theory_by_name
+from wallcross.spectrum import spectrum_table
 
 
 def run(tmp_path, *argv):
@@ -177,3 +180,21 @@ def test_spectrum_rejects_negative_truncation(tmp_path, capsys):
     assert code == 2 and rep is None
     assert capsys.readouterr().err == (
         "error: ValueError: family truncation K must be at least 0, got -3\n")
+
+
+def test_js_runs_the_decomposition_loop_once(tmp_path, monkeypatch):
+    # dt_weak is the sum of the tree totals, so each of the 37 ordered
+    # decompositions of nf0 2,3 gets one U symbol, not one per quantity
+    calls = []
+    u_symbol = js.u_symbol
+
+    def counted(*args):
+        calls.append(args)
+        return u_symbol(*args)
+
+    monkeypatch.setattr(js, "u_symbol", counted)
+    code, rep = run(tmp_path, "js", "nf0", "2,3")
+    assert code == 0
+    assert rep["dt_weak"] == "1"
+    assert len(calls) == len(js.decompositions(
+        theory_by_name("nf0"), spectrum_table("nf0", "strong"), (2, 3))) == 37

@@ -78,9 +78,9 @@ def test_weight_values_nf0(nf0, nf0_strong, text, target, expect):
 def test_weight_values_nf1(nf1):
     table = spectrum_table("nf1", "strong")
     expect = {
-        "(1+0+0)[(0+1+0)[(0+0+-1)]]": Value.sign_unit(-1),
-        "(1+0+0)[(0+0+-1)[(0+1+0)]]": Value.sign_unit(1),
-        "(1+0+0)[(0+0+-1),(0+1+0)]": Value.sign_unit(1),
+        "(1+0+0)[(0+1+0)[(0+0+-1)]]": Value.rational(-1),
+        "(1+0+0)[(0+0+-1)[(0+1+0)]]": Value.rational(1),
+        "(1+0+0)[(0+0+-1),(0+1+0)]": Value.rational(1),
     }
     for d in enumerate_diagrams(nf1, table, (1, 1, -1)):
         w, _ = weight_W(nf1, table, d)
@@ -93,7 +93,7 @@ def test_weight_values_nf2(nf2):
     assert len(diags) == 4
     for d in diags:
         w, _ = weight_W(nf2, table, d)
-        assert w == Value.sign_unit(-1)
+        assert w == Value.rational(-1)
 
 
 def test_weight_value_nf3_star(nf3):
@@ -102,4 +102,4 @@ def test_weight_value_nf3_star(nf3):
     d = diagram_by_describe(nf3, table, (1, 1, 1, 1, 2), star,
                             max_vertices=5)
     w, _ = weight_W(nf3, table, d)
-    assert w == Value.sign_unit(4)
+    assert w == Value.rational(4)

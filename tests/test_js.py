@@ -55,16 +55,15 @@ def test_wallcross_vanishing_states(nf0, nf0_strong, nf0_weak):
 
 
 def test_tree_values_sum_to_invariant():
-    # the tree totals are in units of sigma(target): 1 when sigma is
-    # trivial, the sign unit s otherwise
+    # the tree totals are coefficients of sigma(target)
     for name, target in [("nf0", (1, 2)), ("nf1", (1, 1, -1)),
                          ("nf1", (2, 2, -1)), ("nf2", (1, 1, 1, 1))]:
         theory = theory_by_name(name)
         table = spectrum_table(name, "strong")
-        unit = Value.rational(1) if theory.sigma_trivial else Value.sign_unit(1)
         groups = js_tree_values(theory, table, target)
         total = sum((tv.total for tv in groups.values()), Value.zero())
-        assert total == unit * js_wallcross(theory, table, target), (name, target)
+        assert total == Value.rational(js_wallcross(theory, table, target)), \
+            (name, target)
 
 
 def test_tree_values_survive_caller_mutation(nf0, nf0_strong):
@@ -86,10 +85,11 @@ def test_twisted_trees_nf1():
     table = spectrum_table("nf1", "strong")
     groups = js_tree_values(th, table, (1, 1, -1))
     totals = sorted(repr(tv.total) for tv in groups.values())
-    assert totals == ["-1/2*s", "-1/2*s", "-s"]
-    # total weak invariant carries sigma of the target
+    assert totals == ["-1", "-1/2", "-1/2"]
+    # the tree totals are coefficients of sigma(target) and sum to the
+    # weak invariant
     total = sum((tv.total for tv in groups.values()), Value.zero())
-    assert total == Value.sign_unit(-2)
+    assert total == Value.rational(-2)
 
 
 def test_ineffective_target_raises(nf0, nf0_strong):

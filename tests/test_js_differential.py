@@ -50,7 +50,7 @@ def test_tree_weight_matches_reference(theory_decomps):
             theory, alphas, signed=False), alphas
 
 
-def test_memoised_central_charge_is_the_linear_one(theory_decomps):
+def test_central_charge_is_the_linear_sum(theory_decomps):
     theory, decomps = theory_decomps
     for alphas in decomps:
         for gamma in alphas:
@@ -58,4 +58,3 @@ def test_memoised_central_charge_is_the_linear_one(theory_decomps):
                 want = tuple(sum((n * z[k] for n, z in zip(gamma, zs)), Fraction(0))
                              for k in range(2))
                 assert theory.z(region, gamma) == want
-                assert theory.z(region, gamma) == want  # served from the memo

@@ -97,7 +97,7 @@ def pentagon_theory():
                   pairing=((0, 1), (-1, 0)),
                   z_plus=((f(-1), f(10)), (f(1), f(10))),
                   z_minus=((f(1, 2), f(10)), (f(-1, 2), f(10))),
-                  effective_signs=(1, 1), root_index=0, sigma_trivial=False)
+                  effective_signs=(1, 1), root_index=0)
 
 
 def test_pentagon():

@@ -50,6 +50,7 @@ def test_nf0_pairing_and_phases(nf0):
 def test_nf1_effective_signs_and_pin(nf1):
     assert nf1.effective_signs == (1, 1, -1)
     assert nf1.is_effective((1, 1, -1))
+    assert not nf1.sigma_trivial
     assert not nf1.is_effective((1, 1, 1))
     # the third generator sits exactly on the vertical axis on both sides
     assert nf1.pinned((0, 0, -1))
@@ -63,13 +64,6 @@ def test_sigma_value_and_reduce(nf2):
     assert total == (1, 1, 0, 0)
     assert sign * nf2.sigma_value(total) == \
         nf2.sigma_value(a) * nf2.sigma_value(b)
-
-
-def test_sigma_to(nf0):
-    # (1,1) and (1,3) differ by (0,2): comparable sigma units
-    assert nf0.sigma_to((1, 1), (1, 3)) in (1, -1)
-    with pytest.raises(ValueError):
-        nf0.sigma_to((1, 1), (2, 1))
 
 
 def test_sweep_crossing_orientation():

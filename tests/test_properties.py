@@ -1,6 +1,7 @@
 """Structural invariants checked over generated inputs."""
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +46,30 @@ def test_sigma_is_even(th):
     check()
 
 
+@pytest.mark.parametrize("th", THEORIES, ids=lambda t: t.name)
+def test_refinement_unit_is_independent_of_the_refinement(th):
+    # every refinement is sigma_value times a character chi of the lattice,
+    # chi(gamma) = (-1)^(eps . gamma); the two identities that make
+    # "coefficient of sigma(target)" one unit for js and gmn hold for each
+    @given(st.tuples(*[st.integers(0, 1)] * th.rank),
+           st.lists(charges(th.rank), min_size=1, max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def check(eps, cs):
+        def sigma(gamma):
+            chi = (-1) ** sum(e * x for e, x in zip(eps, gamma))
+            return chi * th.sigma_value(gamma)
+
+        sign, total = th.sigma_reduce(cs)
+        assert prod(sigma(c) for c in cs) == sign * sigma(total)
+        gamma = cs[0]
+        d = content(gamma)
+        for n in range(1, d + 1):
+            if d % n == 0:
+                assert sigma(tuple(x // n for x in gamma)) ** n == sigma(gamma)
+
+    check()
+
+
 def test_labelled_tree_count_is_cayley():
     for n in range(1, 7):
         expect = 1 if n <= 2 else n ** (n - 2)
@@ -52,8 +77,7 @@ def test_labelled_tree_count_is_cayley():
 
 
 def test_vertex_coefficient_reduces_to_dt_times_charge():
-    # with a trivial refinement the f-coefficient of gamma is DT(gamma) gamma
-    th = theory_by_name("nf0")
+    # the f-coefficient of gamma is sigma(gamma) DT(gamma) gamma
     table = spectrum_table("nf0", "weak")
     for g in table.charges():
         for mult in (1, 2, 3):
@@ -61,9 +85,8 @@ def test_vertex_coefficient_reduces_to_dt_times_charge():
             if table.covered_degree is not None and \
                     sum(abs(x) for x in gamma) > table.covered_degree:
                 continue
-            fc = f_coeff(th, table, gamma)
-            assert fc.sigma_coeff == 0
-            got = tuple(fc.plain * x for x in fc.direction)
+            c, direction = f_coeff(table, gamma)
+            got = tuple(c * x for x in direction)
             want = tuple(table.dt(gamma) * x for x in gamma)
             assert got == want
 

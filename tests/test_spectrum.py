@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from wallcross.spectrum import UnknownSpectrumError, f_coeff, spectrum_table
-from wallcross.lattice import theory_by_name
 
 Q = Fraction
 
@@ -56,21 +55,18 @@ def test_frozen_data_matches_generators(name, region):
 
 
 def test_f_coeff_nf0_is_dt_times_charge():
-    th = theory_by_name("nf0")
     t = spectrum_table("nf0", "weak")
     for g in [(1, 1), (2, 2), (1, 2), (3, 3)]:
-        fc = f_coeff(th, t, g)
-        assert fc.sigma_coeff == 0
-        total = tuple(fc.plain * x for x in fc.direction)
+        c, direction = f_coeff(t, g)
+        total = tuple(c * x for x in direction)
         want = tuple(t.dt(g) * x for x in g)
         assert total == want
 
 
 def test_f_coeff_with_refinement():
-    th = theory_by_name("nf1")
     t = spectrum_table("nf1", "weak")
-    fc = f_coeff(th, t, (2, 2, -2))
-    # even cover of (1,1,-1): sigma-even part from n=2, sigma-odd from n=1
-    assert fc.direction == (1, 1, -1)
-    assert fc.sigma_coeff == 2 * t.omega((2, 2, -2))
-    assert fc.plain == Q(t.omega((1, 1, -1)), 2)
+    c, direction = f_coeff(t, (2, 2, -2))
+    # even cover of (1,1,-1): the n=1 and n=2 terms share the unit
+    # sigma(gamma), since sigma(gamma/2)^2 = +1 = sigma(gamma)
+    assert direction == (1, 1, -1)
+    assert c == 2 * t.omega((2, 2, -2)) + Q(t.omega((1, 1, -1)), 2)

@@ -18,13 +18,6 @@ def test_rational_arithmetic():
     assert not Value.zero()
 
 
-def test_sign_unit_squares_to_one():
-    s = Value.sign_unit()
-    assert s * s == Value.rational(1)
-    assert (s * Value.rational(4)).coeff(sign_power=1) == 4
-    assert repr(Value.sign_unit(4)) == "4*s"
-
-
 def test_symbols_are_linear():
     x = Value.symbol("x")
     v = Value.rational(2) + x * 3
@@ -32,12 +25,6 @@ def test_symbols_are_linear():
     assert sorted(v.symbols()) == ["x"]
     with pytest.raises(ValueError):
         _ = x * Value.symbol("y")
-
-
-def test_sign_times_symbol():
-    sx = Value.symbol("x", sign_power=1)
-    assert (Value.sign_unit() * Value.symbol("x")) == sx
-    assert repr(sx) == "s*x"
 
 
 def test_substitute():
@@ -49,9 +36,10 @@ def test_substitute():
 
 
 def test_rational_and_symbol_parts():
-    v = Value.rational(1) + Value.symbol("x") + Value.sign_unit(2)
-    assert v.rational_part() == Value.rational(1) + Value.sign_unit(2)
-    assert not v.is_rational()
+    v = Value.rational(1) + Value.symbol("x") + Value.rational(2)
+    assert v.coeff() == 3
+    assert v.coeff("x") == 1
+    assert repr(v) == "3 + x"
 
 
 def test_solve_linear_determined():
