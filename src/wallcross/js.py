@@ -6,9 +6,10 @@ on the weak side (u-).  All comparisons are exact.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import factorial, prod
 from typing import Iterator
 
@@ -161,13 +162,39 @@ def _multisets(parts: list[Charge], target: Charge, signs) -> list[tuple[Charge,
     return out
 
 
-def decompositions(theory: Theory, table: SpectrumTable,
-                   target: Charge) -> list[tuple[Charge, ...]]:
-    """Ordered decompositions of the target into strong-multiple parts."""
+def _orderings(ms: tuple[Charge, ...]) -> list[tuple[Charge, ...]]:
+    """The distinct orderings of the multiset ms, each once, by a
+    recursion on the count left of each distinct part (cf. Knuth, TAOCP
+    7.2.1.2), never through all len(ms)! permutations."""
+    counts = Counter(ms)
+    out: list[tuple[Charge, ...]] = []
+    prefix: list[Charge] = []
+
+    def rec():
+        if len(prefix) == len(ms):
+            out.append(tuple(prefix))
+            return
+        for part, left in counts.items():
+            if left:
+                counts[part] -= 1
+                prefix.append(part)
+                rec()
+                prefix.pop()
+                counts[part] += 1
+
+    rec()
+    return out
+
+
+def decompositions(theory: Theory, table: SpectrumTable, target: Charge,
+                   max_parts: int | None = None) -> list[tuple[Charge, ...]]:
+    """Ordered decompositions of the target into strong-multiple parts,
+    with at most max_parts parts when given."""
     parts = strong_parts(theory, table, target)
     orderings: list[tuple[Charge, ...]] = []
     for ms in _multisets(parts, target, theory.effective_signs):
-        orderings.extend(set(permutations(ms)))
+        if max_parts is None or len(ms) <= max_parts:
+            orderings.extend(_orderings(ms))
     return sorted(orderings)
 
 
@@ -182,10 +209,8 @@ def _weighted_decompositions(theory: Theory, table: SpectrumTable,
         raise ValueError(f"target {target} is not effective")
     if max_vertices is not None and max_vertices < 1:
         raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
-    for alphas in decompositions(theory, table, target):
+    for alphas in decompositions(theory, table, target, max_vertices):
         n = len(alphas)
-        if max_vertices is not None and n > max_vertices:
-            continue
         u = u_symbol(theory, list(alphas))
         if u == 0:
             continue

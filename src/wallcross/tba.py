@@ -6,11 +6,16 @@ identity checks.
 All BPS-ray integrals use the substitution zeta' = -(Z/|Z|) e^t, under
 which the semiflat factor decays like exp(-2 pi R |Z| cosh t); truncating
 at |t| <= T and applying Gauss-Legendre nodes gives controllable absolute
-error.
+error.  The Gauss-Legendre rule is computed once per (nodes, T) per
+process and shared read-only by every ray.
+
+A nested propagator evaluates each child at every node of its parent's
+ray: each tree edge costs one kernel matrix-vector product.
 """
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,15 +25,36 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # quadrature on BPS rays
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(nodes: int, T: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights on [-T, T]; read-only, since every caller shares
+    them."""
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    t, w = t * T, w * T
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     nodes: int = 400
     T: float = 6.0
     tol: float = 1e-10
 
+    def __post_init__(self):
+        # T <= 0 makes every integral 0 and tol = inf passes any residual,
+        # so either would turn a check vacuous rather than fail it
+        if not self.nodes >= 1:
+            raise ValueError(f"nodes must be at least 1, got {self.nodes}")
+        for name in ("T", "tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {getattr(self, name)}")
+
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
-        t, w = np.polynomial.legendre.leggauss(self.nodes)
-        return t * self.T, w * self.T
+        """Gauss-Legendre nodes t and weights on [-T, T] (read-only)."""
+        return _gauss_legendre(self.nodes, self.T)
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -83,16 +109,20 @@ def propagator(zctx: ZContext, tree, zeta, spec: QuadratureSpec = DEFAULT_SPEC,
                ray_z: complex | None = None):
     """G value of a rooted decorated tree (gamma, [subtrees]), recursively.
 
+    zeta is a scalar or an array, and the result has its shape.  Each
+    child is evaluated at every node of the root's ray, so the ray
+    factor x_sf * dzeta' * prod(children) is one vector and the integral
+    is one kernel matrix-vector product.
+
     ray_z overrides the integration-ray direction of the root (used when
     probing contour moves); the integrand still uses the true Z.
     """
     gamma, children = tree
-    z = zctx.z(gamma)
-    pts, dz = ray_points(ray_z if ray_z is not None else z, spec)
-    integrand = rho(zeta, pts) * zctx.x_sf(gamma, pts)
+    pts, dz = ray_points(ray_z if ray_z is not None else zctx.z(gamma), spec)
+    f = zctx.x_sf(gamma, pts) * dz
     for ch in children:
-        integrand = integrand * propagator(zctx, ch, pts, spec)
-    return np.sum(integrand * dz) / (4j * math.pi)
+        f = f * propagator(zctx, ch, pts, spec)
+    return rho(np.asarray(zeta)[..., None], pts) @ f / (4j * math.pi)
 
 
 def chain_tree(charges: list[tuple[int, ...]]):
@@ -133,9 +163,7 @@ def residue_move_check(zctx: ZContext, delta: tuple[int, ...],
     p1, d1 = ray_points(zctx.z(delta), spec)
 
     def double(ray_z):
-        p2, d2 = ray_points(ray_z, spec)
-        inner = (rho(p1[:, None], p2[None, :]) * zctx.x_sf(gm, p2)[None, :]
-                 * d2[None, :]).sum(axis=1) / (4j * math.pi)
+        inner = propagator(zctx, (gm, []), p1, spec, ray_z=ray_z)
         integrand = rho(zeta, p1) * zctx.x_sf(delta, p1) * inner
         return np.sum(integrand * d1) * 2 / (4j * math.pi)
 

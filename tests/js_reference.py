@@ -2,19 +2,22 @@
 
 These are the direct transcriptions of the Joyce–Song definitions: S
 re-reads central charges as exact fractions for every slope test, U sums
-over every nested composition of the parts, and the tree weight calls
-``Theory.pair`` on every edge of every labelled tree.  The library
-computes the same numbers faster; the differential tests check that it
-returns exactly these values.
+over every nested composition of the parts, the tree weight calls
+``Theory.pair`` on every edge of every labelled tree, and the ordered
+decompositions are the distinct elements of every permutation of every
+multiset of parts.  The library computes the same numbers faster; the
+differential tests check that it returns exactly these values.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 
 from wallcross.lattice import (MINUS, PLUS, Charge, Theory, cadd, cross,
                                czero, same_ray)
+from wallcross.js import _multisets, strong_parts
+from wallcross.spectrum import SpectrumTable
 from wallcross.trees import tree_from_prufer
 
 
@@ -130,3 +133,12 @@ def tree_weight_sum(theory: Theory, alphas: tuple[Charge, ...],
                 break
         total += w
     return total
+
+
+def decompositions(theory: Theory, table: SpectrumTable,
+                   target: Charge) -> list[tuple[Charge, ...]]:
+    """Ordered decompositions: set(permutations) of each multiset."""
+    parts = strong_parts(theory, table, target)
+    return sorted({order for ms in _multisets(parts, target,
+                                              theory.effective_signs)
+                   for order in permutations(ms)})

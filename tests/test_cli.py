@@ -118,6 +118,23 @@ def test_numeric_rejects_zero_zeta(tmp_path, capsys, check):
     assert capsys.readouterr().err.startswith("config error: zeta")
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--T", "0", "T must be positive and finite, got 0.0"),
+    ("--T", "-2", "T must be positive and finite, got -2.0"),
+    ("--tol", "-1", "tol must be positive and finite, got -1.0"),
+    ("--tol", "inf", "tol must be positive and finite, got inf"),
+    ("--T", "nan", "T must be positive and finite, got nan"),
+    ("--nodes", "0", "nodes must be at least 1, got 0"),
+])
+def test_numeric_rejects_vacuous_quadrature(tmp_path, capsys, option, value,
+                                            message):
+    # T = 0 would make every integral 0, and tol = inf would pass every
+    # residual: each check would pass without checking anything
+    code, rep = run(tmp_path, "numeric", "ov_fixed_point", option, value)
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+
+
 @pytest.mark.parametrize("overrides,message", [
     ({"fn": 3}, "'fn' is not an option of wallcross gmn"),
     ({"max_vertices": "x"}, "'max_vertices' cannot be 'x'"),
@@ -180,6 +197,14 @@ def test_spectrum_rejects_negative_truncation(tmp_path, capsys):
     assert code == 2 and rep is None
     assert capsys.readouterr().err == (
         "error: ValueError: family truncation K must be at least 0, got -3\n")
+
+
+def test_js_vertex_bound_limits_the_orderings(tmp_path):
+    # nf0 9,9 has 33.7 million orderings, but only 9 multisets of at most
+    # 3 parts; the bound must apply before any multiset is ordered
+    code, rep = run(tmp_path, "js", "nf0", "9,9", "--max-vertices", "3")
+    assert code == 0
+    assert rep["trees"] and all(len(t["charges"]) <= 3 for t in rep["trees"])
 
 
 def test_js_runs_the_decomposition_loop_once(tmp_path, monkeypatch):

@@ -34,6 +34,17 @@ def theory_decomps(request):
     return _decompositions(request.param)
 
 
+@pytest.mark.parametrize("target", [(1, 1), (1, 2), (2, 3), (2, 4), (3, 4),
+                                    (3, 5), (4, 4), (4, 5)])
+def test_decompositions_match_reference(target):
+    theory, table = theory_by_name("nf0"), spectrum_table("nf0", "strong")
+    want = ref.decompositions(theory, table, target)
+    assert decompositions(theory, table, target) == want
+    for bound in (1, 2, 3):
+        assert decompositions(theory, table, target, bound) == [
+            a for a in want if len(a) <= bound]
+
+
 def test_u_and_s_match_reference(theory_decomps):
     theory, decomps = theory_decomps
     assert decomps

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wallcross import tba
+from wallcross import cli, tba
 
 SPEC = tba.QuadratureSpec(nodes=400, T=6.0, tol=1e-10)
 ZETA = 3.0 + 0.2j
@@ -14,6 +14,32 @@ def test_quadrature_integrates_gaussian():
     # integral of exp(-t^2) over the truncated line
     got = float(np.sum(w * np.exp(-t ** 2)))
     assert abs(got - math.sqrt(math.pi)) < 1e-12
+
+
+def test_grid_is_computed_once_per_rule(monkeypatch, tmp_path):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    tba._gauss_legendre.cache_clear()
+    out = str(tmp_path / "report.json")
+    assert cli.main(["numeric", "--output", out]) == 0
+    assert cli.main(["numeric", "decay_fit", "--nodes", "200",
+                     "--output", out]) == 0
+    assert sorted(calls) == [200, 400]
+
+
+def test_grid_is_the_fresh_rule_and_read_only():
+    t, w = SPEC.grid()
+    t0, w0 = np.polynomial.legendre.leggauss(SPEC.nodes)
+    assert t.tobytes() == (t0 * SPEC.T).tobytes()
+    assert w.tobytes() == (w0 * SPEC.T).tobytes()
+    with pytest.raises(ValueError):
+        t[0] = 0.0
 
 
 def test_rho_residue():
@@ -41,6 +67,37 @@ def test_propagator_leaf_is_instanton_integral():
     g = tba.propagator(zc, leaf, ZETA, SPEC)
     assert np.isfinite(abs(g))
     assert abs(g) > 0
+
+
+def _loop_chain(zc, charges, zeta, spec):
+    """G of the chain rooted at charges[0], one node at a time: the child
+    chain is evaluated at every node of its parent's ray."""
+    pts, dz = tba.ray_points(zc.z(charges[0]), spec)
+    total = 0j
+    for p, d in zip(pts, dz):
+        term = tba.rho(zeta, p) * zc.x_sf(charges[0], p) * d
+        if len(charges) > 1:
+            term *= _loop_chain(zc, charges[1:], p, spec)
+        total += term
+    return total / (4j * math.pi)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nested_propagator_matches_node_loops(n):
+    zc = tba.near_wall_context(scale=0.1)
+    spec = tba.QuadratureSpec(nodes=40)
+    charges = [(1, 0), (0, 1), (1, 0)][:n]
+    want = _loop_chain(zc, charges, ZETA, spec)
+    got = tba.propagator(zc, tba.chain_tree(charges), ZETA, spec)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_nested_propagator_converges():
+    zc = tba.near_wall_context(scale=0.1)
+    tree = tba.chain_tree([(1, 0), (0, 1)] * 2)
+    g800, g1600 = (tba.propagator(zc, tree, ZETA, tba.QuadratureSpec(nodes=n))
+                   for n in (800, 1600))
+    assert abs(g800 - g1600) <= 1e-4 * abs(g1600)
 
 
 def test_chain_tree_shape():
