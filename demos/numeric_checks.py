@@ -19,11 +19,10 @@ def main():
     zc = tba.near_wall_context(R=3.0, scale=0.1)
     chain = [(1, 0), (0, 1)] * 2
     print("\niterated integrals along a chain:")
-    for n in range(1, len(chain) + 1):
-        g = tba.propagator(zc, tba.chain_tree(chain[:n]), ZETA, SPEC)
-        print(f"  depth {n}: |G| = {abs(g):.3e}")
-    slope = tba.decay_slope(zc, chain, ZETA, SPEC)
-    print(f"  log-linear slope {slope:.2f}")
+    mags = tba.chain_magnitudes(zc, chain, ZETA, SPEC)
+    for n, g in enumerate(mags, 1):
+        print(f"  depth {n}: |G| = {g:.3e}")
+    print(f"  log-linear slope {tba.log_slope(mags):.2f}")
 
     print("\nscale invariance (relative error of the derivative identity):")
     for q in (1, 2):

@@ -1,14 +1,17 @@
 """Command-line entry points and machine-readable reports.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration or
-input, or a library error (such as a size bound), reported in
-one line.  Reports are JSON with fixed field order; tabular outputs are CSV.
+input, a library error (such as a size bound) or a file that cannot be
+written, reported in one line, or a reader that closed the output pipe
+(silently).  Reports are JSON with fixed field order; tabular outputs
+are CSV.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .decay import (ROOT_FIRST, SCHEDULES, conjecture_check, gmn_contribution,
@@ -51,7 +54,8 @@ def _emit(report: dict, path: str | None) -> None:
         with open(path, "w") as fh:
             fh.write(text + "\n")
     else:
-        print(text)
+        # flush here, so that a closed pipe is reported inside main
+        print(text, flush=True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +225,14 @@ def cmd_numeric(args) -> int:
         elif name == "decay_fit":
             zc = tba.near_wall_context(R=args.R, scale=0.1)
             chain = [(1, 0), (0, 1)] * 2
-            rows = []
-            for n in range(1, len(chain) + 1):
-                g = tba.propagator(zc, tba.chain_tree(chain[:n]), zeta, spec)
-                rows.append((n, args.R, float(abs(g))))
-            slope = tba.decay_slope(zc, chain, zeta, spec)
+            mags = tba.chain_magnitudes(zc, chain, zeta, spec)
+            slope = tba.log_slope(mags)
             if args.csv:
                 with open(args.csv, "w", newline="") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["n", "R", "abs_G"])
-                    writer.writerows(rows)
+                    writer.writerows((n, args.R, g)
+                                     for n, g in enumerate(mags, 1))
             checks[name] = {"slope": float(slope), "ok": bool(slope <= -1.5)}
         elif name == "ov_fixed_point":
             res = tba.ov_fixed_point_residual(tba.OVModel(R=args.R), zeta, spec)
@@ -356,7 +358,11 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return CONFIG_ERROR
-    except (ValueError, UnknownSpectrumError, FactorizationError) as e:
+    except BrokenPipeError:
+        # the reader has gone: send the unflushed rest of the report nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CONFIG_ERROR
+    except (OSError, ValueError, UnknownSpectrumError, FactorizationError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return CONFIG_ERROR
 

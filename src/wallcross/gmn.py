@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from .lattice import Charge, Theory, cadd, czero, primitive
 from .spectrum import SpectrumTable, f_coeff
-from .js import _edge_weights, _multisets, strong_parts
-from .trees import adjacency, charge_label, encode, enumerate_labelled_trees
+from .js import _edge_weights, _multisets, _supported_trees, strong_parts
+from .trees import adjacency, charge_label, encode
 
 
 @dataclass(frozen=True)
@@ -88,10 +88,7 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
         roots = [i for i, c in enumerate(ms) if primitive(c) == rdir]
         if not roots:
             continue
-        weights = _edge_weights(theory, ms)
-        for edges in enumerate_labelled_trees(n):
-            if any(weights[a][b] == 0 for a, b in edges):
-                continue
+        for edges in _supported_trees(_edge_weights(theory, ms)):
             adj = adjacency(n, edges)
             for r in roots:
                 parent: list[int | None] = [None] * n

@@ -16,7 +16,7 @@ from typing import Iterator
 from .lattice import MINUS, PLUS, Charge, Theory, cross, cscale, same_ray
 from .spectrum import SpectrumTable
 from .symbolic import Value
-from .trees import canon_oriented, canon_unoriented, enumerate_labelled_trees
+from .trees import canon_oriented, canon_unoriented, trees_avoiding
 
 
 def _slope_cmp(za, zb) -> int:
@@ -234,12 +234,20 @@ def _edge_weights(theory: Theory, alphas: tuple[Charge, ...]) -> list[list[int]]
     return w
 
 
+def _supported_trees(weights: list[list[int]]):
+    """The labelled trees on the parts with no edge of weight 0: the only
+    ones with a nonzero product of edge weights."""
+    n = len(weights)
+    return trees_avoiding(n, [(i, j) for i, j in combinations(range(n), 2)
+                              if weights[i][j] == 0])
+
+
 def _tree_weight(theory: Theory, alphas: tuple[Charge, ...]) -> int:
     """Sum over the labelled trees on the parts of the product of their
     edge weights."""
     weights = _edge_weights(theory, alphas)
     return sum(prod(weights[i][j] for i, j in edges)
-               for edges in enumerate_labelled_trees(len(alphas)))
+               for edges in _supported_trees(weights))
 
 
 @dataclass
@@ -266,10 +274,8 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
         n = len(alphas)
         weights = _edge_weights(theory, alphas)
         charges = list(alphas)
-        for edges in enumerate_labelled_trees(n):
+        for edges in _supported_trees(weights):
             w = prod(weights[i][j] for i, j in edges)
-            if w == 0:
-                continue
             key = canon_unoriented(n, edges, charges)
             if key not in trees:
                 trees[key] = (charges, list(edges), {})

@@ -133,15 +133,23 @@ def chain_tree(charges: list[tuple[int, ...]]):
     return tree
 
 
+def chain_magnitudes(zctx: ZContext, charges: list[tuple[int, ...]], zeta,
+                     spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
+    """|G_n| of the chain prefixes charges[:n], n = 1..len(charges)."""
+    return [float(abs(propagator(zctx, chain_tree(charges[:n]), zeta, spec)))
+            for n in range(1, len(charges) + 1)]
+
+
+def log_slope(magnitudes: list[float]) -> float:
+    """Least-squares slope of log|G_n| against n = 1, 2, ..."""
+    ns = [float(n) for n in range(1, len(magnitudes) + 1)]
+    return float(np.polyfit(ns, [math.log(m) for m in magnitudes], 1)[0])
+
+
 def decay_slope(zctx: ZContext, charges: list[tuple[int, ...]], zeta,
                 spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Least-squares slope of log|G_n| against n for chain prefixes."""
-    ns, logs = [], []
-    for n in range(1, len(charges) + 1):
-        val = abs(propagator(zctx, chain_tree(charges[:n]), zeta, spec))
-        ns.append(float(n))
-        logs.append(math.log(val))
-    return float(np.polyfit(ns, logs, 1)[0])
+    return log_slope(chain_magnitudes(zctx, charges, zeta, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Labelled tree enumeration and canonical forms of charge-decorated trees."""
 from __future__ import annotations
 
-import heapq
+from collections.abc import Collection
 from functools import cache
 from itertools import combinations, product
 
@@ -13,40 +13,76 @@ Edge = tuple[int, int]
 
 
 @cache
+def _tree_table(n: int) -> tuple[tuple[tuple[Edge, ...], ...], dict[Edge, int]]:
+    """The labelled trees on 0..n-1 in Prufer-sequence order, and for each
+    edge the bit set (bit k for tree k) of the trees that contain it.
+
+    One pass decodes every sequence: the smallest leaf is the first vertex
+    of degree 1, and a used leaf drops to degree 0.  The n(n-1)/2 edge
+    tuples are shared between trees to keep the n = 7 table small.
+    """
+    if n == 1:
+        return ((),), {}
+    edge = {e: e for e in combinations(range(n), 2)}
+    count = n ** (n - 2)
+    # bits[e][count - 1 - k] is "1" iff tree k contains e: a base-2 numeral
+    bits = {e: bytearray(b"0") * count for e in edge}
+    one = ord("1")
+    table = []
+    for k, seq in enumerate(product(range(n), repeat=n - 2)):
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        tree = []
+        for v in seq:
+            leaf = degree.index(1)
+            degree[leaf] = 0
+            degree[v] -= 1
+            tree.append(edge[leaf, v] if leaf < v else edge[v, leaf])
+        u = degree.index(1)
+        tree.append(edge[u, degree.index(1, u + 1)])
+        table.append(tuple(tree))
+        for e in tree:
+            bits[e][count - 1 - k] = one
+    return tuple(table), {e: int(b, 2) for e, b in bits.items()}
+
+
 def enumerate_labelled_trees(n: int) -> tuple[tuple[Edge, ...], ...]:
-    """All labelled trees on vertices 0..n-1 via Prufer sequences.
+    """All labelled trees on vertices 0..n-1, in the order of their Prufer
+    sequences.
 
     Each edge is (i, j) with i < j.  The table is built once per process
-    and shared by every caller, so it is made of tuples; the n(n-1)/2
-    edge tuples are shared between trees to keep the n = 7 table small.
+    and shared by every caller, so it is made of tuples.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > MAX_TREE_VERTICES:
         raise ValueError(f"tree size {n} exceeds bound {MAX_TREE_VERTICES}")
-    if n == 1:
-        return ((),)
-    edge = {e: e for e in combinations(range(n), 2)}
-    return tuple(tuple(edge[e] for e in tree_from_prufer(list(seq), n))
-                 for seq in product(range(n), repeat=n - 2))
+    return _tree_table(n)[0]
 
 
-def tree_from_prufer(seq: list[int], n: int) -> list[Edge]:
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges: list[Edge] = []
-    leaves = sorted(i for i in range(n) if degree[i] == 1)
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v) if leaf < v else (v, leaf))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((u, v) if u < v else (v, u))
-    return edges
+def trees_avoiding(n: int, zero_edges: Collection[Edge]
+                   ) -> tuple[tuple[Edge, ...], ...]:
+    """The trees of enumerate_labelled_trees(n) that contain no edge of
+    zero_edges (pairs (i, j) with i < j < n), in table order.
+
+    A tree sum weighted by edge factors needs only these when the factors
+    of zero_edges vanish: each one clears the bit set of its trees.
+    """
+    table = enumerate_labelled_trees(n)
+    if not zero_edges:
+        return table
+    masks = _tree_table(n)[1]
+    keep = (1 << len(table)) - 1
+    for e in zero_edges:
+        keep &= ~masks[e]
+    bits = f"{keep:b}"[::-1]
+    out = []
+    k = bits.find("1")
+    while k >= 0:
+        out.append(table[k])
+        k = bits.find("1", k + 1)
+    return tuple(out)
 
 
 def adjacency(n: int, edges: list[Edge]) -> list[list[int]]:

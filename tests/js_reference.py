@@ -3,13 +3,15 @@
 These are the direct transcriptions of the Joyce–Song definitions: S
 re-reads central charges as exact fractions for every slope test, U sums
 over every nested composition of the parts, the tree weight calls
-``Theory.pair`` on every edge of every labelled tree, and the ordered
-decompositions are the distinct elements of every permutation of every
-multiset of parts.  The library computes the same numbers faster; the
-differential tests check that it returns exactly these values.
+``Theory.pair`` on every edge of every labelled tree, the labelled trees
+are decoded afresh from their Prufer sequences with a heap of leaves, and
+the ordered decompositions are the distinct elements of every permutation
+of every multiset of parts.  The library computes the same numbers
+faster; the differential tests check that it returns exactly these values.
 """
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial
@@ -18,7 +20,6 @@ from wallcross.lattice import (MINUS, PLUS, Charge, Theory, cadd, cross,
                                czero, same_ray)
 from wallcross.js import _multisets, strong_parts
 from wallcross.spectrum import SpectrumTable
-from wallcross.trees import tree_from_prufer
 
 
 def _slope_cmp(theory: Theory, region: str, a: Charge, b: Charge) -> int:
@@ -109,6 +110,26 @@ def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
             length = len(chunks)
             result += Fraction((-1) ** (length - 1), length) * sprod * fac
     return result
+
+
+def tree_from_prufer(seq: list[int], n: int) -> list[tuple[int, int]]:
+    """The labelled tree on 0..n-1 with Prufer sequence seq; each edge is
+    (i, j) with i < j."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges: list[tuple[int, int]] = []
+    leaves = sorted(i for i in range(n) if degree[i] == 1)
+    heapq.heapify(leaves)
+    for v in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, v) if leaf < v else (v, leaf))
+        degree[v] -= 1
+        if degree[v] == 1:
+            heapq.heappush(leaves, v)
+    u, v = heapq.heappop(leaves), heapq.heappop(leaves)
+    edges.append((u, v) if u < v else (v, u))
+    return edges
 
 
 def labelled_trees(n: int) -> list[list[tuple[int, int]]]:

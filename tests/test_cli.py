@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from wallcross import js
+import wallcross
+from wallcross import js, tba
 from wallcross.cli import main
 from wallcross.lattice import theory_by_name
 from wallcross.spectrum import spectrum_table
@@ -223,3 +228,51 @@ def test_js_runs_the_decomposition_loop_once(tmp_path, monkeypatch):
     assert rep["dt_weak"] == "1"
     assert len(calls) == len(js.decompositions(
         theory_by_name("nf0"), spectrum_table("nf0", "strong"), (2, 3))) == 37
+
+
+@pytest.mark.parametrize("argv", [
+    ["js", "nf0", "1,1", "--output"],
+    ["numeric", "decay_fit", "--nodes", "40", "--csv"],
+])
+def test_unwritable_path_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out"
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: FileNotFoundError: [Errno 2] No such file or directory: "
+        f"{str(path)!r}\n")
+
+
+def test_closed_output_pipe_is_quiet():
+    src = Path(wallcross.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen([sys.executable, "-m", "wallcross.cli", "js",
+                             "nf0", "1,1"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    proc.stdout.close()          # the reader goes away before the report
+    err = proc.stderr.read()
+    assert proc.wait() == 2
+    assert err == b""
+
+
+def test_decay_fit_propagates_each_prefix_once(tmp_path, monkeypatch):
+    # the CSV rows and the slope share the 4 chain-prefix propagators
+    top, depth = [], [0]
+    propagator = tba.propagator
+
+    def counted(*args, **kwargs):
+        if not depth[0]:
+            top.append(args[1])
+        depth[0] += 1
+        try:
+            return propagator(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(tba, "propagator", counted)
+    rows = tmp_path / "rows.csv"
+    code, rep = run(tmp_path, "numeric", "decay_fit", "--nodes", "40",
+                    "--csv", str(rows))
+    assert code == 0
+    assert len(top) == 4
+    with open(rows) as fh:
+        assert [r[0] for r in csv.reader(fh)] == ["n", "1", "2", "3", "4"]

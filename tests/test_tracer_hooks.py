@@ -10,14 +10,23 @@ from pathlib import Path
 
 import pytest
 
+from wallcross.decay import conjecture_check
+from wallcross.js import js_wallcross
+from wallcross.lattice import theory_by_name
+from wallcross.spectrum import spectrum_table
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def _wrapped():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return [(module, attr) for module, attr, *_ in tracer.WRAPPED]
+    return tracer
+
+
+def _wrapped():
+    return [(module, attr) for module, attr, *_ in _tracer().WRAPPED]
 
 
 @pytest.mark.parametrize("module,attr", _wrapped())
@@ -26,3 +35,27 @@ def test_wrapped_function_exists(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _invariant():
+    js_wallcross(theory_by_name("nf0"), spectrum_table("nf0", "strong"), (2, 3))
+
+
+def _conjecture():
+    conjecture_check(theory_by_name("nf0"), (2, 3))
+
+
+@pytest.mark.parametrize("run", [_invariant, _conjecture],
+                         ids=["js_wallcross", "conjecture_check"])
+def test_tree_sums_read_the_labelled_tree_table(run):
+    # the traced invariant and conjecture runs need the trees.labelled_*
+    # metrics to fire: a tree sum must reach enumerate_labelled_trees
+    # through the module attribute the recorder rebinds
+    recorder = _tracer().Recorder()
+    recorder.install()
+    try:
+        run()
+    finally:
+        recorder.uninstall()
+    assert recorder.calls["trees.enumerate_labelled_trees"] > 0
+    assert recorder.counters["trees.labelled_trees"] > 0

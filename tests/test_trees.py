@@ -1,8 +1,13 @@
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from js_reference import labelled_trees, tree_from_prufer
 from wallcross.trees import (adjacency, canon_oriented, canon_unoriented,
                              centroids, enumerate_labelled_trees,
-                             tree_from_prufer)
+                             trees_avoiding)
 
 
 def test_cayley_counts():
@@ -58,6 +63,38 @@ def test_prufer_path_and_star():
         degs[a] += 1
         degs[b] += 1
     assert sorted(degs) == [1, 1, 1, 3]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_table_matches_heap_decoder(n):
+    # same trees, same edge order, same tree order as the heap decoder
+    assert [list(t) for t in enumerate_labelled_trees(n)] == labelled_trees(n)
+
+
+@st.composite
+def zero_edge_sets(draw):
+    n = draw(st.integers(1, 7))
+    edges = list(combinations(range(n), 2))
+    zero = draw(st.one_of(st.just([]), st.just(edges),
+                          st.lists(st.sampled_from(edges), unique=True)
+                          if edges else st.just([])))
+    return n, zero
+
+
+@given(zero_edge_sets())
+@settings(max_examples=150, deadline=None)
+def test_trees_avoiding_is_the_filtered_table(case):
+    n, zero = case
+    want = [t for t in enumerate_labelled_trees(n) if not set(t) & set(zero)]
+    assert list(trees_avoiding(n, zero)) == want
+
+
+def test_trees_avoiding_complete_bipartite():
+    # edges inside either side of 3 + 4 vertices vanish: the 3^3 * 4^2 = 432
+    # spanning trees of K_{3,4} remain
+    zero = [(i, j) for i, j in combinations(range(7), 2) if (i < 3) == (j < 3)]
+    assert len(trees_avoiding(7, zero)) == 432
+    assert trees_avoiding(7, []) is enumerate_labelled_trees(7)
 
 
 def test_centroids():
