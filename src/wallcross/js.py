@@ -265,22 +265,59 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
 
     The values are coefficients of sigma(target), as are the
     decay-calculus contributions they are compared with.
+
+    Every ordering of one multiset puts its tree on the same vertex set,
+    the slots of the sorted multiset (equal parts take their slots in the
+    order they occur), so both canonical keys and the edge-weight product
+    are computed once per slot tree, not once per ordering.  An edge
+    (i, j), i < j, is the arc from slot[i] to slot[j]; a tree is the bit
+    set of its slot arcs, or of its slot edges when undirected.
     """
     # tree key -> (charges, edges, orientation key -> subtotal)
     trees: dict[str, tuple[list[Charge], list[tuple[int, int]],
                            dict[str, Fraction]]] = {}
+    # multiset -> (slot edges -> key, slot arcs -> (key, orientation key, w))
+    slot_keys: dict[tuple[Charge, ...], tuple[dict, dict]] = {}
     for alphas, base in _weighted_decompositions(theory, table, target,
                                                  max_vertices):
         n = len(alphas)
+        ms = tuple(sorted(alphas))
+        taken = Counter()
+        slot = []
+        for a in alphas:
+            slot.append(ms.index(a) + taken[a])
+            taken[a] += 1
+        arc_bit, edge_bit = {}, {}
+        for i, j in combinations(range(n), 2):
+            s, t = slot[i], slot[j]
+            arc_bit[i, j] = 1 << (s * n + t)
+            edge_bit[i, j] = 1 << (min(s, t) * n + max(s, t))
+        unoriented, oriented = slot_keys.setdefault(ms, ({}, {}))
         weights = _edge_weights(theory, alphas)
         charges = list(alphas)
+        # orientation key -> [tree key, first edges, summed edge weights]
+        sums: dict[str, list] = {}
         for edges in _supported_trees(weights):
-            w = prod(weights[i][j] for i, j in edges)
-            key = canon_unoriented(n, edges, charges)
+            arcs = sum(map(arc_bit.__getitem__, edges))
+            keys = oriented.get(arcs)
+            if keys is None:
+                slot_edges = sum(map(edge_bit.__getitem__, edges))
+                key = unoriented.get(slot_edges)
+                if key is None:
+                    key = unoriented[slot_edges] = canon_unoriented(
+                        n, edges, charges)
+                keys = oriented[arcs] = (
+                    key, canon_oriented(n, edges, charges),
+                    prod(weights[i][j] for i, j in edges))
+            key, okey, w = keys
+            if okey in sums:
+                sums[okey][2] += w
+            else:
+                sums[okey] = [key, edges, w]
+        for okey, (key, edges, w) in sums.items():
             if key not in trees:
                 trees[key] = (charges, list(edges), {})
             sub = trees[key][2]
-            okey = canon_oriented(n, edges, charges)
             sub[okey] = sub.get(okey, Fraction(0)) + base * w
     return {key: TreeValue(list(charges), edges,
                            Value.rational(sum(sub.values())),

@@ -81,6 +81,8 @@ def compose(theory: Theory, states: list[tuple[Charge, int]],
     for gamma, omega in reversed(states):
         p = [omega * theory.pair(gamma, theory.unit(i))
              for i in range(theory.rank)]
+        # k -> (1 - sigma x_gamma)^k, shared by every x_mu
+        binomials: dict[int, Series] = {}
         for mu, g in enumerate(mults):
             groups: dict[int, Series] = {}
             for e, c in g.items():
@@ -89,8 +91,9 @@ def compose(theory: Theory, states: list[tuple[Charge, int]],
             out: Series = {}
             for k, terms in groups.items():
                 if k:
-                    terms = series_mul(theory, terms,
-                                       binomial_series(theory, gamma, k, N), N)
+                    if k not in binomials:
+                        binomials[k] = binomial_series(theory, gamma, k, N)
+                    terms = series_mul(theory, terms, binomials[k], N)
                 for e, c in terms.items():
                     out[e] = out.get(e, 0) + c
             mults[mu] = {e: c for e, c in out.items() if c}

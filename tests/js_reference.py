@@ -4,9 +4,10 @@ These are the direct transcriptions of the Joyce–Song definitions: S
 re-reads central charges as exact fractions for every slope test, U sums
 over every nested composition of the parts, the tree weight calls
 ``Theory.pair`` on every edge of every labelled tree, the labelled trees
-are decoded afresh from their Prufer sequences with a heap of leaves, and
-the ordered decompositions are the distinct elements of every permutation
-of every multiset of parts.  The library computes the same numbers
+are decoded afresh from their Prufer sequences with a heap of leaves, the
+ordered decompositions are the distinct elements of every permutation
+of every multiset of parts, and the grouped tree values canonicalise every
+(ordering, labelled tree) pair afresh.  The library computes the same numbers
 faster; the differential tests check that it returns exactly these values.
 """
 from __future__ import annotations
@@ -14,12 +15,16 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial
+from math import factorial, prod
 
 from wallcross.lattice import (MINUS, PLUS, Charge, Theory, cadd, cross,
                                czero, same_ray)
-from wallcross.js import _multisets, strong_parts
+from wallcross.js import (TreeValue, _edge_weights, _multisets,
+                          _supported_trees, _weighted_decompositions,
+                          strong_parts)
 from wallcross.spectrum import SpectrumTable
+from wallcross.symbolic import Value
+from wallcross.trees import canon_oriented, canon_unoriented
 
 
 def _slope_cmp(theory: Theory, region: str, a: Charge, b: Charge) -> int:
@@ -163,3 +168,30 @@ def decompositions(theory: Theory, table: SpectrumTable,
     return sorted({order for ms in _multisets(parts, target,
                                               theory.effective_signs)
                    for order in permutations(ms)})
+
+
+def tree_values(theory: Theory, table: SpectrumTable, target: Charge,
+                max_vertices: int | None = None) -> dict[str, TreeValue]:
+    """js_tree_values with both canonical keys computed for every
+    (ordering, supported labelled tree) pair and one Fraction multiply-add
+    per tree."""
+    trees: dict[str, tuple[list[Charge], list[tuple[int, int]],
+                           dict[str, Fraction]]] = {}
+    for alphas, base in _weighted_decompositions(theory, table, target,
+                                                 max_vertices):
+        n = len(alphas)
+        weights = _edge_weights(theory, alphas)
+        charges = list(alphas)
+        for edges in _supported_trees(weights):
+            w = prod(weights[i][j] for i, j in edges)
+            key = canon_unoriented(n, edges, charges)
+            if key not in trees:
+                trees[key] = (charges, list(edges), {})
+            sub = trees[key][2]
+            okey = canon_oriented(n, edges, charges)
+            sub[okey] = sub.get(okey, Fraction(0)) + base * w
+    return {key: TreeValue(list(charges), edges,
+                           Value.rational(sum(sub.values())),
+                           {k: Value.rational(v) for k, v in sub.items()})
+            for key, (charges, edges, sub) in trees.items()
+            if any(sub.values())}

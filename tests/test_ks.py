@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross import ks
 from wallcross.ks import (binomial_series, compose, eff_degree,
                           infer_weak_spectrum, series_mul, verify_wall_identity)
 from wallcross.lattice import PLUS, Theory, theory_by_name
@@ -127,3 +128,18 @@ def test_inferred_matches_catalog(name, n):
     want = {g: w for g, w in weak.entries.items()
             if eff_degree(th, g) <= n}
     assert got.entries == want
+
+
+def test_compose_builds_each_binomial_once_per_operator(monkeypatch, nf2):
+    """Each operator builds (1 - sigma x_gamma)^k once per k and shares it
+    across the x_mu: inferring nf2 at N = 5 makes 208 binomial_series
+    calls (540 when every x_mu built its own) and 540 series_mul calls
+    either way."""
+    calls = {"binomial_series": 0, "series_mul": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(ks, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(ks, name, counted)
+    ks.infer_weak_spectrum(nf2, spectrum_table("nf2", "strong"), 5)
+    assert calls == {"binomial_series": 208, "series_mul": 540}
