@@ -9,11 +9,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from math import factorial, prod
+from itertools import combinations
+from math import comb, factorial, prod
 from typing import Iterator
 
-from .lattice import MINUS, PLUS, Charge, Theory, cross, cscale, same_ray
+from .lattice import (MINUS, PLUS, Charge, Theory, Vec2, cross, cscale,
+                      same_ray)
 from .spectrum import SpectrumTable
 from .symbolic import Value
 from .trees import canon_oriented, canon_unoriented, trees_avoiding
@@ -53,28 +54,53 @@ def s_symbol(theory: Theory, alphas: list[Charge]) -> int:
     return sign
 
 
-def _chunk_weight(theory: Theory, alphas: list[Charge], a: int, b: int,
-                  joinable: list[bool]) -> Fraction:
-    """Sum over the block cuts of alphas[a:b] of S(block sums) / prod size!.
+def _chunk_weight(theory: Theory, alphas: list[Charge],
+                  prefix: list[Vec2], joinable: list[bool],
+                  a: int, b: int) -> int:
+    """(b - a)! times the sum over the block cuts of alphas[a:b] of
+    S(block sums) / prod size!.
 
-    Gap k (between parts k-1 and k) is always a cut unless joinable[k].
+    Gap k (between parts k-1 and k) is a forced cut unless joinable[k],
+    when it is optional.  A block lies on one strong ray, so the factor S
+    takes at a cut depends on that cut alone: its strong slopes are those
+    of parts k-1 and k, its weak head and tail the sums of alphas[a:k] and
+    alphas[k:b] (prefix holds the weak prefix sums).  The forced cuts split
+    the chunk into runs, its maximal joinable stretches, and their factors
+    multiply to S(run sums), one s_symbol call.  At an optional cut both
+    parts lie on one strong ray, so its factor g_k is -1 if the weak head
+    lies above the tail and 0 otherwise.  What is left is a DP over the
+    last cut before each position j of the chunk, scaled by j! to stay in
+    integers: rho_0 = 1 and rho_j = sum_i rho_i g_i C(j, i) over the cuts
+    i < j with no forced cut between them, with g = 1 at the start of the
+    chunk and at a forced cut.  Per run this is (b - a)! / prod m! times
+    prod rho_m over the run lengths m.
     """
-    optional = [k for k in range(a + 1, b) if joinable[k]]
-    total = Fraction(0)
-    for join in product((False, True), repeat=len(optional)):
-        joined = {k for k, j in zip(optional, join) if j}
-        betas: list[Charge] = []
-        fac = 1
-        start = a
-        for k in range(a + 1, b + 1):
-            if k not in joined:
-                betas.append(tuple(map(sum, zip(*alphas[start:k]))))
-                fac *= factorial(k - start)
-                start = k
-        sign = s_symbol(theory, betas)
-        if sign:
-            total += Fraction(sign, fac)
-    return total
+    runs: list[Charge] = []
+    start = a
+    for k in range(a + 1, b + 1):
+        if k == b or not joinable[k]:
+            runs.append(tuple(map(sum, zip(*alphas[start:k]))))
+            start = k
+    sign = s_symbol(theory, runs)
+    if not sign:
+        return 0
+    (x0, y0), (x1, y1) = prefix[a], prefix[b]
+    rho = [1] + [0] * (b - a)
+    g = [1] * (b - a)
+    run = 0             # the last forced cut (or the start), chunk-relative
+    for j in range(1, b - a + 1):
+        rho[j] = sum(rho[i] * g[i] * comb(j, i) for i in range(run, j)
+                     if rho[i] and g[i])
+        k = a + j
+        if k == b:
+            break
+        if joinable[k]:
+            x, y = prefix[k]
+            head, tail = (x - x0, y - y0), (x1 - x, y1 - y)
+            g[j] = -1 if _slope_cmp(head, tail) > 0 else 0
+        else:
+            run = j
+    return sign * rho[-1]
 
 
 def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
@@ -84,11 +110,17 @@ def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
     1/size! each), and the block sums are split into consecutive chunks
     whose weak central charge lies on the ray of the total, each weighted
     by its S symbol; a term with l chunks carries (-1)^(l-1)/l.  A chunk
-    is a range alphas[a:b] with weight G(a, b) = _chunk_weight, so the
-    nested sum is a DP over cut positions:
-    f[b][l] = sum_a f[a][l-1] G(a, b) and U = sum_l (-1)^(l-1)/l f[n][l].
+    is a range alphas[a:b] with weight G(a, b), and _chunk_weight gives
+    (b - a)! G(a, b) as an integer: S of its run sums times an integer DP
+    over its optional cuts.  The nested sum is then a DP over the chunk
+    cuts, f[b][l] = sum_a f[a][l-1] G(a, b), run in integers as
+    F[b][l] = b! f[b][l] = sum_a F[a][l-1] C(b, a) (b - a)! G(a, b),
+    and U = sum_l (-1)^(l-1)/l F[n][l] / n! is the one Fraction.
+    Central charges are read once per part.
     """
     n = len(alphas)
+    if n == 0:
+        raise ValueError("empty decomposition")
     strong = [theory.z(PLUS, a) for a in alphas]
     prefix = [(0, 0)]
     for a in alphas:
@@ -98,21 +130,25 @@ def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
     # same_ray is an equivalence, so a block lies on one strong ray iff
     # each of its adjacent pairs does
     joinable = [False] + [same_ray(strong[k - 1], strong[k]) for k in range(1, n)]
-    f = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    f[0][0] = Fraction(1)
+    F = [[0] * (n + 1) for _ in range(n + 1)]
+    F[0][0] = 1
     for b in range(1, n + 1):
         for a in range(b):
-            if not any(f[a]):
+            if not any(F[a]):
                 continue
             chunk = (prefix[b][0] - prefix[a][0], prefix[b][1] - prefix[a][1])
             if not same_ray(chunk, w_total):
                 continue
-            g = _chunk_weight(theory, alphas, a, b, joinable)
+            g = _chunk_weight(theory, alphas, prefix, joinable, a, b)
             if g:
+                g *= comb(b, a)
                 for l in range(1, b + 1):
-                    f[b][l] += f[a][l - 1] * g
-    return sum((Fraction((-1) ** (l - 1), l) * f[n][l] for l in range(1, n + 1)),
-               Fraction(0))
+                    if F[a][l - 1]:
+                        F[b][l] += F[a][l - 1] * g
+    # n! is a multiple of every l <= n
+    scale = factorial(n)
+    return Fraction(sum((-1) ** (l - 1) * F[n][l] * (scale // l)
+                        for l in range(1, n + 1)), scale * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +245,16 @@ def _weighted_decompositions(theory: Theory, table: SpectrumTable,
         raise ValueError(f"target {target} is not effective")
     if max_vertices is not None and max_vertices < 1:
         raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
+    dt: dict[Charge, Fraction] = {}     # DT read once per distinct part
     for alphas in decompositions(theory, table, target, max_vertices):
         n = len(alphas)
         u = u_symbol(theory, list(alphas))
         if u == 0:
             continue
-        dts = Fraction(1)
         for a in alphas:
-            dts *= table.dt(a)
+            if a not in dt:
+                dt[a] = table.dt(a)
+        dts = prod(map(dt.__getitem__, alphas))
         if dts == 0:
             continue
         sign = theory.sigma_reduce(list(alphas))[0]

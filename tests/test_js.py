@@ -21,6 +21,12 @@ def test_u_symbol_single(nf0):
     assert u_symbol(nf0, [D]) == 1
 
 
+@pytest.mark.parametrize("symbol", [s_symbol, u_symbol])
+def test_empty_decomposition_raises(nf0, symbol):
+    with pytest.raises(ValueError, match="empty decomposition"):
+        symbol(nf0, [])
+
+
 def test_u_symbol_order_sums_to_zero(nf0):
     # summing U over all orderings of a fixed multiset gives zero when
     # the slope order changes across the wall

@@ -1,16 +1,20 @@
 """Differential tests: the library's ordering symbols, tree sum and grouped
 tree values return exactly the values of the reference implementations in
 js_reference.py."""
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import js_reference as ref
 from test_conjecture_sweep import MAX_DEGREE, _targets
 from wallcross import js
-from wallcross.js import _tree_weight, decompositions, s_symbol, u_symbol
-from wallcross.lattice import PLUS, MINUS, theory_by_name
-from wallcross.spectrum import spectrum_table
+from wallcross.js import (_tree_weight, decompositions, s_symbol,
+                          strong_parts, u_symbol)
+from wallcross.lattice import PLUS, MINUS, direction_key, theory_by_name
+from wallcross.spectrum import SpectrumTable, spectrum_table
 
 # catalog and benchmark targets
 TARGETS = {
@@ -55,6 +59,43 @@ def test_u_and_s_match_reference(theory_decomps):
         alphas = list(alphas)
         assert u_symbol(theory, alphas) == ref.u_symbol(theory, alphas), alphas
         assert s_symbol(theory, alphas) == ref.s_symbol(theory, alphas), alphas
+
+
+def _rays(name):
+    """The strong_parts of the theory's targets, grouped by strong ray."""
+    theory, table = theory_by_name(name), spectrum_table(name, "strong")
+    rays = defaultdict(set)
+    for target in TARGETS[name]:
+        for part in strong_parts(theory, table, target):
+            rays[direction_key(theory.z(PLUS, part))].add(part)
+    return theory, [sorted(parts) for _, parts in sorted(rays.items())]
+
+
+RAYS = {name: _rays(name) for name in sorted(TARGETS)}
+
+
+@st.composite
+def part_sequences(draw):
+    """1-6 parts of one theory in any order, drawn as up to three runs of
+    parts on one strong ray each, so that a sequence may be no sorted
+    decomposition of anything and may hold long runs on one ray: nf0
+    multiples, the nf2/nf3 D-type parts, the nf1 pinned -g3 ray."""
+    name = draw(st.sampled_from(sorted(RAYS)))
+    theory, rays = RAYS[name]
+    alphas = []
+    for _ in range(draw(st.integers(1, 3))):
+        ray = draw(st.sampled_from(rays))
+        alphas += draw(st.lists(st.sampled_from(ray), min_size=1, max_size=6))
+    return theory, alphas[:6]
+
+
+@given(part_sequences())
+@settings(max_examples=200, deadline=None)
+def test_u_matches_reference_on_any_part_sequence(case):
+    # every cut factor of U, forced or optional, is checked beyond the
+    # orders the catalog decompositions happen to reach
+    theory, alphas = case
+    assert u_symbol(theory, alphas) == ref.u_symbol(theory, alphas), alphas
 
 
 def test_tree_weight_matches_reference(theory_decomps):
@@ -121,3 +162,23 @@ def test_tree_values_canonicalise_once_per_slot_tree(monkeypatch, target,
                       target)
     assert counts == {"canon_unoriented": unoriented,
                       "canon_oriented": oriented}
+
+
+def test_u_reads_one_s_per_chunk_and_dt_per_part(monkeypatch):
+    """nf0 3,4 makes one s_symbol call per weak-ray chunk (289) and one
+    SpectrumTable.dt call per distinct part (7).  Summing S over every
+    block cut of a chunk, and reading DT for each part of each ordering,
+    made 1,315 and 1,105."""
+    counts = {"s_symbol": 0, "dt": 0}
+
+    def counter(name, f):
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(js, "s_symbol", counter("s_symbol", js.s_symbol))
+    monkeypatch.setattr(SpectrumTable, "dt", counter("dt", SpectrumTable.dt))
+    assert js.js_wallcross(theory_by_name("nf0"),
+                           spectrum_table("nf0", "strong"), (3, 4)) == 1
+    assert counts == {"s_symbol": 289, "dt": 7}

@@ -45,17 +45,32 @@ def _conjecture():
     conjecture_check(theory_by_name("nf0"), (2, 3))
 
 
-@pytest.mark.parametrize("run", [_invariant, _conjecture],
-                         ids=["js_wallcross", "conjecture_check"])
-def test_tree_sums_read_the_labelled_tree_table(run):
-    # the traced invariant and conjecture runs need the trees.labelled_*
-    # metrics to fire: a tree sum must reach enumerate_labelled_trees
-    # through the module attribute the recorder rebinds
+def _traced(run):
     recorder = _tracer().Recorder()
     recorder.install()
     try:
         run()
     finally:
         recorder.uninstall()
+    return recorder
+
+
+RUNS = pytest.mark.parametrize("run", [_invariant, _conjecture],
+                               ids=["js_wallcross", "conjecture_check"])
+
+
+@RUNS
+def test_tree_sums_read_the_labelled_tree_table(run):
+    # the traced invariant and conjecture runs need the trees.labelled_*
+    # metrics to fire: a tree sum must reach enumerate_labelled_trees
+    # through the module attribute the recorder rebinds
+    recorder = _traced(run)
     assert recorder.calls["trees.enumerate_labelled_trees"] > 0
     assert recorder.counters["trees.labelled_trees"] > 0
+
+
+@RUNS
+def test_u_symbol_calls_s_symbol(run):
+    # the js.s_calls metric must fire too: U must reach s_symbol through
+    # the module attribute the recorder rebinds, not an inlined copy
+    assert _traced(run).calls["js.s_symbol"] > 0
