@@ -12,8 +12,8 @@ diagram is -(1/p) * W * (sum of signs + sum of signed symbols), with p
 the framing coordinate of the total charge.
 
 A conjecture checker compares, per unoriented decorated tree, the sum of
-these diagram totals over framings against the combinatorial
-wall-crossing sum over orientations, solving for the singular symbols.
+these diagram totals over framings against the tree's total in the
+combinatorial wall-crossing sum, solving for the singular symbols.
 """
 from __future__ import annotations
 

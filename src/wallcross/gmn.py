@@ -101,7 +101,7 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
                             stack.append(u)
                 diag = RootedDiagram(ms, tuple(parent))
                 seen.setdefault(diag.canonical(), diag)
-    return sorted(seen.values(), key=lambda d: (d.n, d.canonical()))
+    return [seen[k] for k in sorted(seen, key=lambda k: (seen[k].n, k))]
 
 
 def weight_W(theory: Theory, table: SpectrumTable,

@@ -17,7 +17,7 @@ from .lattice import (MINUS, PLUS, Charge, Theory, Vec2, cross, cscale,
                       same_ray)
 from .spectrum import SpectrumTable
 from .symbolic import Value
-from .trees import canon_oriented, canon_unoriented, trees_avoiding
+from .trees import canon_unoriented, trees_avoiding
 
 
 def _slope_cmp(za, zb) -> int:
@@ -293,29 +293,29 @@ class TreeValue:
     charges: list[Charge]
     edges: list[tuple[int, int]]
     total: Value
-    orientations: dict[str, Value]
 
 
 def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
                    max_vertices: int | None = None) -> dict[str, TreeValue]:
     """Wall-crossing sum grouped by underlying unoriented decorated tree,
-    with per-orientation subtotals.
+    each with the charges and edges of the first labelled tree seen; trees
+    with a zero total are left out.
 
     The values are coefficients of sigma(target), as are the
     decay-calculus contributions they are compared with.
 
     Every ordering of one multiset puts its tree on the same vertex set,
     the slots of the sorted multiset (equal parts take their slots in the
-    order they occur), so both canonical keys and the edge-weight product
-    are computed once per slot tree, not once per ordering.  An edge
-    (i, j), i < j, is the arc from slot[i] to slot[j]; a tree is the bit
-    set of its slot arcs, or of its slot edges when undirected.
+    order they occur), so the canonical key is computed once per slot
+    tree, not once per ordering: a tree is the bit set of its slot edges.
+    Within a decomposition the integer edge-weight products are summed
+    per key, so there is one Fraction multiply-add per (decomposition,
+    tree key).
     """
-    # tree key -> (charges, edges, orientation key -> subtotal)
-    trees: dict[str, tuple[list[Charge], list[tuple[int, int]],
-                           dict[str, Fraction]]] = {}
-    # multiset -> (slot edges -> key, slot arcs -> (key, orientation key, w))
-    slot_keys: dict[tuple[Charge, ...], tuple[dict, dict]] = {}
+    # tree key -> [charges, edges, total]
+    trees: dict[str, list] = {}
+    # multiset -> (slot edges -> tree key)
+    slot_keys: dict[tuple[Charge, ...], dict[int, str]] = {}
     for alphas, base in _weighted_decompositions(theory, table, target,
                                                  max_vertices):
         n = len(alphas)
@@ -325,43 +325,30 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
         for a in alphas:
             slot.append(ms.index(a) + taken[a])
             taken[a] += 1
-        arc_bit, edge_bit = {}, {}
-        for i, j in combinations(range(n), 2):
-            s, t = slot[i], slot[j]
-            arc_bit[i, j] = 1 << (s * n + t)
-            edge_bit[i, j] = 1 << (min(s, t) * n + max(s, t))
-        unoriented, oriented = slot_keys.setdefault(ms, ({}, {}))
+        edge_bit = {(i, j): 1 << (min(slot[i], slot[j]) * n
+                                  + max(slot[i], slot[j]))
+                    for i, j in combinations(range(n), 2)}
+        keys = slot_keys.setdefault(ms, {})
         weights = _edge_weights(theory, alphas)
         charges = list(alphas)
-        # orientation key -> [tree key, first edges, summed edge weights]
+        # tree key -> [first edges, summed edge weights]
         sums: dict[str, list] = {}
         for edges in _supported_trees(weights):
-            arcs = sum(map(arc_bit.__getitem__, edges))
-            keys = oriented.get(arcs)
-            if keys is None:
-                slot_edges = sum(map(edge_bit.__getitem__, edges))
-                key = unoriented.get(slot_edges)
-                if key is None:
-                    key = unoriented[slot_edges] = canon_unoriented(
-                        n, edges, charges)
-                keys = oriented[arcs] = (
-                    key, canon_oriented(n, edges, charges),
-                    prod(weights[i][j] for i, j in edges))
-            key, okey, w = keys
-            if okey in sums:
-                sums[okey][2] += w
+            slot_edges = sum(map(edge_bit.__getitem__, edges))
+            key = keys.get(slot_edges)
+            if key is None:
+                key = keys[slot_edges] = canon_unoriented(n, edges, charges)
+            w = prod(weights[i][j] for i, j in edges)
+            if key in sums:
+                sums[key][1] += w
             else:
-                sums[okey] = [key, edges, w]
-        for okey, (key, edges, w) in sums.items():
+                sums[key] = [edges, w]
+        for key, (edges, w) in sums.items():
             if key not in trees:
-                trees[key] = (charges, list(edges), {})
-            sub = trees[key][2]
-            sub[okey] = sub.get(okey, Fraction(0)) + base * w
-    return {key: TreeValue(list(charges), edges,
-                           Value.rational(sum(sub.values())),
-                           {k: Value.rational(v) for k, v in sub.items()})
-            for key, (charges, edges, sub) in trees.items()
-            if any(sub.values())}
+                trees[key] = [charges, list(edges), Fraction(0)]
+            trees[key][2] += base * w
+    return {key: TreeValue(list(charges), edges, Value.rational(total))
+            for key, (charges, edges, total) in trees.items() if total}
 
 
 def js_wallcross(theory: Theory, table: SpectrumTable, target: Charge,

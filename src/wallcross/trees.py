@@ -155,6 +155,9 @@ def canon_oriented(n: int, arcs: list[Edge], charges: list[Charge]) -> str:
 
     `arcs` are directed (tail, head) pairs; the underlying tree is used
     for rooting so that equal decorated digraphs get equal strings.
+
+    No library code calls it.  perfbench/tracer.py wraps it by name, so it
+    and encode's `arcs` argument stay until the benchmark stops doing so.
     """
     adj = adjacency(n, arcs)
     labels = [charge_label(c) for c in charges]

@@ -24,7 +24,7 @@ from wallcross.js import (TreeValue, _edge_weights, _multisets,
                           strong_parts)
 from wallcross.spectrum import SpectrumTable
 from wallcross.symbolic import Value
-from wallcross.trees import canon_oriented, canon_unoriented
+from wallcross.trees import canon_unoriented
 
 
 def _slope_cmp(theory: Theory, region: str, a: Charge, b: Charge) -> int:
@@ -172,11 +172,10 @@ def decompositions(theory: Theory, table: SpectrumTable,
 
 def tree_values(theory: Theory, table: SpectrumTable, target: Charge,
                 max_vertices: int | None = None) -> dict[str, TreeValue]:
-    """js_tree_values with both canonical keys computed for every
-    (ordering, supported labelled tree) pair and one Fraction multiply-add
-    per tree."""
-    trees: dict[str, tuple[list[Charge], list[tuple[int, int]],
-                           dict[str, Fraction]]] = {}
+    """js_tree_values with the canonical key computed for every (ordering,
+    supported labelled tree) pair and one Fraction multiply-add per tree;
+    trees with a zero total are left out."""
+    trees: dict[str, list] = {}
     for alphas, base in _weighted_decompositions(theory, table, target,
                                                  max_vertices):
         n = len(alphas)
@@ -186,12 +185,7 @@ def tree_values(theory: Theory, table: SpectrumTable, target: Charge,
             w = prod(weights[i][j] for i, j in edges)
             key = canon_unoriented(n, edges, charges)
             if key not in trees:
-                trees[key] = (charges, list(edges), {})
-            sub = trees[key][2]
-            okey = canon_oriented(n, edges, charges)
-            sub[okey] = sub.get(okey, Fraction(0)) + base * w
-    return {key: TreeValue(list(charges), edges,
-                           Value.rational(sum(sub.values())),
-                           {k: Value.rational(v) for k, v in sub.items()})
-            for key, (charges, edges, sub) in trees.items()
-            if any(sub.values())}
+                trees[key] = [charges, list(edges), Fraction(0)]
+            trees[key][2] += base * w
+    return {key: TreeValue(list(charges), edges, Value.rational(total))
+            for key, (charges, edges, total) in trees.items() if total}

@@ -1,17 +1,15 @@
 """Canonical strings pinned as literals.
 
-Tree keys (unoriented), orientation keys, coincident-ray symbol names
-(frozen keys) and automorphism orders all come from the one encoder in
-`wallcross.trees`.  Reports and ledgers are keyed by these strings, so any
-change to their format or to the walk that builds them shows here.
+Tree keys (unoriented), coincident-ray symbol names (frozen keys) and
+automorphism orders all come from the one encoder in `wallcross.trees`.
+Reports and ledgers are keyed by these strings, so any change to their
+format or to the walk that builds them shows here.
 """
 import pytest
 
 from wallcross.decay import conjecture_check
 from wallcross.gmn import RootedDiagram, aut_order, enumerate_diagrams
-from wallcross.js import js_tree_values
 from wallcross.lattice import theory_by_name
-from wallcross.spectrum import spectrum_table
 
 GOLDEN = {
     ("nf0", (2, 3)): {
@@ -25,39 +23,6 @@ GOLDEN = {
             "(2,0|(0,1|);(0,1|);(0,1|))",
             "(2,0|(0,1|);(0,2|))",
         ],
-        "orientations": [
-            "(0,1|i(1,0|i(0,1|));i(1,0|i(0,1|)))",
-            "(0,1|i(1,0|i(0,1|));i(1,0|o(0,1|)))",
-            "(0,1|i(1,0|i(0,1|));o(1,0|i(0,1|)))",
-            "(0,1|i(1,0|i(0,1|));o(1,0|o(0,1|)))",
-            "(0,1|i(1,0|o(0,1|));i(1,0|o(0,1|)))",
-            "(0,1|i(1,0|o(0,1|));o(1,0|i(0,1|)))",
-            "(0,1|i(1,0|o(0,1|));o(1,0|o(0,1|)))",
-            "(0,1|o(1,0|i(0,1|));o(1,0|i(0,1|)))",
-            "(0,1|o(1,0|i(0,1|));o(1,0|o(0,1|)))",
-            "(0,1|o(1,0|o(0,1|));o(1,0|o(0,1|)))",
-            "(0,2|i(1,0|);i(1,0|i(0,1|)))",
-            "(0,2|i(1,0|);i(1,0|o(0,1|)))",
-            "(0,2|i(1,0|);o(1,0|i(0,1|)))",
-            "(0,2|i(1,0|);o(1,0|o(0,1|)))",
-            "(0,2|i(1,0|i(0,1|));o(1,0|))",
-            "(0,2|i(1,0|o(0,1|));o(1,0|))",
-            "(0,2|o(1,0|);o(1,0|i(0,1|)))",
-            "(0,2|o(1,0|);o(1,0|o(0,1|)))",
-            "(0,3|i(1,0|);i(1,0|))",
-            "(0,3|i(1,0|);o(1,0|))",
-            "(0,3|i(2,0|))",
-            "(0,3|o(1,0|);o(1,0|))",
-            "(0,3|o(2,0|))",
-            "(2,0|i(0,1|);i(0,1|);i(0,1|))",
-            "(2,0|i(0,1|);i(0,1|);o(0,1|))",
-            "(2,0|i(0,1|);i(0,2|))",
-            "(2,0|i(0,1|);o(0,1|);o(0,1|))",
-            "(2,0|i(0,1|);o(0,2|))",
-            "(2,0|i(0,2|);o(0,1|))",
-            "(2,0|o(0,1|);o(0,1|);o(0,1|))",
-            "(2,0|o(0,1|);o(0,2|))",
-        ],
         "ledger": [
             "(1,1@0,1|(0,1@-1,20|);(1,1@0,1!|))|above",
             "(1,1@0,1|(0,1@-1,20|);(1,1@0,1!|))|below",
@@ -70,20 +35,6 @@ GOLDEN = {
             "(0,0,-1|(0,1,0|);(1,0,0|))",
             "(0,1,0|(0,0,-1|);(1,0,0|))",
             "(1,0,0|(0,0,-1|);(0,1,0|))",
-        ],
-        "orientations": [
-            "(0,0,-1|i(0,1,0|);i(1,0,0|))",
-            "(0,0,-1|i(0,1,0|);o(1,0,0|))",
-            "(0,0,-1|i(1,0,0|);o(0,1,0|))",
-            "(0,0,-1|o(0,1,0|);o(1,0,0|))",
-            "(0,1,0|i(0,0,-1|);i(1,0,0|))",
-            "(0,1,0|i(0,0,-1|);o(1,0,0|))",
-            "(0,1,0|i(1,0,0|);o(0,0,-1|))",
-            "(0,1,0|o(0,0,-1|);o(1,0,0|))",
-            "(1,0,0|i(0,0,-1|);i(0,1,0|))",
-            "(1,0,0|i(0,0,-1|);o(0,1,0|))",
-            "(1,0,0|i(0,1,0|);o(0,0,-1|))",
-            "(1,0,0|o(0,0,-1|);o(0,1,0|))",
         ],
         "ledger": [
             "(1,1,0@0,1!|(0,0,-1@0,1|))|below",
@@ -99,9 +50,6 @@ def test_conjecture_keys(theory, target):
     rep = conjecture_check(th, target)
     assert sorted(rep.trees) == golden["trees"]
     assert sorted(rep.ledger) == golden["ledger"]
-    js = js_tree_values(th, spectrum_table(theory, "strong"), target)
-    assert sorted(o for tv in js.values() for o in tv.orientations) == \
-        golden["orientations"]
 
 
 NF0_23_AUT = [

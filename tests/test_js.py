@@ -74,7 +74,7 @@ def test_tree_values_sum_to_invariant():
 
 def test_tree_values_survive_caller_mutation(nf0, nf0_strong):
     def snapshot(groups):
-        return {k: (list(tv.charges), list(tv.edges), tv.total, dict(tv.orientations))
+        return {k: (list(tv.charges), list(tv.edges), tv.total)
                 for k, tv in groups.items()}
 
     first = js_tree_values(nf0, nf0_strong, (2, 3))
