@@ -197,14 +197,20 @@ def cmd_ks_oracle(args) -> int:
     return PASS if ok else FAIL
 
 
+NUMERIC_CHECKS = ("residue_move", "scale_invariance", "decay_fit",
+                  "ov_fixed_point")
+
+
 def cmd_numeric(args) -> int:
     spec = tba.QuadratureSpec(nodes=args.nodes, T=args.T, tol=args.tol)
     zeta = complex(args.zeta_re, args.zeta_im)
     if zeta == 0:
         raise ConfigError("zeta = --zeta-re + i --zeta-im must be nonzero")
+    names = args.checks or NUMERIC_CHECKS
+    for name in names:
+        if name not in NUMERIC_CHECKS:
+            raise ConfigError(f"unknown numeric check {name!r}")
     checks = {}
-    names = args.checks or ["residue_move", "scale_invariance", "decay_fit",
-                            "ov_fixed_point"]
     for name in names:
         if name == "residue_move":
             zc = tba.near_wall_context(R=args.R, scale=0.1, side="mid")
@@ -234,11 +240,9 @@ def cmd_numeric(args) -> int:
                     writer.writerows((n, args.R, g)
                                      for n, g in enumerate(mags, 1))
             checks[name] = {"slope": float(slope), "ok": bool(slope <= -1.5)}
-        elif name == "ov_fixed_point":
+        else:
             res = tba.ov_fixed_point_residual(tba.OVModel(R=args.R), zeta, spec)
             checks[name] = {"residual": float(res), "ok": bool(res < 10 * spec.tol)}
-        else:
-            raise ConfigError(f"unknown numeric check {name!r}")
     ok = all(c["ok"] for c in checks.values())
     report = {"command": "numeric", "R": args.R, "nodes": args.nodes,
               "ok": ok, "checks": checks}
@@ -303,8 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = add("numeric", cmd_numeric, help="floating-point identity checks")
     sp.add_argument("checks", nargs="*",
-                    help="subset of: residue_move scale_invariance "
-                         "decay_fit ov_fixed_point (default all)")
+                    help=f"subset of: {' '.join(NUMERIC_CHECKS)} (default all)")
     sp.add_argument("--R", type=float, default=3.0)
     sp.add_argument("--nodes", type=int, default=400)
     sp.add_argument("--T", type=float, default=6.0)

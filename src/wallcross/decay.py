@@ -294,9 +294,11 @@ def conjecture_check(theory: Theory, target: Charge,
 
     Singular symbols are solved from the linear system formed by the
     per-tree equalities together with the jump constraint pairing the
-    two approach sides of each coincident ray.  The target needs a
-    nonzero framing coordinate: every diagram's root lies on the framing
-    direction, and each contribution divides by that coordinate.
+    two approach sides of each coincident ray.  Symbols the system
+    leaves free are reported in free_symbols and enter the ledger at 0.
+    The target needs a nonzero framing coordinate: every diagram's root
+    lies on the framing direction, and each contribution divides by that
+    coordinate.
     """
     if target[theory.root_index] == 0:
         raise ValueError(f"target {target} has framing coordinate 0: "
@@ -349,8 +351,9 @@ def conjecture_check(theory: Theory, target: Charge,
             constraints.append((sides[BELOW], sides[ABOVE]))
             equations.append(({sides[BELOW]: Fraction(1),
                                sides[ABOVE]: Fraction(-1)}, all_jumps[key]))
-    ledger = solve_linear(equations, names, allow_free=True) if names else {}
-    free = free_unknowns(equations, names) if names else []
+    solved = solve_linear(equations, names)
+    free = free_unknowns(solved, names)
+    ledger = {**dict.fromkeys(free, Fraction(0)), **solved}
 
     ok = True
     for tc in trees.values():

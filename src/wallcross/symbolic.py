@@ -78,6 +78,9 @@ class Value:
         return self.terms == _coerce(other).terms
 
     def __hash__(self):
+        # a purely rational value equals its Fraction, so it hashes like it
+        if self.terms.keys() <= {None}:
+            return hash(self.coeff())
         return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
@@ -125,17 +128,20 @@ def _coerce(x) -> Value:
     return Value.rational(x)
 
 
-def _row_reduce(equations: list[tuple[dict[str, Fraction], Fraction]],
-                unknowns: list[str]) -> tuple[list[list[Fraction]], list[int]]:
-    """Gauss-Jordan elimination of the augmented matrix of the system.
+def solve_linear(equations: list[tuple[dict[str, Fraction], Fraction]],
+                 unknowns: list[str]) -> dict[str, Fraction]:
+    """Solve a (possibly over- or underdetermined) exact linear system.
 
-    Returns the reduced rows (coefficients by unknown, then rhs) and the
-    pivot columns; rows past the last pivot row have zero coefficients.
+    Each equation is (coefficient-by-unknown, rhs).  One Gauss-Jordan
+    elimination of the augmented matrix; raises ValueError if the system
+    is inconsistent.  Returns the pivot unknowns, in pivot order, at
+    their values with every free unknown fixed to zero; the free ones
+    are those left out (see free_unknowns).
     """
     rows = [[eq.get(u, _Q(0)) for u in unknowns] + [rhs] for eq, rhs in equations]
     pivots: list[int] = []
-    r = 0
     for c in range(len(unknowns)):
+        r = len(pivots)
         if r == len(rows):
             break
         pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -149,33 +155,13 @@ def _row_reduce(equations: list[tuple[dict[str, Fraction], Fraction]],
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
-def solve_linear(equations: list[tuple[dict[str, Fraction], Fraction]],
-                 unknowns: list[str],
-                 allow_free: bool = False) -> dict[str, Fraction]:
-    """Solve a (possibly overdetermined) exact linear system.
-
-    Each equation is (coefficient-by-unknown, rhs).  Raises ValueError if
-    inconsistent, or if underdetermined unless allow_free is set, in
-    which case free unknowns are fixed to zero (a particular solution).
-    Use free_unknowns() to find out which ones were free.
-    """
-    rows, pivots = _row_reduce(equations, unknowns)
     if any(row[-1] for row in rows[len(pivots):]):
         raise ValueError("inconsistent singular-symbol system")
-    free = [u for c, u in enumerate(unknowns) if c not in pivots]
-    if free and not allow_free:
-        raise ValueError(f"underdetermined singular symbols: {free}")
-    sol = {u: _Q(0) for u in free}
-    sol.update({unknowns[c]: rows[i][-1] for i, c in enumerate(pivots)})
-    return sol
+    return {unknowns[c]: rows[i][-1] for i, c in enumerate(pivots)}
 
 
-def free_unknowns(equations: list[tuple[dict[str, Fraction], Fraction]],
+def free_unknowns(solution: dict[str, Fraction],
                   unknowns: list[str]) -> list[str]:
-    """Names of unknowns not pinned down by the system (free parameters)."""
-    _, pivots = _row_reduce(equations, unknowns)
-    return [u for c, u in enumerate(unknowns) if c not in pivots]
+    """Names of unknowns not pinned down by the system (free parameters):
+    those solve_linear left out of its solution, in order."""
+    return [u for u in unknowns if u not in solution]

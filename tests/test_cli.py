@@ -123,6 +123,18 @@ def test_numeric_rejects_zero_zeta(tmp_path, capsys, check):
     assert capsys.readouterr().err.startswith("config error: zeta")
 
 
+def test_numeric_rejects_unknown_check_before_running(tmp_path, capsys,
+                                                      monkeypatch):
+    # a bad name must not cost the quadrature of the checks before it
+    def never(*args, **kwargs):
+        raise AssertionError("residue_move_check ran")
+    monkeypatch.setattr(tba, "residue_move_check", never)
+    code, rep = run(tmp_path, "numeric", "residue_move", "bogus")
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        "config error: unknown numeric check 'bogus'\n")
+
+
 @pytest.mark.parametrize("option,value,message", [
     ("--T", "0", "T must be positive and finite, got 0.0"),
     ("--T", "-2", "T must be positive and finite, got -2.0"),

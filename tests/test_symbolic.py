@@ -47,7 +47,7 @@ def test_solve_linear_determined():
            ({"x": Q(1), "y": Q(-1)}, Q(1))]
     sol = solve_linear(eqs, ["x", "y"])
     assert sol == {"x": Q(2), "y": Q(1)}
-    assert free_unknowns(eqs, ["x", "y"]) == []
+    assert free_unknowns(sol, ["x", "y"]) == []
 
 
 def test_solve_linear_inconsistent():
@@ -57,12 +57,20 @@ def test_solve_linear_inconsistent():
 
 
 def test_solve_linear_underdetermined():
+    # the free unknown y is fixed to 0 and left out of the solution
     eqs = [({"x": Q(1), "y": Q(1)}, Q(2))]
-    with pytest.raises(ValueError):
-        solve_linear(eqs, ["x", "y"])
-    sol = solve_linear(eqs, ["x", "y"], allow_free=True)
-    assert sol["x"] + sol["y"] == 2
-    assert free_unknowns(eqs, ["x", "y"]) == ["y"]
+    sol = solve_linear(eqs, ["x", "y"])
+    assert sol == {"x": Q(2)}
+    assert free_unknowns(sol, ["x", "y"]) == ["y"]
+
+
+def test_rational_value_hashes_like_its_fraction():
+    assert Value.rational(3) == 3 and hash(Value.rational(3)) == hash(3)
+    assert Value.rational(Q(1, 2)) == Q(1, 2)
+    assert hash(Value.rational(Q(1, 2))) == hash(Q(1, 2))
+    assert hash(Value.zero()) == hash(0)
+    assert len({Value.rational(3), 3, Value.zero(), 0}) == 2
+    assert len({Value.symbol("x"), Value.symbol("x") + 0}) == 1
 
 
 @st.composite
@@ -83,15 +91,20 @@ def _systems(draw):
 @given(_systems())
 def test_row_reduction_matches_rank(system):
     a, b = system
-    names = [f"x{j}" for j in range(len(a[0]))]
+    n = len(a[0])
+    names = [f"x{j}" for j in range(n)]
     eqs = [({u: Q(c) for u, c in zip(names, row) if c}, Q(rhs))
            for row, rhs in zip(a, b)]
-    rank = sympy.Matrix(a).rank()
-    assert len(free_unknowns(eqs, names)) == len(names) - rank
-    if sympy.Matrix([row + [rhs] for row, rhs in zip(a, b)]).rank() == rank:
-        sol = solve_linear(eqs, names, allow_free=True)
-        for coeffs, rhs in eqs:
-            assert sum(c * sol[u] for u, c in coeffs.items()) == rhs
-    else:
-        with pytest.raises(ValueError):
-            solve_linear(eqs, names, allow_free=True)
+    rref, pivots = sympy.Matrix([row + [rhs] for row, rhs in zip(a, b)]).rref()
+    if n in pivots:             # a pivot in the rhs column: inconsistent
+        with pytest.raises(ValueError, match="inconsistent"):
+            solve_linear(eqs, names)
+        return
+    sol = solve_linear(eqs, names)
+    assert sol == {names[c]: Q(int(rref[i, n].p), int(rref[i, n].q))
+                   for i, c in enumerate(pivots)}
+    free = free_unknowns(sol, names)
+    assert free == [u for c, u in enumerate(names) if c not in pivots]
+    assert len(free) == n - sympy.Matrix(a).rank()
+    for coeffs, rhs in eqs:
+        assert sum(c * sol.get(u, 0) for u, c in coeffs.items()) == rhs

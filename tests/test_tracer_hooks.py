@@ -74,3 +74,13 @@ def test_u_symbol_calls_s_symbol(run):
     # the js.s_calls metric must fire too: U must reach s_symbol through
     # the module attribute the recorder rebinds, not an inlined copy
     assert _traced(run).calls["js.s_symbol"] > 0
+
+
+def test_conjecture_check_solves_once():
+    # the symbolic.* metrics of the traced conjecture run count one
+    # elimination per check, and free_symbols counts what free_unknowns
+    # returns: both hooks must fire exactly once
+    recorder = _traced(_conjecture)
+    assert recorder.calls["symbolic.solve_linear"] == 1
+    assert recorder.calls["symbolic.free_unknowns"] == 1
+    assert recorder.counters["symbolic.free_symbols"] == 1
