@@ -181,7 +181,8 @@ def cmd_ks_oracle(args) -> int:
     checks["round_trip"] = {"ok": ok_rt, "agree_through": deg_rt}
     ok = ok_rt
     if args.against_table:
-        weak = spectrum_table(theory.name, "weak")
+        # with K >= N every catalog rule covers degree N
+        weak = spectrum_table(theory.name, "weak", K=max(DEFAULT_K, args.N))
         ok_w, deg_w = verify_wall_identity(theory, strong, weak, args.N)
         checks["catalog_weak_table"] = {"ok": ok_w, "agree_through": deg_w}
         ok = ok and ok_w

@@ -12,13 +12,17 @@ integer), truncated at total effective degree N.  A product is stored by
 its multipliers G_mu with x_mu -> x_mu * G_mu, and is built by applying
 each operator to the current terms of x_mu G_mu one group of equal
 exponent at a time, so no series is ever substituted into another.
+Effective degree is additive, so a series product never forms a term
+above the truncation, and the peeling builds each weak product only up
+to the degree it reads.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from .lattice import MINUS, PLUS, Charge, Theory
-from .spectrum import WEAK, SpectrumTable
+from .spectrum import WEAK, SpectrumTable, UnknownSpectrumError
 
 Series = dict[Charge, int]
 
@@ -41,12 +45,21 @@ def series_sub(a: Series, b: Series) -> Series:
 
 
 def series_mul(theory: Theory, a: Series, b: Series, N: int) -> Series:
+    """a * b through effective degree N.
+
+    The degree of a product term is the sum of its factors' degrees, so
+    each term's degree is computed once and a pair over N is skipped
+    before its exponent is formed: b is scanned in increasing degree and
+    the scan stops at the first term over the budget left by a's term.
+    """
+    bs = sorted((eff_degree(theory, eb), eb, cb) for eb, cb in b.items())
     out: Series = {}
     for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            if eff_degree(theory, e) > N:
-                continue
+        budget = N - eff_degree(theory, ea)
+        for db, eb, cb in bs:
+            if db > budget:
+                break
+            e = tuple(map(add, ea, eb))
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
@@ -136,7 +149,17 @@ def agreement_degree(theory: Theory, a: tuple[Series, ...],
 
 def verify_wall_identity(theory: Theory, strong: SpectrumTable,
                          weak: SpectrumTable, N: int) -> tuple[bool, int]:
-    """Strong product at u+ versus weak product at u-; (equal?, degree)."""
+    """Strong product at u+ versus weak product at u-; (equal?, degree).
+
+    Raises UnknownSpectrumError when a table covers fewer degrees than N:
+    its products would lack operators it does not list, and the check
+    would report that as a failure of the identity.
+    """
+    for table in (strong, weak):
+        if table.covered_degree is not None and table.covered_degree < N:
+            raise UnknownSpectrumError(
+                f"{table.theory}/{table.region}: table covers degree "
+                f"{table.covered_degree} only, below N={N}")
     s = spectrum_auto(theory, strong, PLUS, N)
     w = spectrum_auto(theory, weak, MINUS, N)
     d = agreement_degree(theory, s, w, N)
@@ -150,13 +173,21 @@ def infer_weak_spectrum(theory: Theory, strong: SpectrumTable,
     At the lowest uncorrected degree the discrepancy is linear in the
     missing exponents, one per charge; inserting the solved operators in
     phase order and repeating converges through degree N.
+
+    Iteration d reads the weak product only through degree d (below d it
+    must agree with the strong one), so it builds that product truncated
+    at d.  This is exact: every multiplier exponent is a sum of effective
+    charges, so effective degrees are >= 0 and add under products, and a
+    term above d never feeds a coefficient of degree <= d.  The strong
+    product is built once, at N, and the final check compares it with the
+    full weak product of the inferred table at N.
     """
     target = spectrum_auto(theory, strong, PLUS, N)
     entries: dict[Charge, int] = {}
     for d in range(1, N + 1):
         table = SpectrumTable(theory.name, WEAK, None, True, d - 1,
                               dict(entries))
-        current = spectrum_auto(theory, table, MINUS, N)
+        current = spectrum_auto(theory, table, MINUS, d)
         discrepancy: dict[Charge, dict[int, int]] = {}
         for mu in range(theory.rank):
             for e, c in series_sub(target[mu], current[mu]).items():
@@ -187,7 +218,8 @@ def infer_weak_spectrum(theory: Theory, strong: SpectrumTable,
             if omega:
                 entries[e] = int(omega)
     result = SpectrumTable(theory.name, WEAK, None, True, N, dict(entries))
-    ok, deg = verify_wall_identity(theory, strong, result, N)
-    if not ok:
+    deg = agreement_degree(theory, target,
+                           spectrum_auto(theory, result, MINUS, N), N)
+    if deg < N:
         raise FactorizationError(f"inferred spectrum only agrees through {deg}")
     return result

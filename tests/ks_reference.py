@@ -7,13 +7,17 @@ geometric series), and two operators compose by substituting one set of
 multipliers into the other.  Coefficients are Fractions.  The library
 applies each operator term by term in integers instead; the differential
 tests check that both give exactly the same multipliers.
+
+``infer_weak_entries`` is the peeling of the weak spectrum in its first
+form: every degree rebuilds the whole weak product at the full
+truncation N from this reference product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from wallcross.lattice import Charge, Theory, is_zero
+from wallcross.lattice import MINUS, PLUS, Charge, Theory, is_zero
 
 Series = dict[Charge, Fraction]
 
@@ -120,3 +124,49 @@ def product(theory: Theory, states: list[tuple[Charge, int]],
     """Multipliers of the ordered product of the states' operators."""
     return compose(theory, [ks_auto(theory, g, w, N) for g, w in states],
                    N).mults
+
+
+def ordered_states(theory: Theory, omegas: dict[Charge, int], region: str,
+                   N: int) -> list[tuple[Charge, int]]:
+    """(gamma, Omega) of the effective charges of degree <= N, in
+    decreasing phase of Z_gamma in the region."""
+    def slope(g: Charge):
+        re, im = theory.z(region, g)
+        return Fraction(re, im), g
+    charges = [g for g in omegas
+               if theory.is_effective(g) and eff_degree(theory, g) <= N]
+    return [(g, omegas[g]) for g in sorted(charges, key=slope)]
+
+
+def infer_weak_entries(theory: Theory, strong: dict[Charge, int],
+                       N: int) -> dict[Charge, int]:
+    """Weak-side exponents peeled off the strong product through degree N.
+
+    At degree d the discrepancy x_mu (target - current) at exponent e is
+    -sigma(e) Omega(e) <e, mu> for the one missing exponent Omega(e).
+    """
+    target = product(theory, ordered_states(theory, strong, PLUS, N), N)
+    entries: dict[Charge, int] = {}
+    for d in range(1, N + 1):
+        current = product(theory, ordered_states(theory, entries, MINUS, N), N)
+        found: dict[Charge, Fraction] = {}
+        for mu in range(theory.rank):
+            diff = series_add(target[mu],
+                              {e: -c for e, c in current[mu].items()})
+            for e, c in diff.items():
+                de = eff_degree(theory, e)
+                if de < d:
+                    raise ValueError(f"residual discrepancy at {e}")
+                if de > d:
+                    continue
+                p = theory.pair(e, theory.unit(mu))
+                if not theory.is_effective(e) or p == 0:
+                    raise ValueError(f"uncorrectable discrepancy at {e}")
+                omega = c / (-theory.sigma_value(e) * p)
+                if found.setdefault(e, omega) != omega:
+                    raise ValueError(f"inconsistent exponent at {e}")
+        for e, omega in found.items():
+            if omega.denominator != 1:
+                raise ValueError(f"non-integer exponent at {e}")
+            entries[e] = int(omega)
+    return entries

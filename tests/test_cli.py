@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import wallcross
-from wallcross import js, tba
+from wallcross import cli, js, tba
 from wallcross.cli import main
 from wallcross.lattice import theory_by_name
 from wallcross.spectrum import spectrum_table
@@ -65,6 +65,15 @@ def test_ks_oracle(tmp_path):
     code, rep = run(tmp_path, "ks-oracle", "nf0", "--N", "6")
     assert code == 0
     assert rep["ok"] is True
+
+
+def test_ks_oracle_against_table_covers_N(tmp_path, monkeypatch):
+    # a default-K catalog table that stops below N would fail the check
+    # although the identity holds: the command widens K to N
+    monkeypatch.setattr(cli, "DEFAULT_K", 1)
+    code, rep = run(tmp_path, "ks-oracle", "nf0", "--N", "4", "--against-table")
+    assert code == 0
+    assert rep["checks"]["catalog_weak_table"] == {"ok": True, "agree_through": 4}
 
 
 def test_numeric_subset(tmp_path):

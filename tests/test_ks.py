@@ -6,7 +6,8 @@ from wallcross import ks
 from wallcross.ks import (binomial_series, compose, eff_degree,
                           infer_weak_spectrum, series_mul, verify_wall_identity)
 from wallcross.lattice import PLUS, Theory, theory_by_name
-from wallcross.spectrum import SpectrumTable, spectrum_table
+from wallcross.spectrum import (SpectrumTable, UnknownSpectrumError,
+                                spectrum_table)
 
 N = 8
 
@@ -132,9 +133,11 @@ def test_inferred_matches_catalog(name, n):
 
 def test_compose_builds_each_binomial_once_per_operator(monkeypatch, nf2):
     """Each operator builds (1 - sigma x_gamma)^k once per k and shares it
-    across the x_mu: inferring nf2 at N = 5 makes 208 binomial_series
-    calls (540 when every x_mu built its own) and 540 series_mul calls
-    either way."""
+    across the x_mu: inferring nf2 at N = 5 makes 190 binomial_series
+    calls and 492 series_mul calls.  Every x_mu building its own would
+    make 492 of each; before each peeling step was truncated at its own
+    degree and the strong product built once, the counts were 208 and
+    540."""
     calls = {"binomial_series": 0, "series_mul": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(ks, name)):
@@ -142,4 +145,27 @@ def test_compose_builds_each_binomial_once_per_operator(monkeypatch, nf2):
             return _f(*args)
         monkeypatch.setattr(ks, name, counted)
     ks.infer_weak_spectrum(nf2, spectrum_table("nf2", "strong"), 5)
-    assert calls == {"binomial_series": 208, "series_mul": 540}
+    assert calls == {"binomial_series": 190, "series_mul": 492}
+
+
+def test_infer_builds_each_product_at_the_degree_it_reads(monkeypatch, nf0):
+    # the strong product once at N, peeling step d at d, then the weak
+    # product of the inferred table at N for the final check
+    degrees = []
+
+    def counted(theory, states, N, _f=ks.compose):
+        degrees.append(N)
+        return _f(theory, states, N)
+    monkeypatch.setattr(ks, "compose", counted)
+    ks.infer_weak_spectrum(nf0, spectrum_table("nf0", "strong"), 4)
+    assert degrees == [4, 1, 2, 3, 4, 4]
+
+
+def test_verify_rejects_a_table_below_N(nf0):
+    # K = 1 lists nf0's weak states through degree 3 only: at N = 4 the
+    # check would miss the degree-4 operators, not find a broken identity
+    strong = spectrum_table("nf0", "strong")
+    weak = spectrum_table("nf0", "weak", K=1)
+    assert verify_wall_identity(nf0, strong, weak, 3) == (True, 3)
+    with pytest.raises(UnknownSpectrumError):
+        verify_wall_identity(nf0, strong, weak, 4)

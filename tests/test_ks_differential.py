@@ -1,21 +1,19 @@
 """Differential tests: the term-by-term KS product returns exactly the
-multipliers of the series-composition reference in ks_reference.py."""
+multipliers of the series-composition reference in ks_reference.py, its
+degree-pruned series product the reference product, and the peeling at
+per-degree truncations the entries of the reference peeling at N."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ks_reference as ref
 from test_ks import pentagon_theory
-from wallcross.ks import _phase_sorted, compose, eff_degree
+from wallcross import ks
+from wallcross.ks import compose, eff_degree
 from wallcross.lattice import MINUS, PLUS, theory_by_name
 from wallcross.spectrum import SpectrumTable, spectrum_table
 
 DEGREES = {"nf0": 10, "nf1": 5, "nf2": 5, "nf3": 5}
-
-
-def _states(theory, table, region, N):
-    charges = [g for g in table.charges()
-               if theory.is_effective(g) and eff_degree(theory, g) <= N]
-    return [(g, table.omega(g))
-            for g in _phase_sorted(theory, region, charges)]
 
 
 def _assert_same_product(theory, states, N):
@@ -33,7 +31,8 @@ def test_catalog_products_match_reference(name, region):
     theory = theory_by_name(name)
     N = DEGREES[name]
     side = PLUS if region == "strong" else MINUS
-    states = _states(theory, spectrum_table(name, region), side, N)
+    states = ref.ordered_states(theory, spectrum_table(name, region).entries,
+                                side, N)
     assert states
     _assert_same_product(theory, states, N)
 
@@ -43,5 +42,48 @@ def test_catalog_products_match_reference(name, region):
     (MINUS, {(1, 0): 1, (1, 1): 1, (0, 1): 1})])
 def test_pentagon_products_match_reference(side, entries):
     theory = pentagon_theory()
-    table = SpectrumTable("pentagon", side, None, True, None, entries)
-    _assert_same_product(theory, _states(theory, table, side, 10), 10)
+    _assert_same_product(theory, ref.ordered_states(theory, entries, side, 10),
+                         10)
+
+
+@pytest.mark.parametrize("name", sorted(DEGREES))
+def test_inferred_entries_match_reference_peeling(name):
+    theory = theory_by_name(name)
+    N = DEGREES[name]
+    strong = spectrum_table(name, "strong")
+    got = ks.infer_weak_spectrum(theory, strong, N)
+    assert got.entries == ref.infer_weak_entries(theory, strong.entries, N)
+
+
+def test_pentagon_inferred_entries_match_reference_peeling():
+    theory = pentagon_theory()
+    strong = SpectrumTable("pentagon", PLUS, None, True, None,
+                           {(1, 0): 1, (0, 1): 1})
+    got = ks.infer_weak_spectrum(theory, strong, 10)
+    assert got.entries == ref.infer_weak_entries(theory, strong.entries, 10)
+
+
+def effective_series(theory):
+    """Sparse series on effective exponents (and the zero exponent) of
+    effective degree <= 6, with nonzero integer coefficients."""
+    span = st.integers(0, 3)
+    exponent = st.tuples(*[span] * theory.rank).map(
+        lambda e: tuple(s * x for s, x in zip(theory.effective_signs, e)))
+    return st.dictionaries(exponent.filter(lambda e: eff_degree(theory, e) <= 6),
+                           st.integers(-5, 5).filter(bool), max_size=8)
+
+
+@pytest.mark.parametrize("name", ["nf0", "nf1"])
+def test_pruned_series_mul_matches_reference(name):
+    # nf1's cone has a -1 sign: the degree of (0, 0, -1) is 1, not -1
+    theory = theory_by_name(name)
+
+    @given(effective_series(theory), effective_series(theory),
+           st.integers(0, 13))
+    @settings(max_examples=200, deadline=None)
+    def check(a, b, N):
+        got = ks.series_mul(theory, a, b, N)
+        assert all(type(c) is int for c in got.values())
+        assert got == ref.series_mul(theory, a, b, N)
+
+    check()

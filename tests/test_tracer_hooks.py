@@ -12,6 +12,7 @@ import pytest
 
 from wallcross.decay import conjecture_check
 from wallcross.js import js_wallcross
+from wallcross.ks import infer_weak_spectrum
 from wallcross.lattice import theory_by_name
 from wallcross.spectrum import spectrum_table
 
@@ -84,3 +85,15 @@ def test_conjecture_check_solves_once():
     assert recorder.calls["symbolic.solve_linear"] == 1
     assert recorder.calls["symbolic.free_unknowns"] == 1
     assert recorder.counters["symbolic.free_symbols"] == 1
+
+
+def test_inference_multiplies_through_series_mul():
+    # the traced oracle run needs ks.compose_s, ks.series_mul_calls and
+    # ks.mul_term_pairs to fire: compose must reach series_mul through the
+    # module attribute the recorder rebinds, not an inlined kernel
+    def infer():
+        infer_weak_spectrum(theory_by_name("nf0"), spectrum_table("nf0", "strong"), 4)
+    recorder = _traced(infer)
+    assert recorder.calls["ks.compose"] > 0
+    assert recorder.calls["ks.series_mul"] > 0
+    assert recorder.counters["ks.mul_term_pairs"] > 0
