@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -175,11 +176,11 @@ def cmd_check_conjecture(args) -> int:
 def cmd_ks_oracle(args) -> int:
     theory = _theory(args.theory)
     strong = spectrum_table(theory.name, "strong")
-    checks = {}
+    # the inference raises unless its weak product agrees with the strong
+    # one through N, so it has made the round trip
     inferred = infer_weak_spectrum(theory, strong, args.N)
-    ok_rt, deg_rt = verify_wall_identity(theory, strong, inferred, args.N)
-    checks["round_trip"] = {"ok": ok_rt, "agree_through": deg_rt}
-    ok = ok_rt
+    checks = {"round_trip": {"ok": True, "agree_through": args.N}}
+    ok = True
     if args.against_table:
         # with K >= N every catalog rule covers degree N
         weak = spectrum_table(theory.name, "weak", K=max(DEFAULT_K, args.N))
@@ -205,8 +206,11 @@ NUMERIC_CHECKS = ("residue_move", "scale_invariance", "decay_fit",
 def cmd_numeric(args) -> int:
     spec = tba.QuadratureSpec(nodes=args.nodes, T=args.T, tol=args.tol)
     zeta = complex(args.zeta_re, args.zeta_im)
-    if zeta == 0:
-        raise ConfigError("zeta = --zeta-re + i --zeta-im must be nonzero")
+    if not 0 < abs(zeta) < math.inf:
+        raise ConfigError("zeta = --zeta-re + i --zeta-im must be nonzero "
+                          "and finite")
+    if not 0 < args.R < math.inf:
+        raise ConfigError(f"R must be positive and finite, got {args.R}")
     names = args.checks or NUMERIC_CHECKS
     for name in names:
         if name not in NUMERIC_CHECKS:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .lattice import Charge, Theory, cadd, czero, primitive
 from .spectrum import SpectrumTable, f_coeff
-from .js import _edge_weights, _multisets, _supported_trees, strong_parts
+from .js import _edge_weights, _supported_trees, multisets
 from .trees import adjacency, charge_label, encode
 
 
@@ -74,17 +74,10 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
     root lies on the framing direction.  Deduplicated up to rooted
     decorated isomorphism.
     """
-    if not theory.is_effective(target):
-        raise ValueError(f"target {target} is not effective")
-    if max_vertices is not None and max_vertices < 1:
-        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
-    parts = strong_parts(theory, table, target)
     rdir = root_direction(theory)
     seen: dict[str, RootedDiagram] = {}
-    for ms in _multisets(parts, target, theory.effective_signs):
+    for ms in multisets(theory, table, target, max_vertices):
         n = len(ms)
-        if max_vertices is not None and n > max_vertices:
-            continue
         roots = [i for i, c in enumerate(ms) if primitive(c) == rdir]
         if not roots:
             continue

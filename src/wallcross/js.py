@@ -17,7 +17,7 @@ from .lattice import (MINUS, PLUS, Charge, Theory, Vec2, cross, cscale,
                       same_ray)
 from .spectrum import SpectrumTable
 from .symbolic import Value
-from .trees import canon_unoriented, trees_avoiding
+from .trees import canon_unoriented, enumerate_labelled_trees
 
 
 def _slope_cmp(za, zb) -> int:
@@ -222,16 +222,26 @@ def _orderings(ms: tuple[Charge, ...]) -> list[tuple[Charge, ...]]:
     return out
 
 
+def multisets(theory: Theory, table: SpectrumTable, target: Charge,
+              max_vertices: int | None = None) -> list[tuple[Charge, ...]]:
+    """The sorted multisets of strong_parts summing to the target, with at
+    most max_vertices parts when given; every sum over them gets its input
+    checks here."""
+    if not theory.is_effective(target):
+        raise ValueError(f"target {target} is not effective")
+    if max_vertices is not None and max_vertices < 1:
+        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
+    parts = strong_parts(theory, table, target)
+    return sorted(ms for ms in _multisets(parts, target, theory.effective_signs)
+                  if max_vertices is None or len(ms) <= max_vertices)
+
+
 def decompositions(theory: Theory, table: SpectrumTable, target: Charge,
                    max_parts: int | None = None) -> list[tuple[Charge, ...]]:
     """Ordered decompositions of the target into strong-multiple parts,
-    with at most max_parts parts when given."""
-    parts = strong_parts(theory, table, target)
-    orderings: list[tuple[Charge, ...]] = []
-    for ms in _multisets(parts, target, theory.effective_signs):
-        if max_parts is None or len(ms) <= max_parts:
-            orderings.extend(_orderings(ms))
-    return sorted(orderings)
+    with at most max_parts parts when given: the orderings of multisets."""
+    return sorted(order for ms in multisets(theory, table, target, max_parts)
+                  for order in _orderings(ms))
 
 
 def _weighted_decompositions(theory: Theory, table: SpectrumTable,
@@ -241,10 +251,6 @@ def _weighted_decompositions(theory: Theory, table: SpectrumTable,
     coefficient U * prod DT * (-1)^(n-1) / 2^(n-1) is nonzero, with that
     coefficient times the refinement sign: prod_k sigma(alpha_k) is that
     sign times sigma(target)."""
-    if not theory.is_effective(target):
-        raise ValueError(f"target {target} is not effective")
-    if max_vertices is not None and max_vertices < 1:
-        raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
     dt: dict[Charge, Fraction] = {}     # DT read once per distinct part
     for alphas in decompositions(theory, table, target, max_vertices):
         n = len(alphas)
@@ -276,8 +282,8 @@ def _supported_trees(weights: list[list[int]]):
     """The labelled trees on the parts with no edge of weight 0: the only
     ones with a nonzero product of edge weights."""
     n = len(weights)
-    return trees_avoiding(n, [(i, j) for i, j in combinations(range(n), 2)
-                              if weights[i][j] == 0])
+    zero = [(i, j) for i, j in combinations(range(n), 2) if not weights[i][j]]
+    return enumerate_labelled_trees(n, zero)
 
 
 def _tree_weight(theory: Theory, alphas: tuple[Charge, ...]) -> int:

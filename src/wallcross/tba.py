@@ -197,8 +197,8 @@ class OVModel:
     def __post_init__(self):
         if abs(self.a) >= abs(self.Lam):
             raise ValueError("a must lie inside the disc of radius |Lambda|")
-        if self.R <= 0:
-            raise ValueError("R must be positive")
+        if not 0 < self.R < math.inf:
+            raise ValueError("R must be positive and finite")
 
     @property
     def a_D(self) -> complex:

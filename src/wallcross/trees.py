@@ -1,4 +1,7 @@
-"""Labelled tree enumeration and canonical forms of charge-decorated trees."""
+"""Labelled tree enumeration and canonical forms of charge-decorated trees.
+
+The js and gmn tree loops both get their trees from one call,
+enumerate_labelled_trees(n, zero_edges), in js._supported_trees."""
 from __future__ import annotations
 
 from collections.abc import Collection
@@ -47,32 +50,23 @@ def _tree_table(n: int) -> tuple[tuple[tuple[Edge, ...], ...], dict[Edge, int]]:
     return tuple(table), {e: int(b, 2) for e, b in bits.items()}
 
 
-def enumerate_labelled_trees(n: int) -> tuple[tuple[Edge, ...], ...]:
-    """All labelled trees on vertices 0..n-1, in the order of their Prufer
-    sequences.
+def enumerate_labelled_trees(n: int, zero_edges: Collection[Edge] = ()
+                             ) -> tuple[tuple[Edge, ...], ...]:
+    """The labelled trees on vertices 0..n-1 that contain no edge of
+    zero_edges, in the order of their Prufer sequences.
 
     Each edge is (i, j) with i < j.  The table is built once per process
-    and shared by every caller, so it is made of tuples.
+    and, with no zero edge, returned itself to every caller, so it is made
+    of tuples.  A tree sum weighted by edge factors needs only the trees
+    without a zero factor: each zero edge clears the bit set of its trees.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > MAX_TREE_VERTICES:
         raise ValueError(f"tree size {n} exceeds bound {MAX_TREE_VERTICES}")
-    return _tree_table(n)[0]
-
-
-def trees_avoiding(n: int, zero_edges: Collection[Edge]
-                   ) -> tuple[tuple[Edge, ...], ...]:
-    """The trees of enumerate_labelled_trees(n) that contain no edge of
-    zero_edges (pairs (i, j) with i < j < n), in table order.
-
-    A tree sum weighted by edge factors needs only these when the factors
-    of zero_edges vanish: each one clears the bit set of its trees.
-    """
-    table = enumerate_labelled_trees(n)
+    table, masks = _tree_table(n)
     if not zero_edges:
         return table
-    masks = _tree_table(n)[1]
     keep = (1 << len(table)) - 1
     for e in zero_edges:
         keep &= ~masks[e]

@@ -4,8 +4,9 @@ These are the direct transcriptions of the Joyce–Song definitions: S
 re-reads central charges as exact fractions for every slope test, U sums
 over every nested composition of the parts, the tree weight calls
 ``Theory.pair`` on every edge of every labelled tree, the labelled trees
-are decoded afresh from their Prufer sequences with a heap of leaves, the
-ordered decompositions are the distinct elements of every permutation
+are decoded from their Prufer sequences with a heap of leaves, apart from
+the library's table, and filtered edge by edge, not through its bit sets,
+the ordered decompositions are the distinct elements of every permutation
 of every multiset of parts, and the grouped tree values canonicalise every
 (ordering, labelled tree) pair afresh.  The library computes the same numbers
 faster; the differential tests check that it returns exactly these values.
@@ -13,6 +14,7 @@ faster; the differential tests check that it returns exactly these values.
 from __future__ import annotations
 
 import heapq
+from functools import cache
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, prod
@@ -20,8 +22,7 @@ from math import factorial, prod
 from wallcross.lattice import (MINUS, PLUS, Charge, Theory, cadd, cross,
                                czero, same_ray)
 from wallcross.js import (TreeValue, _edge_weights, _multisets,
-                          _supported_trees, _weighted_decompositions,
-                          strong_parts)
+                          _weighted_decompositions, strong_parts)
 from wallcross.spectrum import SpectrumTable
 from wallcross.symbolic import Value
 from wallcross.trees import canon_unoriented
@@ -145,6 +146,25 @@ def labelled_trees(n: int) -> list[list[tuple[int, int]]]:
             for seq in product(range(n), repeat=n - 2)]
 
 
+@cache
+def _decoded(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    return tuple(map(tuple, labelled_trees(n)))
+
+
+def trees_without(n: int, zero_edges) -> list[list[tuple[int, int]]]:
+    """The heap-decoded labelled trees on 0..n-1 with no edge in
+    zero_edges, in Prufer order."""
+    zero = set(zero_edges)
+    return [list(t) for t in _decoded(n) if zero.isdisjoint(t)]
+
+
+def supported_trees(weights: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """The labelled trees whose every edge (i, j) has weights[i][j] != 0."""
+    n = len(weights)
+    return trees_without(n, [(i, j) for i in range(n)
+                             for j in range(i + 1, n) if not weights[i][j]])
+
+
 def tree_weight_sum(theory: Theory, alphas: tuple[Charge, ...],
                     signed: bool = True) -> int:
     """Sum over labelled trees of the product of edge pairings, one
@@ -181,7 +201,7 @@ def tree_values(theory: Theory, table: SpectrumTable, target: Charge,
         n = len(alphas)
         weights = _edge_weights(theory, alphas)
         charges = list(alphas)
-        for edges in _supported_trees(weights):
+        for edges in supported_trees(weights):
             w = prod(weights[i][j] for i, j in edges)
             key = canon_unoriented(n, edges, charges)
             if key not in trees:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import wallcross
-from wallcross import cli, js, tba
+from wallcross import cli, js, ks, tba
 from wallcross.cli import main
 from wallcross.lattice import theory_by_name
 from wallcross.spectrum import spectrum_table
@@ -74,6 +74,24 @@ def test_ks_oracle_against_table_covers_N(tmp_path, monkeypatch):
     code, rep = run(tmp_path, "ks-oracle", "nf0", "--N", "4", "--against-table")
     assert code == 0
     assert rep["checks"]["catalog_weak_table"] == {"ok": True, "agree_through": 4}
+
+
+def test_ks_oracle_reuses_the_inference_round_trip(tmp_path, monkeypatch):
+    # infer_weak_spectrum checks its table against the strong product at N,
+    # so the round trip builds no product of its own: the inference's
+    # strong product, one weak product per degree and the final one, then
+    # the catalog check's two
+    Ns = []
+    compose = ks.compose
+
+    def counted(theory, ops, N):
+        Ns.append(N)
+        return compose(theory, ops, N)
+    monkeypatch.setattr(ks, "compose", counted)
+    code, rep = run(tmp_path, "ks-oracle", "nf0", "--N", "6", "--against-table")
+    assert code == 0
+    assert rep["checks"]["round_trip"] == {"ok": True, "agree_through": 6}
+    assert Ns == [6, 1, 2, 3, 4, 5, 6, 6, 6, 6]
 
 
 def test_numeric_subset(tmp_path):
@@ -142,6 +160,37 @@ def test_numeric_rejects_unknown_check_before_running(tmp_path, capsys,
     assert code == 2 and rep is None
     assert capsys.readouterr().err == (
         "config error: unknown numeric check 'bogus'\n")
+
+
+@pytest.mark.parametrize("option,value,message", [
+    ("--R", "0", "R must be positive and finite, got 0.0"),
+    ("--R=-1", None, "R must be positive and finite, got -1.0"),
+    ("--R", "nan", "R must be positive and finite, got nan"),
+    ("--R", "inf", "R must be positive and finite, got inf"),
+    ("--zeta-re", "nan", "zeta = --zeta-re + i --zeta-im must be nonzero "
+                         "and finite"),
+    ("--zeta-im", "inf", "zeta = --zeta-re + i --zeta-im must be nonzero "
+                         "and finite"),
+])
+def test_numeric_rejects_bad_R_or_zeta_before_running(tmp_path, capsys,
+                                                      monkeypatch, option,
+                                                      value, message):
+    # R <= 0 gave a residual and a slope of nothing, and NaN R or zeta gave
+    # NaN, which is not JSON: each is bad input, not a failed check
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran")
+    for name in ("residue_move_check", "scale_invariance_check",
+                 "chain_magnitudes", "ov_fixed_point_residual"):
+        monkeypatch.setattr(tba, name, never)
+    argv = [option] if value is None else [option, value]
+    code, rep = run(tmp_path, "numeric", *argv)
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_ov_model_rejects_nan_R():
+    with pytest.raises(ValueError, match="R must be positive and finite"):
+        tba.OVModel(R=float("nan"))
 
 
 @pytest.mark.parametrize("option,value,message", [

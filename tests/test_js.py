@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+import js_reference as ref
+from wallcross.gmn import enumerate_diagrams
 from wallcross.js import (decompositions, js_tree_values, js_wallcross,
-                          s_symbol, strong_parts, u_symbol)
+                          multisets, s_symbol, strong_parts, u_symbol)
 from wallcross.symbolic import Value
 from wallcross.spectrum import spectrum_table
 from wallcross.lattice import theory_by_name
@@ -42,6 +44,26 @@ def test_decompositions_cover_target(nf0, nf0_strong):
     for alphas in decompositions(nf0, nf0_strong, (1, 2)):
         total = tuple(map(sum, zip(*alphas)))
         assert total == (1, 2)
+
+
+def test_multisets_are_the_sorted_decompositions(nf0, nf0_strong):
+    every = {tuple(sorted(a)) for a in
+             ref.decompositions(nf0, nf0_strong, (2, 3))}
+    for bound in (None, 1, 2, 3):
+        want = sorted(ms for ms in every if bound is None or len(ms) <= bound)
+        assert multisets(nf0, nf0_strong, (2, 3), bound) == want
+
+
+@pytest.mark.parametrize("entry", [multisets, decompositions, js_tree_values,
+                                   js_wallcross, enumerate_diagrams])
+@pytest.mark.parametrize("target,bound,message", [
+    ((-1, 2), None, r"target \(-1, 2\) is not effective"),
+    ((1, 1), 0, "max_vertices must be at least 1, got 0"),
+])
+def test_one_input_contract(nf0, nf0_strong, entry, target, bound, message):
+    # every sum over multisets rejects bad input with the same message
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry(nf0, nf0_strong, target, bound)
 
 
 def test_wallcross_vector_multiplet(nf0, nf0_strong, nf0_weak):

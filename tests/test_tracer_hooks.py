@@ -6,14 +6,17 @@ a deleted or renamed hook fail the test suite instead.
 """
 import importlib
 import importlib.util
+from math import prod
 from pathlib import Path
 
 import pytest
 
+import js_reference as ref
 from wallcross.decay import conjecture_check
-from wallcross.js import js_wallcross
+from wallcross.gmn import root_direction
+from wallcross.js import _edge_weights, js_wallcross
 from wallcross.ks import infer_weak_spectrum
-from wallcross.lattice import theory_by_name
+from wallcross.lattice import primitive, theory_by_name
 from wallcross.spectrum import spectrum_table
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -68,6 +71,35 @@ def test_tree_sums_read_the_labelled_tree_table(run):
     recorder = _traced(run)
     assert recorder.calls["trees.enumerate_labelled_trees"] > 0
     assert recorder.counters["trees.labelled_trees"] > 0
+
+
+def _supported(theory, alphas):
+    return len(ref.supported_trees(_edge_weights(theory, alphas)))
+
+
+def test_tree_counter_counts_the_trees_walked():
+    # the invariant's tree sum walks the supported trees of each ordering
+    # with a nonzero coefficient, not the whole Prufer table
+    theory, table = theory_by_name("nf0"), spectrum_table("nf0", "strong")
+    walked = sum(_supported(theory, a)
+                 for a in ref.decompositions(theory, table, (2, 3))
+                 if ref.u_symbol(theory, list(a))
+                 and prod(map(table.dt, a)))
+    recorder = _traced(_invariant)
+    assert recorder.counters["trees.labelled_trees"] == walked == 151
+
+
+def test_gmn_tree_counter_counts_the_trees_walked():
+    # gmn walks the supported trees of each multiset with a part on the
+    # framing direction once
+    theory, table = theory_by_name("nf0"), spectrum_table("nf0", "strong")
+    rdir = root_direction(theory)
+    walked = sum(_supported(theory, ms) for ms in
+                 {tuple(sorted(a)) for a in ref.decompositions(theory, table,
+                                                              (2, 3))}
+                 if any(primitive(c) == rdir for c in ms))
+    recorder = _traced(_conjecture)
+    assert recorder.counters["gmn.labelled_trees"] == walked == 20
 
 
 @RUNS
