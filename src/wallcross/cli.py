@@ -15,8 +15,7 @@ import math
 import os
 import sys
 
-from .decay import (ROOT_FIRST, SCHEDULES, conjecture_check, gmn_contribution,
-                    run_decay)
+from .decay import conjecture_check, gmn_contribution, run_decay
 from .gmn import enumerate_diagrams, weight_W
 from .js import js_tree_values
 from .ks import FactorizationError, infer_weak_spectrum, verify_wall_identity
@@ -110,8 +109,7 @@ def cmd_gmn(args) -> int:
         out.append({"diagram": diag.describe(),
                     "weight": str(wval),
                     "total": list(total),
-                    "contribution": repr(gmn_contribution(
-                        theory, table, diag, schedule=args.schedule))})
+                    "contribution": repr(gmn_contribution(theory, table, diag))})
     report = {"command": "gmn", "theory": theory.name,
               "target": list(target), "diagrams": out}
     _emit(report, args.output)
@@ -130,12 +128,11 @@ def cmd_decay_trace(args) -> int:
         raise ConfigError(f"diagram index {args.index} out of range "
                           f"(0..{len(diagrams) - 1})")
     diag = diagrams[args.index]
-    trace = run_decay(theory, diag, schedule=args.schedule, keep_steps=True)
+    trace = run_decay(theory, diag)
     report = {
         "command": "decay-trace",
         "theory": theory.name,
         "diagram": diag.describe(),
-        "schedule": args.schedule,
         "eps_sum": str(trace.eps_sum),
         "bracket": repr(trace.bracket()),
         "singular": [{"key": s.key, "side": s.side, "coeff": s.coeff}
@@ -151,8 +148,7 @@ def cmd_decay_trace(args) -> int:
 def cmd_check_conjecture(args) -> int:
     theory = _theory(args.theory)
     target = _parse_charge(theory, args.target)
-    rep = conjecture_check(theory, target, max_vertices=args.max_vertices,
-                           schedule=args.schedule)
+    rep = conjecture_check(theory, target, max_vertices=args.max_vertices)
     report = {
         "command": "check-conjecture",
         "theory": rep.theory,
@@ -285,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("theory")
     sp.add_argument("target")
     sp.add_argument("--max-vertices", type=int, default=None)
-    sp.add_argument("--schedule", choices=list(SCHEDULES), default=ROOT_FIRST)
 
     sp = add("decay-trace", cmd_decay_trace,
              help="step log of the decay process for one diagram")
@@ -294,14 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--index", type=int, default=0,
                     help="diagram index in enumeration order")
     sp.add_argument("--max-vertices", type=int, default=None)
-    sp.add_argument("--schedule", choices=list(SCHEDULES), default=ROOT_FIRST)
 
     sp = add("check-conjecture", cmd_check_conjecture,
              help="compare both wall-crossing computations tree by tree")
     sp.add_argument("theory")
     sp.add_argument("target")
     sp.add_argument("--max-vertices", type=int, default=None)
-    sp.add_argument("--schedule", choices=list(SCHEDULES), default=ROOT_FIRST)
 
     sp = add("ks-oracle", cmd_ks_oracle,
              help="verify spectra against the ordered-product identity")

@@ -1,15 +1,16 @@
 """Decay calculus for framed diagrams pushed across the wall.
 
 A framed diagram starts with every vertex integrated along its
-strong-side ray.  Rays are pushed one at a time to their weak-side
-positions; each strict crossing of a neighbouring active ray splits off
-a residue diagram in which the moved vertex merges into the crossed
-neighbour.  Merged ("unbalanced") vertices are rebalanced by pushing
-their ray to the ray of their accumulated charge.  Terminal single
-vertex diagrams contribute signs; sweeps that end exactly on a
-neighbouring ray contribute named singular symbols.  The total for a
-diagram is -(1/p) * W * (sum of signs + sum of signed symbols), with p
-the framing coordinate of the total charge.
+strong-side ray.  Rays are pushed one at a time, root first (the nesting
+of the iterated integral), to their weak-side positions; each strict
+crossing of a neighbouring active ray splits off a residue diagram in
+which the moved vertex merges into the crossed neighbour.  Merged
+("unbalanced") vertices are rebalanced by pushing their ray to the ray
+of their accumulated charge.  Terminal single vertex diagrams contribute
+signs; sweeps that end exactly on a neighbouring ray contribute named
+singular symbols.  The total for a diagram is
+-(1/p) * W * (sum of signs + sum of signed symbols), with p the framing
+coordinate of the total charge.
 
 A conjecture checker compares, per unoriented decorated tree, the sum of
 these diagram totals over framings against the tree's total in the
@@ -30,10 +31,6 @@ from .trees import adjacency, canon_unoriented, charge_label, encode
 
 BELOW = "below"
 ABOVE = "above"
-
-ROOT_FIRST = "root-first"
-LEAF_FIRST = "leaf-first"
-SCHEDULES = (ROOT_FIRST, LEAF_FIRST)
 
 _PLUS = "+"
 _MINUS = "-"
@@ -154,7 +151,7 @@ def _approach_side(start: Vec2, end: Vec2) -> str:
 
 
 def _sweep(theory: Theory, st: _State, i: int, start: Vec2, end: Vec2,
-           out: list["_State"], result: TraceResult, log) -> _State | None:
+           out: list["_State"], result: TraceResult) -> _State | None:
     """Push vertex i's ray from start to end, the weak-side ray of its
     charge.
 
@@ -185,10 +182,11 @@ def _sweep(theory: Theory, st: _State, i: int, start: Vec2, end: Vec2,
                 merged.sign = 1
                 merged.merge(i, j)
                 sub = TraceResult(eps_sum=Fraction(0), singular=[], steps=[])
-                _run(theory, [merged], ROOT_FIRST, sub, lambda s: None)
+                _run(theory, [merged], sub)
                 result.jumps[key] = (CCW * rel * sub.eps_sum
                                      if not sub.singular else None)
-            log(f"singular: vertex {i} onto ray of {j} ({side}), coeff={st.sign}")
+            result.steps.append(f"singular: vertex {i} onto ray of {j} "
+                                f"({side}), coeff={st.sign}")
             singular = True
             continue
         if sense is not None:
@@ -198,7 +196,8 @@ def _sweep(theory: Theory, st: _State, i: int, start: Vec2, end: Vec2,
         branch.sign *= eps
         branch.merge(i, j)
         out.append(branch)
-        log(f"residue: vertex {i} crossed {j}, branch sign {branch.sign}")
+        result.steps.append(f"residue: vertex {i} crossed {j}, "
+                            f"branch sign {branch.sign}")
     if singular:
         return None
     st.ray[i] = st.charges[i]
@@ -206,19 +205,20 @@ def _sweep(theory: Theory, st: _State, i: int, start: Vec2, end: Vec2,
     return st
 
 
-def run_decay(theory: Theory, diag: RootedDiagram,
-              schedule: str = ROOT_FIRST, keep_steps: bool = False) -> TraceResult:
+def run_decay(theory: Theory, diag: RootedDiagram) -> TraceResult:
     """Run the decay process to termination over all branches."""
-    if schedule not in SCHEDULES:
-        raise ValueError(f"schedule must be one of {SCHEDULES}")
     result = TraceResult(eps_sum=Fraction(0), singular=[], steps=[])
-    log = result.steps.append if keep_steps else (lambda s: None)
-    _run(theory, [_State.initial(diag)], schedule, result, log)
+    _run(theory, [_State.initial(diag)], result)
     return result
 
 
-def _run(theory: Theory, stack: list[_State], schedule: str,
-         result: TraceResult, log) -> None:
+def _run(theory: Theory, stack: list[_State], result: TraceResult) -> None:
+    """Drive every branch on the stack to its end, logging each step.
+
+    Rays are pushed root first: with nothing pending or unbalanced, a
+    branch promotes its shallowest plus vertices.  That is the nesting of
+    the iterated integral, so it is the only order: pushing leaves first
+    agrees with it on one-edge diagrams only."""
     while stack:
         st = stack.pop()
         alive = st.alive()
@@ -228,32 +228,33 @@ def _run(theory: Theory, stack: list[_State], schedule: str,
             if st.pending:
                 i = st.pending.pop(0)
                 start = theory.z(PLUS, st.charges[i])
-                log(f"promote {i} {st.charges[i]}")
+                result.steps.append(f"promote {i} {st.charges[i]}")
             else:
                 i = min(unbal, key=lambda k: (st.depth(k), k))
                 start = theory.z(MINUS, st.ray[i])
-                log(f"rebalance {i} {st.ray[i]} -> {st.charges[i]}")
+                result.steps.append(
+                    f"rebalance {i} {st.ray[i]} -> {st.charges[i]}")
             cont = _sweep(theory, st, i, start, theory.z(MINUS, st.charges[i]),
-                          stack, result, log)
+                          stack, result)
             if cont is not None:
                 stack.append(cont)
             continue
         plus = [k for k in alive if st.status[k] == _PLUS]
         if plus:
-            depths = {k: st.depth(k) for k in plus}
-            pick = min(depths.values()) if schedule == ROOT_FIRST else max(depths.values())
-            st.pending = sorted(k for k in plus if depths[k] == pick)
+            top = min(st.depth(k) for k in plus)
+            st.pending = [k for k in plus if st.depth(k) == top]
             stack.append(st)
             continue
         if len(alive) == 1:
             result.eps_sum += st.sign
-            log(f"terminal singleton {st.charges[alive[0]]}, sign {st.sign}")
+            result.steps.append(
+                f"terminal singleton {st.charges[alive[0]]}, sign {st.sign}")
         else:
-            log(f"terminal non-singleton ({len(alive)} vertices), discarded")
+            result.steps.append(
+                f"terminal non-singleton ({len(alive)} vertices), discarded")
 
 
 def gmn_contribution(theory: Theory, table: SpectrumTable, diag: RootedDiagram,
-                     schedule: str = ROOT_FIRST,
                      trace: TraceResult | None = None) -> Value:
     """Contribution of one framed diagram to the weak-side invariant."""
     w, _ = weight_W(theory, table, diag)
@@ -261,7 +262,7 @@ def gmn_contribution(theory: Theory, table: SpectrumTable, diag: RootedDiagram,
         return Value.zero()
     p = diag.total()[theory.root_index]
     if trace is None:
-        trace = run_decay(theory, diag, schedule=schedule)
+        trace = run_decay(theory, diag)
     return Value.rational(-w / p) * trace.bracket()
 
 
@@ -288,8 +289,7 @@ class ConjectureReport:
 
 
 def conjecture_check(theory: Theory, target: Charge,
-                     max_vertices: int | None = None,
-                     schedule: str = ROOT_FIRST) -> ConjectureReport:
+                     max_vertices: int | None = None) -> ConjectureReport:
     """Compare both wall-crossing computations tree by tree.
 
     Singular symbols are solved from the linear system formed by the
@@ -316,13 +316,12 @@ def conjecture_check(theory: Theory, target: Charge,
     all_jumps: dict[str, Fraction | None] = {}
     for diag in diagrams:
         key = canon_unoriented(diag.n, diag.edges(), list(diag.charges))
-        trace = run_decay(theory, diag, schedule=schedule)
+        trace = run_decay(theory, diag)
         for jk, jv in trace.jumps.items():
             if jk in all_jumps and all_jumps[jk] != jv:
                 raise ValueError(f"conflicting jump values for {jk}")
             all_jumps[jk] = jv
-        contrib = gmn_contribution(theory, strong, diag, schedule=schedule,
-                                   trace=trace)
+        contrib = gmn_contribution(theory, strong, diag, trace=trace)
         if key not in trees:
             trees[key] = TreeCheck(charges=diag.charges,
                                    edges=tuple(diag.edges()),

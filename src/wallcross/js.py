@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 from typing import Iterator
 
 from .lattice import (MINUS, PLUS, Charge, Theory, Vec2, cross, cscale,
@@ -173,21 +173,24 @@ def strong_parts(theory: Theory, table: SpectrumTable, target: Charge) -> list[C
     return sorted(parts)
 
 
-def _multisets(parts: list[Charge], target: Charge, signs) -> list[tuple[Charge, ...]]:
+def _multisets(parts: list[Charge], target: Charge, signs,
+               max_parts: int | None = None) -> list[tuple[Charge, ...]]:
+    """The multisets of parts summing to the target, of at most max_parts."""
     out: list[tuple[Charge, ...]] = []
+    cap = inf if max_parts is None else max_parts
 
     def rec(i: int, remaining: Charge, chosen: list[Charge]):
         if all(x == 0 for x in remaining):
             if chosen:
                 out.append(tuple(chosen))
             return
-        if i == len(parts):
+        if i == len(parts) or len(chosen) == cap:
             return
         rec(i + 1, remaining, chosen)
         p = parts[i]
         rem = remaining
         k = 0
-        while True:
+        while len(chosen) + k < cap:
             rem = tuple(r - q for r, q in zip(rem, p))
             if any(s * x < 0 for s, x in zip(signs, rem)):
                 break
@@ -232,8 +235,8 @@ def multisets(theory: Theory, table: SpectrumTable, target: Charge,
     if max_vertices is not None and max_vertices < 1:
         raise ValueError(f"max_vertices must be at least 1, got {max_vertices}")
     parts = strong_parts(theory, table, target)
-    return sorted(ms for ms in _multisets(parts, target, theory.effective_signs)
-                  if max_vertices is None or len(ms) <= max_vertices)
+    return sorted(_multisets(parts, target, theory.effective_signs,
+                             max_vertices))
 
 
 def decompositions(theory: Theory, table: SpectrumTable, target: Charge,

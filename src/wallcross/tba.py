@@ -58,6 +58,8 @@ class QuadratureSpec:
 
 
 DEFAULT_SPEC = QuadratureSpec()
+INSTANTON_TERMS = 30   # |k| bound of the sum in ov_instanton_magnetic
+FD_STEP = 1e-5         # central-difference step of scale_invariance_check
 
 
 def ray_points(direction: complex, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -205,10 +207,6 @@ class OVModel:
         return self.q ** 2 * (self.a * cmath.log(self.a / self.Lam) - self.a) \
             / (2j * math.pi)
 
-    @property
-    def tau(self) -> complex:
-        return self.q ** 2 * cmath.log(self.a / self.Lam) / (2j * math.pi)
-
     def context(self) -> ZContext:
         """Basis order (gamma_e, gamma_m)."""
         return ZContext(zs=(self.a, self.a_D),
@@ -231,14 +229,14 @@ def ov_magnetic(model: OVModel, zeta, spec: QuadratureSpec = DEFAULT_SPEC):
 
 
 def ov_instanton_magnetic(model: OVModel, zeta,
-                          spec: QuadratureSpec = DEFAULT_SPEC, K: int = 30):
+                          spec: QuadratureSpec = DEFAULT_SPEC):
     """Magnetic coordinate from the single-vertex propagator sum.
 
-    Sums (q/4 pi i) G_{k q gamma_e} / k over 0 < |k| <= K, the expansion
-    of the log-kernel form (the sign follows from the tree weights: the
-    single-vertex weight is -f^{kq gamma_e} and the magnetic pairing
-    contributes another -1); an independent code path for consistency
-    checks.
+    Sums (q/4 pi i) G_{k q gamma_e} / k over 0 < |k| <= INSTANTON_TERMS,
+    the expansion of the log-kernel form (the sign follows from the tree
+    weights: the single-vertex weight is -f^{kq gamma_e} and the magnetic
+    pairing contributes another -1); an independent code path for
+    consistency checks.
     """
     zctx = model.context()
     q = model.q
@@ -246,7 +244,7 @@ def ov_instanton_magnetic(model: OVModel, zeta,
     for sign in (+1, -1):
         pts, dz = ray_points(sign * zctx.z((1, 0)), spec)
         ker = rho(zeta, pts) * dz
-        for k in range(1, K + 1):
+        for k in range(1, INSTANTON_TERMS + 1):
             xk = zctx.x_sf((sign * k * q, 0), pts)
             expo += q / (4j * math.pi) * np.sum(ker * xk) / (sign * k)
     return zctx.x_sf((0, 1), zeta) * np.exp(expo)
@@ -267,7 +265,7 @@ def ov_fixed_point_residual(model: OVModel, zeta,
 # ---------------------------------------------------------------------------
 # finite-difference identity check
 
-def scale_invariance_check(model: OVModel, zeta: complex, h: float = 1e-5,
+def scale_invariance_check(model: OVModel, zeta: complex,
                            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Relative error of zeta d/dzeta X = (-L dL + Lb dLb - a da + ab dab) X.
 
@@ -275,6 +273,8 @@ def scale_invariance_check(model: OVModel, zeta: complex, h: float = 1e-5,
     conjugated copies baked into x_sf, so we vary Lam and a along real and
     imaginary directions and combine.
     """
+    h = FD_STEP
+
     def X(Lam, a, z):
         m = OVModel(Lam=Lam, q=model.q, R=model.R, a=a,
                     theta_e=model.theta_e, theta_m=model.theta_m)

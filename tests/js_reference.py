@@ -2,8 +2,9 @@
 
 These are the direct transcriptions of the Joyce–Song definitions: S
 re-reads central charges as exact fractions for every slope test, U sums
-over every nested composition of the parts, the tree weight calls
-``Theory.pair`` on every edge of every labelled tree, the labelled trees
+over every nested composition of the parts, the tree weight sums over
+every labelled tree, supported or not, with ``Theory.pair`` called on each
+pair of parts, not read from the library's weight table, the labelled trees
 are decoded from their Prufer sequences with a heap of leaves, apart from
 the library's table, and filtered edge by edge, not through its bit sets,
 the ordered decompositions are the distinct elements of every permutation
@@ -165,16 +166,17 @@ def supported_trees(weights: list[list[int]]) -> list[list[tuple[int, int]]]:
                              for j in range(i + 1, n) if not weights[i][j]])
 
 
-def tree_weight_sum(theory: Theory, alphas: tuple[Charge, ...],
-                    signed: bool = True) -> int:
-    """Sum over labelled trees of the product of edge pairings, one
-    ``Theory.pair`` call per edge; signed drops the (-1)^<,> factors."""
+def tree_weight_sum(theory: Theory, alphas: tuple[Charge, ...]) -> int:
+    """Sum over every heap-decoded labelled tree, a zero edge included, of
+    the product of its edge pairings, one ``Theory.pair`` call per pair."""
+    n = len(alphas)
+    pair = {(i, j): theory.pair(alphas[i], alphas[j])
+            for i in range(n) for j in range(i + 1, n)}
     total = 0
-    for edges in labelled_trees(len(alphas)):
+    for edges in _decoded(n):
         w = 1
-        for (i, j) in edges:
-            p = theory.pair(alphas[i], alphas[j])
-            w *= (-p if p % 2 else p) if signed else p
+        for e in edges:
+            w *= pair[e]
             if w == 0:
                 break
         total += w

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -213,7 +214,6 @@ def test_numeric_rejects_vacuous_quadrature(tmp_path, capsys, option, value,
 @pytest.mark.parametrize("overrides,message", [
     ({"fn": 3}, "'fn' is not an option of wallcross gmn"),
     ({"max_vertices": "x"}, "'max_vertices' cannot be 'x'"),
-    ({"schedule": "sideways"}, "'schedule' cannot be 'sideways'"),
 ])
 def test_config_file_checks_keys_and_values(tmp_path, capsys, overrides,
                                             message):
@@ -224,9 +224,21 @@ def test_config_file_checks_keys_and_values(tmp_path, capsys, overrides,
     assert capsys.readouterr().err.startswith("config error: " + message)
 
 
+def test_config_file_checks_choices(tmp_path, capsys):
+    # an option with choices takes only one of them from the config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"region": "sideways"}))
+    assert main(["--config", str(cfg), "spectrum", "nf0", "strong"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: 'region' cannot be 'sideways'\n"
+    cfg.write_text(json.dumps({"region": "weak"}))
+    code, rep = run(tmp_path, "--config", str(cfg), "spectrum", "nf0", "strong")
+    assert code == 0 and rep["region"] == "weak"
+
+
 def test_config_file_typed_values(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"max-vertices": 2, "schedule": "leaf-first"}))
+    cfg.write_text(json.dumps({"max-vertices": 2}))
     out = tmp_path / "r.json"
     code = main(["--config", str(cfg), "gmn", "nf0", "1,2",
                  "--output", str(out)])
@@ -346,3 +358,18 @@ def test_decay_fit_propagates_each_prefix_once(tmp_path, monkeypatch):
     assert len(top) == 4
     with open(rows) as fh:
         assert [r[0] for r in csv.reader(fh)] == ["n", "1", "2", "3", "4"]
+
+
+def test_readme_command_lines_parse():
+    # every example in README's command-line block must still parse, and
+    # together they must show every subcommand
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()
+             if line.startswith("wallcross ")]
+    parser = cli.build_parser()
+    shown = {parser.parse_args(shlex.split(line)[1:]).command
+             for line in lines}
+    sub = next(a for a in parser._actions if a.dest == "command")
+    assert shown == set(sub.choices)

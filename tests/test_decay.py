@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.decay import (SCHEDULES, conjecture_check, gmn_contribution,
-                             run_decay)
+from wallcross.decay import conjecture_check, gmn_contribution, run_decay
 from wallcross.gmn import enumerate_diagrams
 from wallcross.symbolic import Value
 from wallcross.spectrum import spectrum_table
@@ -16,12 +15,10 @@ Q = Fraction
 
 def test_single_interaction_chain(nf0, nf0_strong):
     d = diagram_by_describe(nf0, nf0_strong, (1, 1), "(1+0)[(0+1)]")
-    for schedule in SCHEDULES:
-        trace = run_decay(nf0, d, schedule=schedule)
-        assert trace.eps_sum == 1
-        assert not trace.singular
-        assert gmn_contribution(nf0, nf0_strong, d,
-                                schedule=schedule) == Value.rational(-2)
+    trace = run_decay(nf0, d)
+    assert trace.eps_sum == 1
+    assert not trace.singular
+    assert gmn_contribution(nf0, nf0_strong, d) == Value.rational(-2)
 
 
 def test_star_two_photons(nf0, nf0_strong):
@@ -55,15 +52,9 @@ def test_minus_four_contributions(nf0, nf0_strong):
         assert gmn_contribution(nf0, nf0_strong, d) == Value.rational(-4)
 
 
-def test_schedule_independence_simple(nf0, nf0_strong):
-    d = diagram_by_describe(nf0, nf0_strong, (1, 1), "(1+0)[(0+1)]")
-    traces = [run_decay(nf0, d, schedule=s) for s in SCHEDULES]
-    assert traces[0].eps_sum == traces[1].eps_sum == 1
-
-
 def test_trace_log_is_populated(nf0, nf0_strong):
     d = diagram_by_describe(nf0, nf0_strong, (1, 2), "(1+0)[(0+1),(0+1)]")
-    trace = run_decay(nf0, d, keep_steps=True)
+    trace = run_decay(nf0, d)
     assert trace.steps
     assert any("terminal singleton" in s for s in trace.steps)
 

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,22 @@ def test_multisets_are_the_sorted_decompositions(nf0, nf0_strong):
     for bound in (None, 1, 2, 3):
         want = sorted(ms for ms in every if bound is None or len(ms) <= bound)
         assert multisets(nf0, nf0_strong, (2, 3), bound) == want
+
+
+def test_multisets_stop_each_branch_at_the_bound(nf0, nf0_strong):
+    # the strong parts at 12,12 are the pure multiples of delta and
+    # gamma_m, so a 3-part multiset splits one side in two; walking all
+    # 5,929 multisets of 12,12 before applying the bound takes seconds
+    t0 = time.perf_counter()
+    got = multisets(nf0, nf0_strong, (12, 12), 3)
+    elapsed = time.perf_counter() - t0
+    want = [((0, 12), (12, 0))]
+    for a in range(1, 7):
+        want += [((0, a), (0, 12 - a), (12, 0)),
+                 ((0, 12), (a, 0), (12 - a, 0))]
+    assert got == sorted(tuple(sorted(ms)) for ms in want)
+    assert len(got) == 13
+    assert elapsed < 0.5
 
 
 @pytest.mark.parametrize("entry", [multisets, decompositions, js_tree_values,

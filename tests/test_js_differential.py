@@ -103,7 +103,7 @@ def test_tree_weight_matches_reference(theory_decomps):
     theory, decomps = theory_decomps
     for alphas in decomps:
         assert _tree_weight(theory, alphas) == ref.tree_weight_sum(
-            theory, alphas, signed=False), alphas
+            theory, alphas), alphas
 
 
 def test_central_charge_is_the_linear_sum(theory_decomps):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wallcross.decay import SCHEDULES, run_decay
+from wallcross.decay import run_decay
 from wallcross.gmn import enumerate_diagrams
 from wallcross.js import js_wallcross
 from wallcross.ks import infer_weak_spectrum
@@ -115,16 +115,15 @@ def test_decay_terminates_and_is_closed(name, target):
     mv = 5 if name == "nf3" else 6
     for diag in enumerate_diagrams(th, table, target, max_vertices=mv):
         total = diag.total()
-        for schedule in SCHEDULES:
-            trace = run_decay(th, diag, schedule=schedule, keep_steps=True)
-            assert trace.eps_sum.denominator == 1
-            for s in trace.singular:
-                assert s.coeff in (1, -1)
-                assert s.side in ("above", "below")
-            label = str(total)
-            for step in trace.steps:
-                if "terminal singleton" in step:
-                    assert label in step
+        trace = run_decay(th, diag)
+        assert trace.eps_sum.denominator == 1
+        for s in trace.singular:
+            assert s.coeff in (1, -1)
+            assert s.side in ("above", "below")
+        label = str(total)
+        for step in trace.steps:
+            if "terminal singleton" in step:
+                assert label in step
 
 
 # effective degree bound per theory: 27 + 55 + 125 + 125 = 332 charges
@@ -151,14 +150,6 @@ def test_js_matches_ks_inferred_spectrum(name):
             wrong.append((gamma, got, want))
     assert checked == {"nf0": 27, "nf1": 55, "nf2": 125, "nf3": 125}[name]
     assert wrong == []
-
-
-def test_decay_schedule_independent_on_single_edge(nf0, nf0_strong):
-    # the two update orders agree on one-edge diagrams; on larger ones
-    # only the root-first order realizes the iterated-integral semantics
-    for diag in enumerate_diagrams(nf0, nf0_strong, (1, 1)):
-        traces = [run_decay(nf0, diag, schedule=s) for s in SCHEDULES]
-        assert traces[0].eps_sum == traces[1].eps_sum == 1
 
 
 @given(st.lists(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1)]),
