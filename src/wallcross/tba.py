@@ -10,13 +10,19 @@ error.  The Gauss-Legendre rule is computed once per (nodes, T) per
 process and shared read-only by every ray.
 
 A nested propagator evaluates each child at every node of its parent's
-ray: each tree edge costs one kernel matrix-vector product.
+ray.  A child's values there depend only on (context, subtree, parent ray
+direction, spec), so they are memoised per ray as read-only vectors and
+shared by every tree that contains the subtree on that ray (the prefixes
+of a chain, say).  The rho kernel is applied to a vector of evaluation
+points KERNEL_ROWS rows at a time, so no nodes x nodes matrix is ever
+built.
 """
 from __future__ import annotations
 
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +42,11 @@ def _gauss_legendre(nodes: int, T: float) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
+# leggauss builds a dense nodes x nodes companion matrix (32 MB at this
+# bound) and a propagator does nodes^2 kernel work per tree edge
+MAX_NODES = 2048
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     nodes: int = 400
@@ -45,8 +56,13 @@ class QuadratureSpec:
     def __post_init__(self):
         # T <= 0 makes every integral 0 and tol = inf passes any residual,
         # so either would turn a check vacuous rather than fail it
+        if not isinstance(self.nodes, numbers.Integral):
+            raise ValueError(f"nodes must be an integer, got {self.nodes!r}")
         if not self.nodes >= 1:
             raise ValueError(f"nodes must be at least 1, got {self.nodes}")
+        if self.nodes > MAX_NODES:
+            raise ValueError(f"nodes must be at most {MAX_NODES}, "
+                             f"got {self.nodes}")
         for name in ("T", "tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
@@ -60,6 +76,8 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 INSTANTON_TERMS = 30   # |k| bound of the sum in ov_instanton_magnetic
 FD_STEP = 1e-5         # central-difference step of scale_invariance_check
+KERNEL_ROWS = 64       # rows of the rho kernel built at a time
+SUBTREE_MEMO = 128     # subtree value vectors kept by _subtree_values
 
 
 def ray_points(direction: complex, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -114,17 +132,54 @@ def propagator(zctx: ZContext, tree, zeta, spec: QuadratureSpec = DEFAULT_SPEC,
     zeta is a scalar or an array, and the result has its shape.  Each
     child is evaluated at every node of the root's ray, so the ray
     factor x_sf * dzeta' * prod(children) is one vector and the integral
-    is one kernel matrix-vector product.
+    is the rho kernel applied to it.
 
     ray_z overrides the integration-ray direction of the root (used when
     probing contour moves); the integrand still uses the true Z.
     """
+    pts, f = _ray_integrand(zctx, _frozen(tree), spec, ray_z)
+    return _apply_kernel(np.asarray(zeta), pts, f)
+
+
+def _frozen(tree):
+    """The tree with every charge and child list a tuple, to key the memo."""
     gamma, children = tree
-    pts, dz = ray_points(ray_z if ray_z is not None else zctx.z(gamma), spec)
+    return tuple(gamma), tuple(_frozen(ch) for ch in children)
+
+
+def _ray_integrand(zctx: ZContext, tree, spec: QuadratureSpec,
+                   ray_z: complex | None):
+    """Nodes of the root's ray and x_sf * dzeta' * prod(children) on them."""
+    gamma, children = tree
+    direction = ray_z if ray_z is not None else zctx.z(gamma)
+    pts, dz = ray_points(direction, spec)
     f = zctx.x_sf(gamma, pts) * dz
     for ch in children:
-        f = f * propagator(zctx, ch, pts, spec)
-    return rho(np.asarray(zeta)[..., None], pts) @ f / (4j * math.pi)
+        f = f * _subtree_values(zctx, ch, direction, spec)
+    return pts, f
+
+
+@functools.lru_cache(maxsize=SUBTREE_MEMO)
+def _subtree_values(zctx: ZContext, subtree, direction: complex,
+                    spec: QuadratureSpec) -> np.ndarray:
+    """G of a frozen subtree at every node of the ray of -direction;
+    read-only, since every tree holding the subtree on that ray shares it."""
+    pts, f = _ray_integrand(zctx, subtree, spec, None)
+    out = _apply_kernel(ray_points(direction, spec)[0], pts, f)
+    out.flags.writeable = False
+    return out
+
+
+def _apply_kernel(zeta: np.ndarray, pts: np.ndarray, f: np.ndarray):
+    """rho(zeta, pts) @ f / 4 pi i, KERNEL_ROWS rows at a time when zeta is
+    a vector of points."""
+    if zeta.ndim != 1:
+        return rho(zeta[..., None], pts) @ f / (4j * math.pi)
+    out = np.empty(zeta.shape, dtype=complex)
+    for i in range(0, len(zeta), KERNEL_ROWS):
+        rows = zeta[i:i + KERNEL_ROWS, None]
+        out[i:i + KERNEL_ROWS] = rho(rows, pts) @ f
+    return out / (4j * math.pi)
 
 
 def chain_tree(charges: list[tuple[int, ...]]):
@@ -144,6 +199,10 @@ def chain_magnitudes(zctx: ZContext, charges: list[tuple[int, ...]], zeta,
 
 def log_slope(magnitudes: list[float]) -> float:
     """Least-squares slope of log|G_n| against n = 1, 2, ..."""
+    for n, m in enumerate(magnitudes, 1):
+        if m == 0:
+            raise ValueError(f"|G_{n}| underflows to 0, so log|G_{n}| and "
+                             f"the decay slope are undefined")
     ns = [float(n) for n in range(1, len(magnitudes) + 1)]
     return float(np.polyfit(ns, [math.log(m) for m in magnitudes], 1)[0])
 

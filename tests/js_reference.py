@@ -8,7 +8,9 @@ pair of parts, not read from the library's weight table, the labelled trees
 are decoded from their Prufer sequences with a heap of leaves, apart from
 the library's table, and filtered edge by edge, not through its bit sets,
 the ordered decompositions are the distinct elements of every permutation
-of every multiset of parts, and the grouped tree values canonicalise every
+of every multiset of parts, the multisets found by trying every vector of
+part multiplicities up to the most each part fits into the target, apart
+from the library's walk, and the grouped tree values canonicalise every
 (ordering, labelled tree) pair afresh.  The library computes the same numbers
 faster; the differential tests check that it returns exactly these values.
 """
@@ -22,8 +24,8 @@ from math import factorial, prod
 
 from wallcross.lattice import (MINUS, PLUS, Charge, Theory, cadd, cross,
                                czero, same_ray)
-from wallcross.js import (TreeValue, _edge_weights, _multisets,
-                          _weighted_decompositions, strong_parts)
+from wallcross.js import (TreeValue, _edge_weights, _weighted_decompositions,
+                          strong_parts)
 from wallcross.spectrum import SpectrumTable
 from wallcross.symbolic import Value
 from wallcross.trees import canon_unoriented
@@ -183,12 +185,37 @@ def tree_weight_sum(theory: Theory, alphas: tuple[Charge, ...]) -> int:
     return total
 
 
+def multisets(theory: Theory, table: SpectrumTable,
+              target: Charge) -> list[tuple[Charge, ...]]:
+    """Every nonempty multiset of strong parts summing to the target, by
+    brute force: each part taken 0..k times, k the most that fit."""
+    signs = theory.effective_signs
+    parts = strong_parts(theory, table, target)
+
+    def fits(k, part):
+        return all(s * (t - k * c) >= 0
+                   for s, t, c in zip(signs, target, part))
+
+    most = []
+    for part in parts:
+        k = 0
+        while fits(k + 1, part):
+            k += 1
+        most.append(k)
+    out = []
+    for ks in product(*(range(k + 1) for k in most)):
+        total = czero(len(target))
+        for k, part in zip(ks, parts):
+            total = tuple(x + k * c for x, c in zip(total, part))
+        if any(ks) and total == tuple(target):
+            out.append(tuple(p for k, p in zip(ks, parts) for _ in range(k)))
+    return out
+
+
 def decompositions(theory: Theory, table: SpectrumTable,
                    target: Charge) -> list[tuple[Charge, ...]]:
     """Ordered decompositions: set(permutations) of each multiset."""
-    parts = strong_parts(theory, table, target)
-    return sorted({order for ms in _multisets(parts, target,
-                                              theory.effective_signs)
+    return sorted({order for ms in multisets(theory, table, target)
                    for order in permutations(ms)})
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wallcross
@@ -209,6 +210,31 @@ def test_numeric_rejects_vacuous_quadrature(tmp_path, capsys, option, value,
     code, rep = run(tmp_path, "numeric", "ov_fixed_point", option, value)
     assert code == 2 and rep is None
     assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+
+
+def test_numeric_rejects_nodes_above_the_bound(tmp_path, capsys,
+                                               monkeypatch):
+    # leggauss would first build a dense nodes x nodes companion matrix
+    def never(n):
+        raise AssertionError("a Gauss-Legendre rule was built")
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+    code, rep = run(tmp_path, "numeric", "ov_fixed_point",
+                    "--nodes", str(10 ** 9))
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        f"error: ValueError: nodes must be at most {tba.MAX_NODES}, "
+        f"got {10 ** 9}\n")
+
+
+def test_numeric_decay_fit_reports_an_underflowing_prefix(tmp_path, capsys):
+    # at R = 60 the chain prefixes past the first underflow to |G_n| = 0,
+    # whose log has no value: bad input, not a failed check or a traceback
+    code, rep = run(tmp_path, "numeric", "decay_fit", "--R", "60",
+                    "--nodes", "40")
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        "error: ValueError: |G_2| underflows to 0, so log|G_2| and the "
+        "decay slope are undefined\n")
 
 
 @pytest.mark.parametrize("overrides,message", [

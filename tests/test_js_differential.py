@@ -53,6 +53,16 @@ def test_decompositions_match_reference(target):
             a for a in want if len(a) <= bound]
 
 
+@pytest.mark.parametrize("name,target", [
+    (name, target) for name in sorted(TARGETS) for target in TARGETS[name]])
+def test_multisets_match_reference(name, target):
+    # the reference tries every vector of part multiplicities, so a
+    # multiplicity the library's walk skips shows up as a difference
+    theory, table = theory_by_name(name), spectrum_table(name, "strong")
+    want = sorted(ref.multisets(theory, table, target))
+    assert js.multisets(theory, table, target) == want
+
+
 def test_u_and_s_match_reference(theory_decomps):
     theory, decomps = theory_decomps
     assert decomps

@@ -69,10 +69,12 @@ def test_propagator_leaf_is_instanton_integral():
     assert abs(g) > 0
 
 
-def _loop_chain(zc, charges, zeta, spec):
+def _loop_chain(zc, charges, zeta, spec, ray_z=None):
     """G of the chain rooted at charges[0], one node at a time: the child
-    chain is evaluated at every node of its parent's ray."""
-    pts, dz = tba.ray_points(zc.z(charges[0]), spec)
+    chain is evaluated at every node of its parent's ray, which runs along
+    ray_z instead of Z(charges[0]) when given."""
+    pts, dz = tba.ray_points(zc.z(charges[0]) if ray_z is None else ray_z,
+                             spec)
     total = 0j
     for p, d in zip(pts, dz):
         term = tba.rho(zeta, p) * zc.x_sf(charges[0], p) * d
@@ -84,12 +86,105 @@ def _loop_chain(zc, charges, zeta, spec):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_nested_propagator_matches_node_loops(n):
+    # the children of an overridden root sit on the overridden ray, so the
+    # subtree memo must key them by that ray, not by the root's own Z,
+    # which the call without an override has put in the memo first
     zc = tba.near_wall_context(scale=0.1)
     spec = tba.QuadratureSpec(nodes=40)
     charges = [(1, 0), (0, 1), (1, 0)][:n]
-    want = _loop_chain(zc, charges, ZETA, spec)
-    got = tba.propagator(zc, tba.chain_tree(charges), ZETA, spec)
-    assert abs(got - want) <= 1e-12 * abs(want)
+    for ray_z in (None, 1 + 9j):
+        want = _loop_chain(zc, charges, ZETA, spec, ray_z)
+        got = tba.propagator(zc, tba.chain_tree(charges), ZETA, spec,
+                             ray_z=ray_z)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _dense_propagator(zc, tree, zeta, spec, ray_z=None):
+    """The propagator as one dense rho matrix per tree edge, with nothing
+    reused: every child is evaluated afresh at every node of its parent's
+    ray and the whole nodes x nodes kernel is built for it."""
+    gamma, children = tree
+    pts, dz = tba.ray_points(zc.z(gamma) if ray_z is None else ray_z, spec)
+    f = zc.x_sf(gamma, pts) * dz
+    for ch in children:
+        f = f * _dense_propagator(zc, ch, pts, spec)
+    return tba.rho(np.asarray(zeta)[..., None], pts) @ f / (4j * math.pi)
+
+
+def _close(got, want):
+    return np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_memoised_chain_prefixes_match_dense_recursion(n):
+    zc = tba.near_wall_context(scale=0.1)
+    tree = tba.chain_tree([(1, 0), (0, 1), (1, 0), (0, 1)][:n])
+    assert _close(tba.propagator(zc, tree, ZETA, SPEC),
+                  _dense_propagator(zc, tree, ZETA, SPEC))
+
+
+def test_branching_tree_matches_dense_recursion():
+    zc = tba.near_wall_context(scale=0.1)
+    tree = ((1, 0), [((0, 1), []), ((1, 1), [((0, 1), [])])])
+    assert _close(tba.propagator(zc, tree, ZETA, SPEC),
+                  _dense_propagator(zc, tree, ZETA, SPEC))
+
+
+@pytest.mark.parametrize("ray_z", [1 + 10j, -0.5 + 10j])
+def test_residue_move_inner_propagator_matches_dense_recursion(monkeypatch,
+                                                                ray_z):
+    # the inner propagator of residue_move_check: a vector of points, so
+    # the kernel is built KERNEL_ROWS rows at a time, never whole
+    zc = tba.near_wall_context(R=3.0, scale=0.1, side="mid")
+    p1, _ = tba.ray_points(zc.z((1, 0)), SPEC)
+    shapes = []
+    rho = tba.rho
+
+    def recorded(sigma, tau):
+        out = rho(sigma, tau)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(tba, "rho", recorded)
+    got = tba.propagator(zc, ((0, 1), []), p1, SPEC, ray_z=ray_z)
+    monkeypatch.undo()
+    assert sum(s[0] for s in shapes) == SPEC.nodes
+    assert max(s[0] for s in shapes) == tba.KERNEL_ROWS
+    assert got.shape == p1.shape
+    assert _close(got, _dense_propagator(zc, ((0, 1), []), p1, SPEC, ray_z))
+
+
+def test_chain_prefixes_share_subtree_values(monkeypatch, tmp_path):
+    # decay_fit's four chain prefixes evaluate 5 distinct subtrees on their
+    # parents' rays (6 without the memo), plus one kernel row per root at
+    # the scalar zeta
+    nodes = 40
+    rows = []
+    rho = tba.rho
+
+    def counted(sigma, tau):
+        out = rho(sigma, tau)
+        rows.append(np.size(out) // np.shape(tau)[-1])
+        return out
+
+    monkeypatch.setattr(tba, "rho", counted)
+    tba._subtree_values.cache_clear()
+    out = str(tmp_path / "report.json")
+    assert cli.main(["numeric", "decay_fit", "--nodes", str(nodes),
+                     "--output", out]) == 0
+    assert sum(rows) == 5 * nodes + 4
+    zc = tba.near_wall_context(scale=0.1)
+    spec = tba.QuadratureSpec(nodes=nodes)
+    chain = [(1, 0), (0, 1)] * 2
+    rows.clear()
+    warm = tba.chain_magnitudes(zc, chain, ZETA, spec)
+    assert sum(rows) == 4
+    tba._subtree_values.cache_clear()
+    assert tba.chain_magnitudes(zc, chain, ZETA, spec) == warm
+    leaf = tba._subtree_values(zc, ((0, 1), ()), zc.z((1, 0)), spec)
+    assert leaf.shape == (nodes,)
+    with pytest.raises(ValueError):
+        leaf[0] = 0
 
 
 def test_nested_propagator_converges():
@@ -103,6 +198,21 @@ def test_nested_propagator_converges():
 def test_chain_tree_shape():
     t = tba.chain_tree([(1, 0), (0, 1), (1, 0)])
     assert t == ((1, 0), [((0, 1), [((1, 0), [])])])
+
+
+@pytest.mark.parametrize("nodes,message", [
+    (2.5, "nodes must be an integer, got 2.5"),
+    (tba.MAX_NODES + 1, f"nodes must be at most {tba.MAX_NODES}, "
+                        f"got {tba.MAX_NODES + 1}"),
+])
+def test_spec_rejects_bad_node_counts(monkeypatch, nodes, message):
+    # construct the spec only: the grid would need a nodes x nodes
+    # companion matrix
+    def never(n):
+        raise AssertionError("a Gauss-Legendre rule was built")
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+    with pytest.raises(ValueError, match=message):
+        tba.QuadratureSpec(nodes=nodes)
 
 
 def test_decay_slope_steep():
