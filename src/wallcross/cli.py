@@ -211,6 +211,9 @@ def cmd_numeric(args) -> int:
     for name in names:
         if name not in NUMERIC_CHECKS:
             raise ConfigError(f"unknown numeric check {name!r}")
+    if args.csv and "decay_fit" not in names:
+        raise ConfigError("--csv writes the decay_fit rows, but decay_fit "
+                          "is not among the checks")
     checks = {}
     for name in names:
         if name == "residue_move":

@@ -56,9 +56,9 @@ class SingularEndpoint:
 
 @dataclass
 class TraceResult:
-    eps_sum: Fraction
-    singular: list[SingularEndpoint]
-    steps: list[str]
+    eps_sum: Fraction = Fraction(0)
+    singular: list[SingularEndpoint] = field(default_factory=list)
+    steps: list[str] = field(default_factory=list)
     # key -> sided jump I_below - I_above (None when it could not be
     # evaluated because the completed crossing is itself singular)
     jumps: dict[str, Fraction | None] = field(default_factory=dict)
@@ -67,28 +67,29 @@ class TraceResult:
         """sum of signs + sum of signed singular symbols, as a value."""
         v = Value.rational(Fraction(self.eps_sum))
         for s in self.singular:
-            v = v + Value.symbol(s.symbol) * Value.rational(Fraction(s.coeff))
+            v = v + Value.symbol(s.symbol, s.coeff)
         return v
 
 
+@dataclass(slots=True)
 class _State:
-    """One branch of the decay process.  Vertex indices are stable."""
+    """One branch of the decay process.  Vertex indices are stable.
 
-    __slots__ = ("charges", "ray", "status", "parent", "sign", "pending")
-
-    def __init__(self, charges, ray, status, parent, sign, pending):
-        self.charges: list[Charge] = charges
-        self.ray: list[Charge] = ray          # ray label (unbalanced: old charge)
-        self.status: list[str] = status
-        self.parent: list[int | None] = parent
-        self.sign: int = sign
-        self.pending: list[int] = pending
+    A plus or minus vertex's ray label is its charge: `initial` sets it
+    and `_sweep` sets it again on balancing.  Only `merge` changes a
+    charge, and it marks the vertex unbalanced, keeping the old charge
+    as its ray label."""
+    charges: list[Charge]
+    ray: list[Charge]
+    status: list[str]
+    parent: list[int | None]
+    sign: int = 1
+    pending: list[int] = field(default_factory=list)
 
     @classmethod
     def initial(cls, diag: RootedDiagram) -> "_State":
-        n = diag.n
-        return cls(list(diag.charges), list(diag.charges), [_PLUS] * n,
-                   list(diag.parent), 1, [])
+        return cls(list(diag.charges), list(diag.charges), [_PLUS] * diag.n,
+                   list(diag.parent))
 
     def copy(self) -> "_State":
         return _State(list(self.charges), list(self.ray), list(self.status),
@@ -111,15 +112,12 @@ class _State:
         return d
 
     def active_ray(self, theory: Theory, i: int) -> Vec2:
-        if self.status[i] == _PLUS:
-            return theory.z(PLUS, self.charges[i])
-        return theory.z(MINUS, self.ray[i])
+        return theory.z(PLUS if self.status[i] == _PLUS else MINUS, self.ray[i])
 
     def merge(self, moved: int, static: int) -> None:
-        """Fold the moved vertex into the crossed neighbour."""
-        if self.status[static] != _UNBAL:
-            # a pinned plus vertex can be crossed before its formal push
-            self.ray[static] = self.charges[static]
+        """Fold the moved vertex into the crossed neighbour, which keeps
+        its ray label and becomes unbalanced.  A pending vertex that dies
+        or stops being plus here is dropped from `pending` by `_run`."""
         self.charges[static] = cadd(self.charges[static], self.charges[moved])
         self.status[static] = _UNBAL
         for j in self.alive():
@@ -128,7 +126,6 @@ class _State:
         if self.parent[static] == moved:
             self.parent[static] = self.parent[moved]
         self.status[moved] = _DEAD
-        self.pending = [k for k in self.pending if k != moved and k != static]
 
     def frozen_key(self, theory: Theory, moving: int, end: Vec2) -> str:
         """Canonical label of the frozen integral: each vertex carries its
@@ -145,20 +142,18 @@ class _State:
         return encode(root, -1, adjacency(len(self.charges), edges), labels)[0]
 
 
-def _approach_side(start: Vec2, end: Vec2) -> str:
-    # sweep ends on the target ray; classify by rotation sense
-    return BELOW if cross(start, end) > 0 else ABOVE
+def _sweep(theory: Theory, st: _State, i: int, out: list[_State],
+           result: TraceResult) -> None:
+    """Push vertex i's ray from its active ray to the weak-side ray of its
+    accumulated charge.
 
-
-def _sweep(theory: Theory, st: _State, i: int, start: Vec2, end: Vec2,
-           out: list["_State"], result: TraceResult) -> _State | None:
-    """Push vertex i's ray from start to end, the weak-side ray of its
-    charge.
-
-    Residue branches are appended to `out`; returns the continued main
-    state, with vertex i balanced on its weak-side ray, or None when the
-    sweep is singular (ends on an active ray).
+    Each strict crossing of a neighbour's active ray appends a residue
+    branch to `out`.  Then, unless the sweep is singular (ends on an
+    active ray), `st` itself follows them with vertex i balanced on its
+    weak-side ray.
     """
+    start = st.active_ray(theory, i)
+    end = theory.z(MINUS, st.charges[i])
     crossings: list[tuple[int, int]] = []
     singular = False
     for j in st.neighbours(i):
@@ -171,7 +166,8 @@ def _sweep(theory: Theory, st: _State, i: int, start: Vec2, end: Vec2,
         try:
             sense = sweep_crossing(start, end, tgt)
         except RayCoincidenceError:
-            side = _approach_side(start, end)
+            # the sweep ends on the target ray: its rotation sense is the side
+            side = BELOW if cross(start, end) > 0 else ABOVE
             key = st.frozen_key(theory, i, end)
             result.singular.append(
                 SingularEndpoint(key=key, side=side, coeff=st.sign))
@@ -181,7 +177,7 @@ def _sweep(theory: Theory, st: _State, i: int, start: Vec2, end: Vec2,
                 merged = st.copy()
                 merged.sign = 1
                 merged.merge(i, j)
-                sub = TraceResult(eps_sum=Fraction(0), singular=[], steps=[])
+                sub = TraceResult()
                 _run(theory, [merged], sub)
                 result.jumps[key] = (CCW * rel * sub.eps_sum
                                      if not sub.singular else None)
@@ -198,16 +194,15 @@ def _sweep(theory: Theory, st: _State, i: int, start: Vec2, end: Vec2,
         out.append(branch)
         result.steps.append(f"residue: vertex {i} crossed {j}, "
                             f"branch sign {branch.sign}")
-    if singular:
-        return None
-    st.ray[i] = st.charges[i]
-    st.status[i] = _MINUS
-    return st
+    if not singular:
+        st.ray[i] = st.charges[i]
+        st.status[i] = _MINUS
+        out.append(st)
 
 
 def run_decay(theory: Theory, diag: RootedDiagram) -> TraceResult:
     """Run the decay process to termination over all branches."""
-    result = TraceResult(eps_sum=Fraction(0), singular=[], steps=[])
+    result = TraceResult()
     _run(theory, [_State.initial(diag)], result)
     return result
 
@@ -215,43 +210,38 @@ def run_decay(theory: Theory, diag: RootedDiagram) -> TraceResult:
 def _run(theory: Theory, stack: list[_State], result: TraceResult) -> None:
     """Drive every branch on the stack to its end, logging each step.
 
-    Rays are pushed root first: with nothing pending or unbalanced, a
-    branch promotes its shallowest plus vertices.  That is the nesting of
-    the iterated integral, so it is the only order: pushing leaves first
-    agrees with it on one-edge diagrams only."""
+    Each pass pops a branch and pushes one ray with `_sweep`: the next
+    pending plus vertex, else the shallowest unbalanced one.  Rays are
+    pushed root first: with nothing pending or unbalanced, the shallowest
+    plus vertices become the pending batch in the same pass.  That is the
+    nesting of the iterated integral, so it is the only order: pushing
+    leaves first agrees with it on one-edge diagrams only.  A branch with
+    no plus vertex left is terminal."""
     while stack:
         st = stack.pop()
         alive = st.alive()
         st.pending = [k for k in st.pending if st.status[k] == _PLUS]
         unbal = [k for k in alive if st.status[k] == _UNBAL]
-        if st.pending or unbal:
-            if st.pending:
-                i = st.pending.pop(0)
-                start = theory.z(PLUS, st.charges[i])
-                result.steps.append(f"promote {i} {st.charges[i]}")
-            else:
-                i = min(unbal, key=lambda k: (st.depth(k), k))
-                start = theory.z(MINUS, st.ray[i])
-                result.steps.append(
-                    f"rebalance {i} {st.ray[i]} -> {st.charges[i]}")
-            cont = _sweep(theory, st, i, start, theory.z(MINUS, st.charges[i]),
-                          stack, result)
-            if cont is not None:
-                stack.append(cont)
-            continue
-        plus = [k for k in alive if st.status[k] == _PLUS]
-        if plus:
-            top = min(st.depth(k) for k in plus)
+        if not st.pending and not unbal:
+            plus = [k for k in alive if st.status[k] == _PLUS]
+            top = min((st.depth(k) for k in plus), default=0)
             st.pending = [k for k in plus if st.depth(k) == top]
-            stack.append(st)
-            continue
-        if len(alive) == 1:
-            result.eps_sum += st.sign
-            result.steps.append(
-                f"terminal singleton {st.charges[alive[0]]}, sign {st.sign}")
+        if st.pending:
+            i = st.pending.pop(0)
+            result.steps.append(f"promote {i} {st.charges[i]}")
+        elif unbal:
+            i = min(unbal, key=lambda k: (st.depth(k), k))
+            result.steps.append(f"rebalance {i} {st.ray[i]} -> {st.charges[i]}")
         else:
-            result.steps.append(
-                f"terminal non-singleton ({len(alive)} vertices), discarded")
+            if len(alive) == 1:
+                result.eps_sum += st.sign
+                result.steps.append(
+                    f"terminal singleton {st.charges[alive[0]]}, sign {st.sign}")
+            else:
+                result.steps.append(
+                    f"terminal non-singleton ({len(alive)} vertices), discarded")
+            continue
+        _sweep(theory, st, i, stack, result)
 
 
 def gmn_contribution(theory: Theory, table: SpectrumTable, diag: RootedDiagram,

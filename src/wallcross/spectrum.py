@@ -12,6 +12,9 @@ WEAK = "weak"
 
 SCHEMA_VERSION = 1
 DEFAULT_K = 10
+# largest family truncation: a weak table holds O(K) entries, and no check
+# reads past degree max(DEFAULT_K, N) for a KS truncation N in the tens
+MAX_K = 10_000
 
 
 class UnknownSpectrumError(Exception):
@@ -76,6 +79,8 @@ def spectrum_table(theory_name: str, region: str, K: int = DEFAULT_K) -> Spectru
     """Generate a table from the catalog rules (families truncated at K)."""
     if K < 0:
         raise ValueError(f"family truncation K must be at least 0, got {K}")
+    if K > MAX_K:
+        raise ValueError(f"family truncation K must be at most {MAX_K}, got {K}")
     th = theory_by_name(theory_name)
     if region == STRONG:
         entries = {}

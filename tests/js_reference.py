@@ -11,8 +11,11 @@ the ordered decompositions are the distinct elements of every permutation
 of every multiset of parts, the multisets found by trying every vector of
 part multiplicities up to the most each part fits into the target, apart
 from the library's walk, and the grouped tree values canonicalise every
-(ordering, labelled tree) pair afresh.  The library computes the same numbers
-faster; the differential tests check that it returns exactly these values.
+(ordering, labelled tree) pair afresh and weight each ordering with this
+module's U, the table's DT and a refinement sign read off their own pairing
+table, never through the library's weighted decompositions.  The library
+computes the same numbers faster; the differential tests check that it
+returns exactly these values.
 """
 from __future__ import annotations
 
@@ -24,8 +27,7 @@ from math import factorial, prod
 
 from wallcross.lattice import (MINUS, PLUS, Charge, Theory, cadd, cross,
                                czero, same_ray)
-from wallcross.js import (TreeValue, _edge_weights, _weighted_decompositions,
-                          strong_parts)
+from wallcross.js import TreeValue, strong_parts
 from wallcross.spectrum import SpectrumTable
 from wallcross.symbolic import Value
 from wallcross.trees import canon_unoriented
@@ -223,12 +225,24 @@ def tree_values(theory: Theory, table: SpectrumTable, target: Charge,
                 max_vertices: int | None = None) -> dict[str, TreeValue]:
     """js_tree_values with the canonical key computed for every (ordering,
     supported labelled tree) pair and one Fraction multiply-add per tree;
-    trees with a zero total are left out."""
+    trees with a zero total are left out.  An ordering alpha of n parts
+    weighs sign * U(alpha) * prod DT(alpha_k) * (-1)^(n-1) / 2^(n-1),
+    where sign = (-1)^(sum_{i<j} <alpha_i, alpha_j>) turns prod_k
+    sigma(alpha_k) into sigma(target); orderings of weight 0 are skipped,
+    so each tree keeps the representative the library sees first."""
     trees: dict[str, list] = {}
-    for alphas, base in _weighted_decompositions(theory, table, target,
-                                                 max_vertices):
+    for alphas in decompositions(theory, table, target):
         n = len(alphas)
-        weights = _edge_weights(theory, alphas)
+        if max_vertices is not None and n > max_vertices:
+            continue
+        weights = [[theory.pair(a, b) for b in alphas] for a in alphas]
+        sign = -1 if sum(weights[i][j] for i in range(n)
+                         for j in range(i + 1, n)) % 2 else 1
+        base = (sign * u_symbol(theory, list(alphas))
+                * prod(table.dt(a) for a in alphas)
+                * Fraction((-1) ** (n - 1), 2 ** (n - 1)))
+        if not base:
+            continue
         charges = list(alphas)
         for edges in supported_trees(weights):
             w = prod(weights[i][j] for i, j in edges)

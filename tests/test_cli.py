@@ -13,7 +13,7 @@ import wallcross
 from wallcross import cli, js, ks, tba
 from wallcross.cli import main
 from wallcross.lattice import theory_by_name
-from wallcross.spectrum import spectrum_table
+from wallcross.spectrum import MAX_K, spectrum_table
 
 
 def run(tmp_path, *argv):
@@ -190,6 +190,20 @@ def test_numeric_rejects_bad_R_or_zeta_before_running(tmp_path, capsys,
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_numeric_csv_needs_decay_fit(tmp_path, capsys, monkeypatch):
+    # only decay_fit writes CSV rows: without it the file would silently
+    # never appear
+    def never(*args, **kwargs):
+        raise AssertionError("residue_move_check ran")
+    monkeypatch.setattr(tba, "residue_move_check", never)
+    rows = tmp_path / "rows.csv"
+    code, rep = run(tmp_path, "numeric", "residue_move", "--csv", str(rows))
+    assert code == 2 and rep is None and not rows.exists()
+    assert capsys.readouterr().err == (
+        "config error: --csv writes the decay_fit rows, but decay_fit is not "
+        "among the checks\n")
+
+
 def test_ov_model_rejects_nan_R():
     with pytest.raises(ValueError, match="R must be positive and finite"):
         tba.OVModel(R=float("nan"))
@@ -310,6 +324,14 @@ def test_spectrum_rejects_negative_truncation(tmp_path, capsys):
     assert code == 2 and rep is None
     assert capsys.readouterr().err == (
         "error: ValueError: family truncation K must be at least 0, got -3\n")
+
+
+def test_spectrum_rejects_truncation_above_the_bound(tmp_path, capsys):
+    code, rep = run(tmp_path, "spectrum", "nf0", "weak", "--K", "1000000000")
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        "error: ValueError: family truncation K must be at most "
+        f"{MAX_K}, got 1000000000\n")
 
 
 def test_js_vertex_bound_limits_the_orderings(tmp_path):

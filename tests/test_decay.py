@@ -1,7 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from wallcross import decay
+from wallcross.cli import main
 from wallcross.decay import conjecture_check, gmn_contribution, run_decay
 from wallcross.gmn import enumerate_diagrams
 from wallcross.symbolic import Value
@@ -9,8 +12,10 @@ from wallcross.spectrum import spectrum_table
 from wallcross.lattice import theory_by_name
 
 from conftest import diagram_by_describe
+from test_acceptance import CATALOG
 
 Q = Fraction
+DATA = Path(__file__).parent / "data"
 
 
 def test_single_interaction_chain(nf0, nf0_strong):
@@ -107,3 +112,41 @@ def test_conjecture_per_tree_totals(nf0):
     assert sorted(repr(tc.js_total) for tc in rep.trees.values()) == ["-1", "2"]
     for tc in rep.trees.values():
         assert tc.resolved_gmn == tc.js_total
+
+
+@pytest.mark.parametrize("name, target, index", [
+    ("nf0", "2,3", 8), ("nf2", "1,1,1,1", 0), ("nf1", "2,2,-1", 17)])
+def test_decay_trace_reports_are_frozen(tmp_path, name, target, index):
+    # together the three cover promote, rebalance, residue, singular
+    # endpoints on both sides, both terminal kinds and a jump of None
+    out = tmp_path / "trace.json"
+    assert main(["decay-trace", name, target, "--index", str(index),
+                 "--output", str(out)]) == 0
+    frozen = DATA / f"decay_trace_{name}_{target.replace(',', '_')}_{index}.json"
+    assert out.read_text() == frozen.read_text()
+
+
+def test_merge_finds_balanced_labels_equal_to_charges(monkeypatch):
+    # merge keeps the crossed vertex's ray label, which for a plus or
+    # minus vertex must already be its charge
+    merges = []
+    merge = decay._State.merge
+
+    def balanced_labels_are_charges(st):
+        for v, status in enumerate(st.status):
+            if status in (decay._PLUS, decay._MINUS):
+                assert st.ray[v] == st.charges[v], (st, v)
+
+    def checked(st, moved, static):
+        balanced_labels_are_charges(st)
+        merge(st, moved, static)
+        balanced_labels_are_charges(st)
+        merges.append(static)
+
+    monkeypatch.setattr(decay._State, "merge", checked)
+    for name, target, max_vertices in CATALOG:
+        theory = theory_by_name(name)
+        for d in enumerate_diagrams(theory, spectrum_table(name, "strong"),
+                                    target, max_vertices=max_vertices):
+            run_decay(theory, d)
+    assert merges

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from wallcross.spectrum import UnknownSpectrumError, f_coeff, spectrum_table
+from wallcross.spectrum import (MAX_K, UnknownSpectrumError, f_coeff,
+                                spectrum_table)
 
 Q = Fraction
 
@@ -70,3 +71,12 @@ def test_f_coeff_with_refinement():
     # sigma(gamma), since sigma(gamma/2)^2 = +1 = sigma(gamma)
     assert direction == (1, 1, -1)
     assert c == 2 * t.omega((2, 2, -2)) + Q(t.omega((1, 1, -1)), 2)
+
+
+@pytest.mark.parametrize("name", ["nf0", "nf1", "nf2", "nf3"])
+@pytest.mark.parametrize("region", ["strong", "weak"])
+def test_truncation_above_the_bound_is_rejected(name, region):
+    # the weak tables hold O(K) entries; the bound is checked before any
+    # entry is built, so only K = MAX_K + 1 is ever tried
+    with pytest.raises(ValueError, match=f"at most {MAX_K}, got {MAX_K + 1}$"):
+        spectrum_table(name, region, MAX_K + 1)
