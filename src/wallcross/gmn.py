@@ -76,12 +76,13 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
     """
     rdir = root_direction(theory)
     seen: dict[str, RootedDiagram] = {}
+    pairs: dict[tuple[Charge, Charge], int] = {}
     for ms in multisets(theory, table, target, max_vertices):
         n = len(ms)
         roots = [i for i, c in enumerate(ms) if primitive(c) == rdir]
         if not roots:
             continue
-        for edges in _supported_trees(_edge_weights(theory, ms)):
+        for edges in _supported_trees(_edge_weights(theory, ms, pairs)):
             adj = adjacency(n, edges)
             for r in roots:
                 parent: list[int | None] = [None] * n

@@ -249,12 +249,18 @@ def decompositions(theory: Theory, table: SpectrumTable, target: Charge,
 
 def _weighted_decompositions(theory: Theory, table: SpectrumTable,
                              target: Charge, max_vertices: int | None
-                             ) -> Iterator[tuple[tuple[Charge, ...], Fraction]]:
+                             ) -> Iterator[tuple[tuple[Charge, ...],
+                                                 list[list[int]], Fraction]]:
     """Each ordered decomposition with at most max_vertices parts whose
-    coefficient U * prod DT * (-1)^(n-1) / 2^(n-1) is nonzero, with that
-    coefficient times the refinement sign: prod_k sigma(alpha_k) is that
-    sign times sigma(target)."""
-    dt: dict[Charge, Fraction] = {}     # DT read once per distinct part
+    coefficient U * prod DT * (-1)^(n-1) / 2^(n-1) is nonzero, with its
+    _edge_weights table and that coefficient times the refinement sign:
+    prod_k sigma(alpha_k) is that sign times sigma(target).
+
+    The pairing and DT of the parts are read once per call.  The sign is
+    (-1)^(sum_{i<j} <alpha_i, alpha_j>), read off the weight table: by
+    bilinearity this is the parity Theory.sigma_reduce folds."""
+    dt: dict[Charge, Fraction] = {}
+    pairs: dict[tuple[Charge, Charge], int] = {}
     for alphas in decompositions(theory, table, target, max_vertices):
         n = len(alphas)
         u = u_symbol(theory, list(alphas))
@@ -266,18 +272,24 @@ def _weighted_decompositions(theory: Theory, table: SpectrumTable,
         dts = prod(map(dt.__getitem__, alphas))
         if dts == 0:
             continue
-        sign = theory.sigma_reduce(list(alphas))[0]
-        yield alphas, sign * u * dts * Fraction((-1) ** (n - 1), 2 ** (n - 1))
+        weights = _edge_weights(theory, alphas, pairs)
+        sign = -1 if sum(map(sum, weights)) % 2 else 1
+        yield (alphas, weights,
+               sign * u * dts * Fraction((-1) ** (n - 1), 2 ** (n - 1)))
 
 
-def _edge_weights(theory: Theory, alphas: tuple[Charge, ...]) -> list[list[int]]:
-    """Table w[i][j] (i < j) of the edge weight <alpha_i, alpha_j>;
-    labelled-tree edges have i < j.  Built once per set of parts instead
-    of once per tree edge."""
+def _edge_weights(theory: Theory, alphas: tuple[Charge, ...],
+                  pairs: dict[tuple[Charge, Charge], int]) -> list[list[int]]:
+    """Table w[i][j] (i < j, else 0) of the edge weight <alpha_i, alpha_j>;
+    labelled-tree edges have i < j.  pairs holds the caller's pairings
+    of parts, so each ordered pair of parts is paired once per call."""
     n = len(alphas)
     w = [[0] * n for _ in range(n)]
     for i, j in combinations(range(n), 2):
-        w[i][j] = theory.pair(alphas[i], alphas[j])
+        key = alphas[i], alphas[j]
+        if key not in pairs:
+            pairs[key] = theory.pair(*key)
+        w[i][j] = pairs[key]
     return w
 
 
@@ -289,11 +301,11 @@ def _supported_trees(weights: list[list[int]]):
     return enumerate_labelled_trees(n, zero)
 
 
-def _tree_weight(theory: Theory, alphas: tuple[Charge, ...]) -> int:
+def _tree_weight(weights: list[list[int]]) -> int:
     """Sum over the labelled trees on the parts of the product of their
     edge weights."""
-    weights = _edge_weights(theory, alphas)
-    return sum(prod(weights[i][j] for i, j in edges)
+    w = {(i, j): weights[i][j] for i, j in combinations(range(len(weights)), 2)}
+    return sum(prod(map(w.__getitem__, edges))
                for edges in _supported_trees(weights))
 
 
@@ -325,8 +337,8 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
     trees: dict[str, list] = {}
     # multiset -> (slot edges -> tree key)
     slot_keys: dict[tuple[Charge, ...], dict[int, str]] = {}
-    for alphas, base in _weighted_decompositions(theory, table, target,
-                                                 max_vertices):
+    for alphas, weights, base in _weighted_decompositions(theory, table,
+                                                          target, max_vertices):
         n = len(alphas)
         ms = tuple(sorted(alphas))
         taken = Counter()
@@ -337,8 +349,8 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
         edge_bit = {(i, j): 1 << (min(slot[i], slot[j]) * n
                                   + max(slot[i], slot[j]))
                     for i, j in combinations(range(n), 2)}
+        edge_weight = {(i, j): weights[i][j] for i, j in edge_bit}
         keys = slot_keys.setdefault(ms, {})
-        weights = _edge_weights(theory, alphas)
         charges = list(alphas)
         # tree key -> [first edges, summed edge weights]
         sums: dict[str, list] = {}
@@ -347,7 +359,7 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
             key = keys.get(slot_edges)
             if key is None:
                 key = keys[slot_edges] = canon_unoriented(n, edges, charges)
-            w = prod(weights[i][j] for i, j in edges)
+            w = prod(map(edge_weight.__getitem__, edges))
             if key in sums:
                 sums[key][1] += w
             else:
@@ -364,6 +376,6 @@ def js_wallcross(theory: Theory, table: SpectrumTable, target: Charge,
                  max_vertices: int | None = None) -> Fraction:
     """Weak-side DT invariant of the target charge: the coefficient of
     sigma(target) in the sum of js_tree_values."""
-    return sum((c * _tree_weight(theory, alphas) for alphas, c in
+    return sum((c * _tree_weight(weights) for _, weights, c in
                 _weighted_decompositions(theory, table, target, max_vertices)),
                Fraction(0))

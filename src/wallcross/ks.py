@@ -26,6 +26,11 @@ from .spectrum import WEAK, SpectrumTable, UnknownSpectrumError
 
 Series = dict[Charge, int]
 
+# largest truncation degree: the costliest run, `ks-oracle nf3 --N 24
+# --against-table`, took 37 s on a 2-vCPU machine, and the time grows
+# about as N^6 (12 s at N = 20)
+MAX_N = 24
+
 
 class FactorizationError(Exception):
     """No consistent KS exponent reproduces the discrepancy."""
@@ -127,10 +132,12 @@ def _phase_sorted(theory: Theory, region: str,
 def spectrum_auto(theory: Theory, table: SpectrumTable, region: str,
                   N: int) -> tuple[Series, ...]:
     """Multipliers of the ordered product of one spectrum table's KS
-    operators; N >= 1, since below degree 1 every product is the identity
-    and a check built on it would compare nothing."""
+    operators; 1 <= N <= MAX_N, since below degree 1 every product is the
+    identity and a check built on it would compare nothing."""
     if N < 1:
         raise ValueError(f"truncation degree N must be at least 1, got {N}")
+    if N > MAX_N:
+        raise ValueError(f"truncation degree N must be at most {MAX_N}, got {N}")
     charges = [g for g in table.charges()
                if theory.is_effective(g) and eff_degree(theory, g) <= N]
     ordered = _phase_sorted(theory, region, charges)

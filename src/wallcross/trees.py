@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .lattice import Charge
 
@@ -20,34 +20,61 @@ def _tree_table(n: int) -> tuple[tuple[tuple[Edge, ...], ...], dict[Edge, int]]:
     """The labelled trees on 0..n-1 in Prufer-sequence order, and for each
     edge the bit set (bit k for tree k) of the trees that contain it.
 
-    One pass decodes every sequence: the smallest leaf is the first vertex
-    of degree 1, and a used leaf drops to degree 0.  The n(n-1)/2 edge
-    tuples are shared between trees to keep the n = 7 table small.
+    Built from the table one size down by the first leaf.  Write a
+    sequence as (s0, t): its first leaf l is the smallest vertex not in
+    it, the first edge is (l, s0), and the rest of the tree is the tree of
+    t on the other n - 1 vertices, relabelled by the monotone map that
+    skips l.  l is the smallest vertex l1 missing from t, or the second
+    smallest l2 when s0 = l1, so each tail t needs two lifted subtrees.
+    Tree k = s0 n^(n-3) + (index of t) is then (l, s0) plus one of them.
+
+    The bit sets are built per tail, not per tree: L1[x] marks the tails
+    whose l1 subtree has the edge x or whose l1 is the vertex x, L2[x]
+    the same for l2.  The block of s0 takes L2[e] where l1 = s0 and L1[e]
+    elsewhere, and has the first edge (o, s0) where l = o.  The n(n-1)/2
+    edge tuples are shared between trees to keep the n = 7 table small.
     """
     if n == 1:
         return ((),), {}
+    if n == 2:
+        return (((0, 1),),), {(0, 1): 1}
     edge = {e: e for e in combinations(range(n), 2)}
-    count = n ** (n - 2)
-    # bits[e][count - 1 - k] is "1" iff tree k contains e: a base-2 numeral
-    bits = {e: bytearray(b"0") * count for e in edge}
+    sub = _tree_table(n - 1)[0]
+    # lift[l] maps an edge on 0..n-2 to the shared edge that skips vertex l
+    lift = [{(i, j): edge[i + (i >= l), j + (j >= l)]
+             for i, j in combinations(range(n - 1), 2)} for l in range(n)]
+    tails = n ** (n - 3)
+    # marks[c][x][tails - 1 - k] is "1" iff L1 (c = 0) or L2 (c = 1) has
+    # tail k: base-2 numerals
+    marks = [{x: bytearray(b"0") * tails for x in [*edge, *range(n)]}
+             for c in (0, 1)]
     one = ord("1")
-    table = []
-    for k, seq in enumerate(product(range(n), repeat=n - 2)):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        tree = []
-        for v in seq:
-            leaf = degree.index(1)
-            degree[leaf] = 0
-            degree[v] -= 1
-            tree.append(edge[leaf, v] if leaf < v else edge[v, leaf])
-        u = degree.index(1)
-        tree.append(edge[u, degree.index(1, u + 1)])
-        table.append(tuple(tree))
-        for e in tree:
-            bits[e][count - 1 - k] = one
-    return tuple(table), {e: int(b, 2) for e, b in bits.items()}
+    rests = []
+    for k, t in enumerate(product(range(n), repeat=n - 3)):
+        pair = []
+        for l, mark in zip([v for v in range(n) if v not in t], marks):
+            idx = 0
+            for v in t:
+                idx = idx * (n - 1) + v - (v > l)
+            rest = tuple(map(lift[l].__getitem__, sub[idx]))
+            pair.append((l, rest))
+            for x in (l, *rest):
+                mark[x][tails - 1 - k] = one
+        rests.append(pair)
+    head = {(l, s0): (edge[min(l, s0), max(l, s0)],)
+            for l, s0 in permutations(range(n), 2)}
+    table = tuple([head[l2, s0] + r2 if s0 == l1 else head[l1, s0] + r1
+                   for s0 in range(n) for (l1, r1), (l2, r2) in rests])
+    L1, L2 = ({x: int(b, 2) for x, b in mark.items()} for mark in marks)
+    masks = dict.fromkeys(edge, 0)
+    for e in edge:
+        for s0 in range(n):
+            block = (L1[e] & ~L1[s0]) | (L2[e] & L1[s0])
+            if s0 in e:
+                o = e[0] + e[1] - s0
+                block |= L1[o] | (L1[s0] & L2[o])
+            masks[e] |= block << (s0 * tails)
+    return table, masks
 
 
 def enumerate_labelled_trees(n: int, zero_edges: Collection[Edge] = ()

@@ -144,6 +144,15 @@ def test_ks_oracle_needs_a_positive_degree(tmp_path, capsys):
         "error: ValueError: truncation degree N must be at least 1, got 0\n")
 
 
+def test_ks_oracle_degree_is_bounded(tmp_path, capsys):
+    # the round trip's cost grows about as N^6: past MAX_N it exits at once
+    code, rep = run(tmp_path, "ks-oracle", "nf0", "--N", str(ks.MAX_N + 1))
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        f"error: ValueError: truncation degree N must be at most {ks.MAX_N}, "
+        f"got {ks.MAX_N + 1}\n")
+
+
 @pytest.mark.parametrize("check", ["scale_invariance", "ov_fixed_point"])
 def test_numeric_rejects_zero_zeta(tmp_path, capsys, check):
     code, rep = run(tmp_path, "numeric", check, "--nodes", "40",

@@ -3,6 +3,7 @@ tree values return exactly the values of the reference implementations in
 js_reference.py."""
 from collections import defaultdict
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import js_reference as ref
 from test_conjecture_sweep import MAX_DEGREE, _targets
 from wallcross import js
-from wallcross.js import (_tree_weight, decompositions, s_symbol,
-                          strong_parts, u_symbol)
+from wallcross.js import (_edge_weights, _tree_weight, decompositions,
+                          s_symbol, strong_parts, u_symbol)
 from wallcross.lattice import PLUS, MINUS, direction_key, theory_by_name
 from wallcross.spectrum import SpectrumTable, spectrum_table
 from wallcross.symbolic import Value
@@ -112,8 +113,8 @@ def test_u_matches_reference_on_any_part_sequence(case):
 def test_tree_weight_matches_reference(theory_decomps):
     theory, decomps = theory_decomps
     for alphas in decomps:
-        assert _tree_weight(theory, alphas) == ref.tree_weight_sum(
-            theory, alphas), alphas
+        assert _tree_weight(_edge_weights(theory, alphas, {})) == \
+            ref.tree_weight_sum(theory, alphas), alphas
 
 
 def test_central_charge_is_the_linear_sum(theory_decomps):
@@ -157,6 +158,39 @@ def test_tree_values_match_reference():
         assert sum((t.total for t in got.values()), Value.zero()) == \
             Value.rational(js.js_wallcross(theory, table, target,
                                            max_vertices)), (name, target)
+
+
+def _parity_sign(weights):
+    return -1 if sum(weights[i][j] for i in range(len(weights))
+                     for j in range(i + 1, len(weights))) % 2 else 1
+
+
+def test_weighted_decompositions_read_sigma_off_the_weight_table():
+    # the fast path reads each pairing once per call and takes the sign
+    # from the weight table; the slow path pairs afresh and folds
+    # sigma_reduce, and the coefficient is rebuilt from U, DT and that sign
+    for name, target, max_vertices in _tree_value_targets():
+        theory, table = theory_by_name(name), spectrum_table(name, "strong")
+        for alphas, weights, c in js._weighted_decompositions(
+                theory, table, target, max_vertices):
+            n = len(alphas)
+            sign = theory.sigma_reduce(list(alphas))[0]
+            assert weights == _edge_weights(theory, alphas, {}), alphas
+            assert _parity_sign(weights) == sign, alphas
+            assert c == (sign * u_symbol(theory, list(alphas))
+                         * prod(map(table.dt, alphas))
+                         * Fraction((-1) ** (n - 1), 2 ** (n - 1))), alphas
+
+
+@given(part_sequences())
+@settings(max_examples=200, deadline=None)
+def test_weight_table_parity_is_the_sigma_fold(case):
+    theory, alphas = case
+    weights = _edge_weights(theory, tuple(alphas), {})
+    assert weights == [[theory.pair(a, b) if i < j else 0
+                        for j, b in enumerate(alphas)]
+                       for i, a in enumerate(alphas)]
+    assert _parity_sign(weights) == theory.sigma_reduce(alphas)[0], alphas
 
 
 @pytest.mark.parametrize("target, unoriented", [((3, 3), 114), ((2, 3), 20)])

@@ -169,3 +169,17 @@ def test_verify_rejects_a_table_below_N(nf0):
     assert verify_wall_identity(nf0, strong, weak, 3) == (True, 3)
     with pytest.raises(UnknownSpectrumError):
         verify_wall_identity(nf0, strong, weak, 4)
+
+
+def test_degree_above_max_n_is_rejected_before_any_product(monkeypatch, nf0):
+    # the check sits at the entry: no product is built first
+    def never(*args):
+        raise AssertionError("compose called")
+    monkeypatch.setattr(ks, "compose", never)
+    strong = spectrum_table("nf0", "strong")
+    for check in (lambda: ks.spectrum_auto(nf0, strong, PLUS, ks.MAX_N + 1),
+                  lambda: infer_weak_spectrum(nf0, strong, ks.MAX_N + 1),
+                  lambda: verify_wall_identity(nf0, strong, strong,
+                                               ks.MAX_N + 1)):
+        with pytest.raises(ValueError, match=f"at most {ks.MAX_N}, got"):
+            check()

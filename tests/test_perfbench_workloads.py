@@ -7,6 +7,7 @@ name would only lower its correct fraction; this test makes it fail the
 test suite instead.
 """
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -47,3 +48,17 @@ def test_conjecture_tasks_pass_except_the_known_failure(workloads):
         except (workloads.Mismatch, ValueError):
             failed.add(task.name)
     assert failed == FAILING_CONJECTURE_TASKS
+
+
+@pytest.mark.parametrize("name", ["invariant", "oracle", "numeric"])
+def test_tasks_pass_in_two_orders(workloads, name):
+    # a benchmark pass runs its tasks in an order drawn from its seed, and
+    # run.py exits 1 when an output differs from its reference: what one
+    # task leaves behind must not change another's output in either order
+    tasks = workloads.WORKLOADS[name]()
+    outputs = []
+    for seed in (1, 2):
+        order = list(tasks)
+        random.Random(seed).shuffle(order)
+        outputs.append({task.name: repr(task.run()) for task in order})
+    assert outputs[0] == outputs[1]

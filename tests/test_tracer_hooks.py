@@ -74,7 +74,7 @@ def test_tree_sums_read_the_labelled_tree_table(run):
 
 
 def _supported(theory, alphas):
-    return len(ref.supported_trees(_edge_weights(theory, alphas)))
+    return len(ref.supported_trees(_edge_weights(theory, alphas, {})))
 
 
 def test_tree_counter_counts_the_trees_walked():

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from js_reference import labelled_trees, tree_from_prufer, trees_without
-from wallcross.trees import (adjacency, canon_oriented, canon_unoriented,
-                             centroids, enumerate_labelled_trees)
+from wallcross.trees import (_tree_table, adjacency, canon_oriented,
+                             canon_unoriented, centroids,
+                             enumerate_labelled_trees)
 
 
 def test_cayley_counts():
@@ -68,6 +69,20 @@ def test_prufer_path_and_star():
 def test_table_matches_heap_decoder(n):
     # same trees, same edge order, same tree order as the heap decoder
     assert [list(t) for t in enumerate_labelled_trees(n)] == labelled_trees(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_edge_masks_match_heap_decoder(n):
+    # bit k of an edge's mask is set iff the k-th heap-decoded tree has the
+    # edge; the cache is cleared so the table and the smaller ones it is
+    # built from are made afresh
+    _tree_table.cache_clear()
+    trees = [set(t) for t in labelled_trees(n)]
+    masks = _tree_table(n)[1]
+    assert set(masks) == set(combinations(range(n), 2))
+    for e, mask in masks.items():
+        assert f"{mask:0{len(trees)}b}"[::-1] == \
+            "".join("01"[e in t] for t in trees), e
 
 
 @st.composite
