@@ -38,6 +38,11 @@ _UNBAL = "*"
 _DEAD = "."
 
 
+def symbol_name(key: str, side: str) -> str:
+    """Name of the symbol for the frozen integral `key` seen from `side`."""
+    return f"{key}|{side}"
+
+
 @dataclass(frozen=True)
 class SingularEndpoint:
     """A sweep ended exactly on an active neighbouring ray.
@@ -51,7 +56,7 @@ class SingularEndpoint:
 
     @property
     def symbol(self) -> str:
-        return f"{self.key}|{self.side}"
+        return symbol_name(self.key, self.side)
 
 
 @dataclass
@@ -260,9 +265,9 @@ def gmn_contribution(theory: Theory, table: SpectrumTable, diag: RootedDiagram,
 class TreeCheck:
     charges: tuple[Charge, ...]
     edges: tuple[tuple[int, int], ...]
-    js_total: Value
-    gmn_total: Value            # may carry singular symbols
-    framings: list[tuple[RootedDiagram, Value]]
+    js_total: Value = field(default_factory=Value.zero)
+    gmn_total: Value = field(default_factory=Value.zero)  # may carry symbols
+    framings: list[tuple[RootedDiagram, Value]] = field(default_factory=list)
     resolved_gmn: Value | None = None
     ok: bool | None = None
 
@@ -282,9 +287,10 @@ def conjecture_check(theory: Theory, target: Charge,
                      max_vertices: int | None = None) -> ConjectureReport:
     """Compare both wall-crossing computations tree by tree.
 
-    Singular symbols are solved from the linear system formed by the
-    per-tree equalities together with the jump constraint pairing the
-    two approach sides of each coincident ray.  Symbols the system
+    One pass over the diagrams sums the framings of each tree and merges
+    their jump tables.  The singular symbols solve js = gmn on each tree
+    and, in jump-table order, I_below - I_above = jump on each coincident
+    ray with a jump value and both sided symbols.  Symbols the system
     leaves free are reported in free_symbols and enter the ledger at 0.
     The target needs a nonzero framing coordinate: every diagram's root
     lies on the framing direction, and each contribution divides by that
@@ -297,58 +303,42 @@ def conjecture_check(theory: Theory, target: Charge,
     js = js_tree_values(theory, strong, target, max_vertices=max_vertices)
     diagrams = enumerate_diagrams(theory, strong, target, max_vertices=max_vertices)
 
-    trees: dict[str, TreeCheck] = {}
-    for key, tv in js.items():
-        trees[key] = TreeCheck(charges=tuple(tv.charges),
-                               edges=tuple(tv.edges),
-                               js_total=tv.total,
-                               gmn_total=Value.zero(), framings=[])
-    all_jumps: dict[str, Fraction | None] = {}
+    trees = {key: TreeCheck(tuple(tv.charges), tuple(tv.edges), tv.total)
+             for key, tv in js.items()}
+    jumps: dict[str, Fraction | None] = {}
     for diag in diagrams:
         key = canon_unoriented(diag.n, diag.edges(), list(diag.charges))
         trace = run_decay(theory, diag)
         for jk, jv in trace.jumps.items():
-            if jk in all_jumps and all_jumps[jk] != jv:
+            if jumps.setdefault(jk, jv) != jv:
                 raise ValueError(f"conflicting jump values for {jk}")
-            all_jumps[jk] = jv
         contrib = gmn_contribution(theory, strong, diag, trace=trace)
-        if key not in trees:
-            trees[key] = TreeCheck(charges=diag.charges,
-                                   edges=tuple(diag.edges()),
-                                   js_total=Value.zero(),
-                                   gmn_total=Value.zero(), framings=[])
+        if key not in trees:    # framings only: the js sum has no such tree
+            trees[key] = TreeCheck(diag.charges, tuple(diag.edges()))
         tc = trees[key]
         tc.framings.append((diag, contrib))
         tc.gmn_total = tc.gmn_total + contrib
 
-    # linear system in the singular symbols
-    names: list[str] = []
     equations: list[tuple[dict[str, Fraction], Fraction]] = []
     for tc in trees.values():
         diff = tc.js_total - tc.gmn_total   # = -(symbol part of gmn) + rationals
         coeffs = {name: diff.coeff(name) for name in diff.symbols()}
         if coeffs:
-            names.extend(name for name in coeffs if name not in names)
             equations.append((coeffs, -diff.coeff()))
+    names = list(dict.fromkeys(name for coeffs, _ in equations for name in coeffs))
     constraints: list[tuple[str, str]] = []
-    by_key: dict[str, dict[str, str]] = {}
-    for name in names:
-        key, side = name.rsplit("|", 1)
-        by_key.setdefault(key, {})[side] = name
-    for key, sides in sorted(by_key.items()):
-        if BELOW in sides and ABOVE in sides and all_jumps.get(key) is not None:
-            constraints.append((sides[BELOW], sides[ABOVE]))
-            equations.append(({sides[BELOW]: Fraction(1),
-                               sides[ABOVE]: Fraction(-1)}, all_jumps[key]))
+    for key, jump in sorted(jumps.items()):
+        below, above = symbol_name(key, BELOW), symbol_name(key, ABOVE)
+        if jump is not None and below in names and above in names:
+            constraints.append((below, above))
+            equations.append(({below: Fraction(1), above: Fraction(-1)}, jump))
     solved = solve_linear(equations, names)
     free = free_unknowns(solved, names)
     ledger = {**dict.fromkeys(free, Fraction(0)), **solved}
 
-    ok = True
     for tc in trees.values():
         tc.resolved_gmn = tc.gmn_total.substitute(ledger)
-        tc.ok = (tc.resolved_gmn == tc.js_total)
-        ok = ok and tc.ok
+        tc.ok = tc.resolved_gmn == tc.js_total
     return ConjectureReport(theory=theory.name, target=target, trees=trees,
-                            ledger=ledger, constraints=constraints,
-                            free_symbols=free, ok=ok)
+                            ledger=ledger, constraints=constraints, free_symbols=free,
+                            ok=all(tc.ok for tc in trees.values()))

@@ -72,7 +72,8 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
 
     Vertices are strong multiples, edges require nonzero pairing, and the
     root lies on the framing direction.  Deduplicated up to rooted
-    decorated isomorphism.
+    decorated isomorphism: a rooting of a supported labelled tree becomes
+    a diagram only if its canonical string is new.
     """
     rdir = root_direction(theory)
     seen: dict[str, RootedDiagram] = {}
@@ -82,9 +83,13 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
         roots = [i for i, c in enumerate(ms) if primitive(c) == rdir]
         if not roots:
             continue
+        labels = [charge_label(c) for c in ms]
         for edges in _supported_trees(_edge_weights(theory, ms, pairs)):
             adj = adjacency(n, edges)
             for r in roots:
+                key = encode(r, -1, adj, labels)[0]
+                if key in seen:
+                    continue
                 parent: list[int | None] = [None] * n
                 stack = [r]
                 while stack:
@@ -93,8 +98,7 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
                         if u != r and parent[u] is None:
                             parent[u] = v
                             stack.append(u)
-                diag = RootedDiagram(ms, tuple(parent))
-                seen.setdefault(diag.canonical(), diag)
+                seen[key] = RootedDiagram(ms, tuple(parent))
     return [seen[k] for k in sorted(seen, key=lambda k: (seen[k].n, k))]
 
 

@@ -117,7 +117,7 @@ class ZContext:
     def x_sf(self, gamma: tuple[int, ...], zeta):
         z = self.z(gamma)
         if np.any(zeta == 0):
-            raise ZeroDivisionError("x_sf has an essential singularity at zeta=0")
+            raise ValueError("x_sf has an essential singularity at zeta=0")
         return np.exp(math.pi * self.R * z / zeta + 1j * self.theta(gamma)
                       + math.pi * self.R * zeta * np.conjugate(z))
 
@@ -171,15 +171,14 @@ def _subtree_values(zctx: ZContext, subtree, direction: complex,
 
 
 def _apply_kernel(zeta: np.ndarray, pts: np.ndarray, f: np.ndarray):
-    """rho(zeta, pts) @ f / 4 pi i, KERNEL_ROWS rows at a time when zeta is
-    a vector of points."""
-    if zeta.ndim != 1:
-        return rho(zeta[..., None], pts) @ f / (4j * math.pi)
-    out = np.empty(zeta.shape, dtype=complex)
-    for i in range(0, len(zeta), KERNEL_ROWS):
-        rows = zeta[i:i + KERNEL_ROWS, None]
+    """rho(zeta, pts) @ f / 4 pi i for zeta of any shape (a scalar for a
+    scalar), KERNEL_ROWS evaluation points at a time."""
+    flat = zeta.reshape(-1)
+    out = np.empty(flat.shape, dtype=complex)
+    for i in range(0, len(flat), KERNEL_ROWS):
+        rows = flat[i:i + KERNEL_ROWS, None]
         out[i:i + KERNEL_ROWS] = rho(rows, pts) @ f
-    return out / (4j * math.pi)
+    return (out / (4j * math.pi)).reshape(zeta.shape)[()]
 
 
 def chain_tree(charges: list[tuple[int, ...]]):
@@ -361,15 +360,10 @@ def near_wall_context(R: float = 3.0, scale: float = 0.2,
                       side: str = "mid") -> ZContext:
     """Numeric Z's echoing the exact phase model, scaled to |Z| about 2.
 
-    side 'plus'/'minus' give the two near-wall positions; 'mid' puts both
-    charges symmetrically about the wall at 90 degrees.
+    Both charges sit symmetrically about the wall at 90 degrees; 'mid' is
+    the only side.
     """
-    if side == "plus":
-        zd, zm = -1 + 10j, 1 + 10j
-    elif side == "minus":
-        zd, zm = 0.5 + 10j, -0.5 + 10j
-    elif side == "mid":
-        zd, zm = 0.25 + 10j, -0.25 + 10j
-    else:
-        raise ValueError(f"side must be plus/minus/mid, got {side!r}")
+    if side != "mid":
+        raise ValueError(f"side must be mid, got {side!r}")
+    zd, zm = 0.25 + 10j, -0.25 + 10j
     return ZContext(zs=(zd * scale, zm * scale), thetas=(0.7, 0.3), R=R)

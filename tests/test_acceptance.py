@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from wallcross import tba
+from wallcross.cli import RESIDUE_MOVE_REL_TOL
 from wallcross.decay import conjecture_check, gmn_contribution, run_decay
 from wallcross.gmn import enumerate_diagrams, weight_W
 from wallcross.js import js_wallcross, s_symbol, u_symbol
@@ -214,11 +215,14 @@ ZETA = 3.0 + 0.2j
 def test_acceptance_7a_residue_move():
     t0 = time.perf_counter()
     zc = tba.near_wall_context(R=3.0, scale=0.1, side="mid")
-    _, _, err = tba.residue_move_check(zc, (1, 0), (0, 1),
-                                       1 + 10j, -0.5 + 10j, ZETA, SPEC)
+    _, rhs, err = tba.residue_move_check(zc, (1, 0), (0, 1),
+                                         1 + 10j, -0.5 + 10j, ZETA, SPEC)
     elapsed = time.perf_counter() - t0
-    report(f"contour-move identity holds to {err:.1e} (< 1e-8) "
-           f"in {elapsed:.1f}s", err < 1e-8 and elapsed < 30.0)
+    # |rhs| is about 1e-18, so the absolute bound alone holds for any lhs
+    rel = err / abs(rhs)
+    report(f"contour-move identity holds to {err:.1e} (< 1e-8), "
+           f"{rel:.1e} relative (<= {RESIDUE_MOVE_REL_TOL:g}) in {elapsed:.1f}s",
+           err < 1e-8 and rel <= RESIDUE_MOVE_REL_TOL and elapsed < 30.0)
 
 
 def test_acceptance_7b_scale_invariance():

@@ -4,6 +4,7 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,45 @@ def test_numeric_rejects_zero_zeta(tmp_path, capsys, check):
                     "--zeta-re", "0", "--zeta-im", "0")
     assert code == 2 and rep is None
     assert capsys.readouterr().err.startswith("config error: zeta")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--T", "500"), "residue_move gave a non-finite result: the quadrature "
+                     "left the floating-point range"),
+    (("decay_fit", "--T", "500"), "decay_fit gave a non-finite result: the "
+                                  "quadrature left the floating-point range"),
+    (("--T", "800"), "x_sf has an essential singularity at zeta=0")])
+def test_numeric_overflow_is_bad_input(tmp_path, capsys, argv, message):
+    # at T = 500 the kernel overflows to nan; at T = 800 exp(-T) underflows
+    # and puts ray nodes on zeta' = 0.  Neither is a failed check, and
+    # neither may print a warning, a traceback, NaN in a report or CSV rows
+    rows = tmp_path / "rows.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(tmp_path, "numeric", *argv, "--csv", str(rows))
+    assert code == 2 and rep is None and not rows.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: ValueError: {message}\n"
+
+
+def test_numeric_residue_move_fails_when_under_resolved(tmp_path):
+    # at 50 nodes lhs is 79 % off rhs, yet |lhs - rhs| is far below the
+    # absolute 1e-8, because |rhs| is about 1e-18
+    code, rep = run(tmp_path, "numeric", "residue_move", "--nodes", "50")
+    check = rep["checks"]["residue_move"]
+    assert code == 1 and not check["ok"]
+    assert check["residual"] < 1e-8
+    assert check["relative_residual"] > 0.5
+
+
+def test_numeric_residue_move_reports_its_relative_residual(tmp_path):
+    code, rep = run(tmp_path, "numeric", "residue_move")
+    check = rep["checks"]["residue_move"]
+    assert code == 0 and check["ok"]
+    assert check["relative_residual"] <= cli.RESIDUE_MOVE_REL_TOL
+    lhs, rhs = complex(*check["lhs"]), complex(*check["rhs"])
+    assert check["relative_residual"] == pytest.approx(abs(lhs - rhs) / abs(rhs))
 
 
 def test_numeric_rejects_unknown_check_before_running(tmp_path, capsys,

@@ -126,6 +126,21 @@ def test_decay_trace_reports_are_frozen(tmp_path, name, target, index):
     assert out.read_text() == frozen.read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ("check-conjecture", "nf0", "2,3"), ("check-conjecture", "nf0", "3,4"),
+    ("check-conjecture", "nf1", "2,2,-1"), ("check-conjecture", "nf2", "1,1,1,1"),
+    ("check-conjecture", "nf3", "1,1,1,1,2", "--max-vertices", "5"),
+    ("gmn", "nf0", "3,4")])
+def test_conjecture_and_gmn_reports_are_frozen(capsys, argv):
+    # nf0 2,3 leaves 1 symbol free and 3,4 leaves 65; nf2 1,1,1,1 has 2
+    # jump constraints; gmn nf0 3,4 lists 92 diagrams
+    cmd, name, target, *bound = argv
+    assert main(list(argv)) == 0
+    frozen = DATA / (f"{cmd.replace('-', '_')}_{name}_{target.replace(',', '_')}"
+                     + ("_mv5" if bound else "") + ".json")
+    assert capsys.readouterr().out == frozen.read_text()
+
+
 def test_merge_finds_balanced_labels_equal_to_charges(monkeypatch):
     # merge keeps the crossed vertex's ray label, which for a plus or
     # minus vertex must already be its charge

@@ -7,7 +7,10 @@ name would only lower its correct fraction; this test makes it fail the
 test suite instead.
 """
 import importlib.util
+import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +20,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # the one conjecture task that fails on the current code
 FAILING_CONJECTURE_TASKS = {"nf1:2,1,-1"}
+WORKER_TIMEOUT_S = 60
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +66,22 @@ def test_tasks_pass_in_two_orders(workloads, name):
         random.Random(seed).shuffle(order)
         outputs.append({task.name: repr(task.run()) for task in order})
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_worker_passes_match_their_references(workloads, seed):
+    # what the benchmark itself runs: a fresh worker process per pass, with
+    # its own task order and its own string hashing; run.py exits 1 when
+    # any task's output differs from its reference
+    raised = set()
+    for name in workloads.WORKLOADS:
+        proc = subprocess.run(
+            [sys.executable, str(PERFBENCH / "worker.py"), name, "pass", str(seed)],
+            capture_output=True, text=True, timeout=WORKER_TIMEOUT_S,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)})
+        assert proc.returncode == 0, proc.stderr
+        outcomes = json.loads(proc.stdout)["outcomes"]
+        assert outcomes.keys() == {t.name for t in workloads.WORKLOADS[name]()}
+        assert not {t for t, (kind, _) in outcomes.items() if kind == "wrong"}, name
+        raised |= {t for t, (kind, _) in outcomes.items() if kind == "raised"}
+    assert raised == FAILING_CONJECTURE_TASKS

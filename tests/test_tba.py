@@ -154,6 +154,35 @@ def test_residue_move_inner_propagator_matches_dense_recursion(monkeypatch,
     assert _close(got, _dense_propagator(zc, ((0, 1), []), p1, SPEC, ray_z))
 
 
+def test_kernel_takes_zeta_of_any_shape_in_row_blocks(monkeypatch):
+    # a grid of evaluation points goes through the same row blocks as a
+    # vector and keeps its shape; a scalar zeta gives a scalar
+    zc = tba.near_wall_context(scale=0.1)
+    tree = tba.chain_tree([(1, 0), (0, 1)])
+    zeta = ZETA * np.exp(1j * np.linspace(-0.3, 0.3, 150)).reshape(10, 15)
+    rows = []
+    rho = tba.rho
+
+    def recorded(sigma, tau):
+        rows.append(np.shape(sigma)[0])
+        return rho(sigma, tau)
+
+    monkeypatch.setattr(tba, "rho", recorded)
+    got = tba.propagator(zc, tree, zeta, SPEC)
+    monkeypatch.undo()
+    assert got.shape == zeta.shape
+    assert max(rows) == tba.KERNEL_ROWS
+    assert _close(got, _dense_propagator(zc, tree, zeta, SPEC))
+    scalar = tba.propagator(zc, tree, ZETA, SPEC)
+    assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
+    assert _close(scalar, _dense_propagator(zc, tree, ZETA, SPEC))
+
+
+def test_near_wall_context_has_one_geometry():
+    with pytest.raises(ValueError, match="side must be mid"):
+        tba.near_wall_context(side="plus")
+
+
 def test_chain_prefixes_share_subtree_values(monkeypatch, tmp_path):
     # decay_fit's four chain prefixes evaluate 5 distinct subtrees on their
     # parents' rays (6 without the memo), plus one kernel row per root at
