@@ -13,9 +13,19 @@ A nested propagator evaluates each child at every node of its parent's
 ray.  A child's values there depend only on (context, subtree, parent ray
 direction, spec), so they are memoised per ray as read-only vectors and
 shared by every tree that contains the subtree on that ray (the prefixes
-of a chain, say).  The rho kernel is applied to a vector of evaluation
-points KERNEL_ROWS rows at a time, so no nodes x nodes matrix is ever
-built.
+of a chain, say).
+
+The rho kernel splits into partial fractions,
+
+    rho(sigma, tau) = (tau + sigma) / (tau (tau - sigma))
+                    = 2 / (tau - sigma) - 1 / tau,
+
+since 2 tau - (tau - sigma) = tau + sigma.  The 1/tau term does not
+depend on sigma, so applied to a ray factor f it is one dot product,
+sum_tau f(tau) / tau, and only the Cauchy kernel 1 / (tau - sigma) needs
+a row per evaluation point.  Those rows are built KERNEL_ROWS at a time
+in one buffer that every block of a call overwrites, so no nodes x nodes
+matrix is ever built and no block allocates.
 """
 from __future__ import annotations
 
@@ -45,6 +55,10 @@ def _gauss_legendre(nodes: int, T: float) -> tuple[np.ndarray, np.ndarray]:
 # leggauss builds a dense nodes x nodes companion matrix (32 MB at this
 # bound) and a propagator does nodes^2 kernel work per tree edge
 MAX_NODES = 2048
+# ray nodes reach |zeta'| = e^T and rho's denominator tau (tau - sigma)
+# about e^(2T): e^600 (about 4e260) is finite, while from T = 354 it
+# overflows and from T = 745 exp(-T) puts nodes on zeta' = 0
+MAX_T = 300
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,8 @@ class QuadratureSpec:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite, "
                                  f"got {getattr(self, name)}")
+        if self.T > MAX_T:
+            raise ValueError(f"T must be at most {MAX_T}, got {self.T}")
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes t and weights on [-T, T] (read-only)."""
@@ -170,15 +186,32 @@ def _subtree_values(zctx: ZContext, subtree, direction: complex,
     return out
 
 
+def _cauchy_rows(rows: np.ndarray, pts: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """1 / (pts - rows) for a column of evaluation points, written into out
+    (len(rows) x len(pts)) and returned."""
+    np.subtract(pts, rows, out=out)
+    return np.reciprocal(out, out=out)
+
+
 def _apply_kernel(zeta: np.ndarray, pts: np.ndarray, f: np.ndarray):
     """rho(zeta, pts) @ f / 4 pi i for zeta of any shape (a scalar for a
-    scalar), KERNEL_ROWS evaluation points at a time."""
+    scalar).
+
+    By rho(sigma, tau) = 2 / (tau - sigma) - 1 / tau this is
+    (2 (C @ f) - sum f / pts) / 4 pi i with the Cauchy matrix
+    C = 1 / (pts - zeta).  C is built KERNEL_ROWS evaluation points at a
+    time in one buffer of at most KERNEL_ROWS x nodes, allocated once
+    here and overwritten by every block.
+    """
     flat = zeta.reshape(-1)
     out = np.empty(flat.shape, dtype=complex)
+    buf = np.empty((min(KERNEL_ROWS, len(flat)), len(pts)), dtype=complex)
     for i in range(0, len(flat), KERNEL_ROWS):
         rows = flat[i:i + KERNEL_ROWS, None]
-        out[i:i + KERNEL_ROWS] = rho(rows, pts) @ f
-    return (out / (4j * math.pi)).reshape(zeta.shape)[()]
+        out[i:i + KERNEL_ROWS] = _cauchy_rows(rows, pts, buf[:len(rows)]) @ f
+    out = (2 * out - f @ (1 / pts)) / (4j * math.pi)
+    return out.reshape(zeta.shape)[()]
 
 
 def chain_tree(charges: list[tuple[int, ...]]):

@@ -162,16 +162,32 @@ def test_numeric_rejects_zero_zeta(tmp_path, capsys, check):
     assert capsys.readouterr().err.startswith("config error: zeta")
 
 
+def _on_a_decay_fit_node():
+    # --zeta-re/--zeta-im exactly on a node of the ray of Z_(1,0) that the
+    # decay_fit chain integrates over at --nodes 40
+    spec = tba.QuadratureSpec(nodes=40)
+    zc = tba.near_wall_context(R=3.0, scale=0.1)
+    p = tba.ray_points(zc.z((1, 0)), spec)[0][20]
+    return ("--nodes", "40", "--zeta-re", repr(float(p.real)),
+            "--zeta-im", repr(float(p.imag)))
+
+
 @pytest.mark.parametrize("argv,message", [
-    (("--T", "500"), "residue_move gave a non-finite result: the quadrature "
-                     "left the floating-point range"),
-    (("decay_fit", "--T", "500"), "decay_fit gave a non-finite result: the "
-                                  "quadrature left the floating-point range"),
-    (("--T", "800"), "x_sf has an essential singularity at zeta=0")])
+    (("--R", "1e10"), "residue_move gave a non-finite result: the quadrature "
+                      "left the floating-point range"),
+    (("decay_fit", *_on_a_decay_fit_node()),
+     "decay_fit gave a non-finite result: the quadrature left the "
+     "floating-point range"),
+    (("--T", "800"), f"T must be at most {tba.MAX_T}, got 800.0"),
+    (("--T", "500"), f"T must be at most {tba.MAX_T}, got 500.0"),
+    (("decay_fit", "--T", "500"), f"T must be at most {tba.MAX_T}, got 500.0")])
 def test_numeric_overflow_is_bad_input(tmp_path, capsys, argv, message):
-    # at T = 500 the kernel overflows to nan; at T = 800 exp(-T) underflows
-    # and puts ray nodes on zeta' = 0.  Neither is a failed check, and
-    # neither may print a warning, a traceback, NaN in a report or CSV rows
+    # At R = 1e10 x_sf underflows to 0 on every node, so residue_move's
+    # relative residual is 0/0.  With zeta on a ray node the Cauchy kernel
+    # divides by zero.  T above tba.MAX_T is refused before any check runs:
+    # from T = 354 the dense rho overflows to nan, and at T = 800 exp(-T)
+    # puts ray nodes on zeta' = 0.  None is a failed check, and none may
+    # print a warning, a traceback, NaN in a report or CSV rows
     rows = tmp_path / "rows.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -180,6 +196,17 @@ def test_numeric_overflow_is_bad_input(tmp_path, capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: ValueError: {message}\n"
+
+
+def test_numeric_reports_every_check_at_the_largest_T(tmp_path):
+    # the bound on T is where every check still gives finite numbers
+    # (residue_move is under-resolved there and fails, which is a result)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(tmp_path, "numeric", "--T", str(tba.MAX_T))
+    assert code == 1 and set(rep["checks"]) == set(cli.NUMERIC_CHECKS)
+    assert [n for n, c in rep["checks"].items() if not c["ok"]] == [
+        "residue_move"]
 
 
 def test_numeric_residue_move_fails_when_under_resolved(tmp_path):

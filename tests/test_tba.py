@@ -138,14 +138,14 @@ def test_residue_move_inner_propagator_matches_dense_recursion(monkeypatch,
     zc = tba.near_wall_context(R=3.0, scale=0.1, side="mid")
     p1, _ = tba.ray_points(zc.z((1, 0)), SPEC)
     shapes = []
-    rho = tba.rho
+    cauchy_rows = tba._cauchy_rows
 
-    def recorded(sigma, tau):
-        out = rho(sigma, tau)
+    def recorded(rows, pts, out):
+        out = cauchy_rows(rows, pts, out)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(tba, "rho", recorded)
+    monkeypatch.setattr(tba, "_cauchy_rows", recorded)
     got = tba.propagator(zc, ((0, 1), []), p1, SPEC, ray_z=ray_z)
     monkeypatch.undo()
     assert sum(s[0] for s in shapes) == SPEC.nodes
@@ -161,13 +161,13 @@ def test_kernel_takes_zeta_of_any_shape_in_row_blocks(monkeypatch):
     tree = tba.chain_tree([(1, 0), (0, 1)])
     zeta = ZETA * np.exp(1j * np.linspace(-0.3, 0.3, 150)).reshape(10, 15)
     rows = []
-    rho = tba.rho
+    cauchy_rows = tba._cauchy_rows
 
-    def recorded(sigma, tau):
-        rows.append(np.shape(sigma)[0])
-        return rho(sigma, tau)
+    def recorded(block, pts, out):
+        rows.append(np.shape(block)[0])
+        return cauchy_rows(block, pts, out)
 
-    monkeypatch.setattr(tba, "rho", recorded)
+    monkeypatch.setattr(tba, "_cauchy_rows", recorded)
     got = tba.propagator(zc, tree, zeta, SPEC)
     monkeypatch.undo()
     assert got.shape == zeta.shape
@@ -176,6 +176,51 @@ def test_kernel_takes_zeta_of_any_shape_in_row_blocks(monkeypatch):
     scalar = tba.propagator(zc, tree, ZETA, SPEC)
     assert np.ndim(scalar) == 0 and not isinstance(scalar, np.ndarray)
     assert _close(scalar, _dense_propagator(zc, tree, ZETA, SPEC))
+
+
+FINE = tba.QuadratureSpec(nodes=800)
+PARENT_RAY = tba.ray_points(tba.near_wall_context(scale=0.1).z((1, 0)),
+                            FINE)[0]
+GRID = ZETA * np.exp(1j * np.linspace(-0.3, 0.3, 150)).reshape(10, 15)
+
+
+@pytest.mark.parametrize("zeta,ray_z", [
+    (PARENT_RAY, None), (GRID, None), (np.asarray(ZETA), None),
+    (PARENT_RAY, 1 + 10j)], ids=["parent ray", "grid", "scalar", "ray_z"])
+def test_cauchy_kernel_matches_dense_rho(zeta, ray_z):
+    # 2 / (tau - sigma) - 1 / tau against rho itself, for |sigma| from e^-6
+    # to e^6 on a parent ray, a grid, a scalar and an overridden ray
+    zc = tba.near_wall_context(scale=0.1)
+    pts, f = tba._ray_integrand(zc, ((0, 1), ()), FINE, ray_z)
+    want = tba.rho(zeta[..., None], pts) @ f / (4j * math.pi)
+    got = tba._apply_kernel(zeta, pts, f)
+    assert np.shape(got) == zeta.shape
+    assert _close(got, want)
+
+
+def test_kernel_blocks_share_one_buffer(monkeypatch):
+    # every block of a call overwrites one buffer of at most KERNEL_ROWS
+    # rows, so no block allocates its own
+    zc = tba.near_wall_context(scale=0.1)
+    pts, f = tba._ray_integrand(zc, ((0, 1), ()), SPEC, None)
+    outs = []
+    cauchy_rows = tba._cauchy_rows
+
+    def recorded(block, pts, out):
+        outs.append(out)
+        return cauchy_rows(block, pts, out)
+
+    monkeypatch.setattr(tba, "_cauchy_rows", recorded)
+    tba._apply_kernel(GRID, pts, f)
+    buf = outs[0].base
+    assert sum(map(len, outs)) == GRID.size
+    assert max(map(len, outs)) == tba.KERNEL_ROWS
+    assert all(o.base is buf and o.ctypes.data == buf.ctypes.data
+               for o in outs)
+    assert buf.shape == (tba.KERNEL_ROWS, SPEC.nodes)
+    outs.clear()
+    tba._apply_kernel(np.asarray(ZETA), pts, f)
+    assert [o.base.shape for o in outs] == [(1, SPEC.nodes)]
 
 
 def test_near_wall_context_has_one_geometry():
@@ -189,14 +234,14 @@ def test_chain_prefixes_share_subtree_values(monkeypatch, tmp_path):
     # the scalar zeta
     nodes = 40
     rows = []
-    rho = tba.rho
+    cauchy_rows = tba._cauchy_rows
 
-    def counted(sigma, tau):
-        out = rho(sigma, tau)
-        rows.append(np.size(out) // np.shape(tau)[-1])
+    def counted(block, pts, out):
+        out = cauchy_rows(block, pts, out)
+        rows.append(np.size(out) // np.shape(pts)[-1])
         return out
 
-    monkeypatch.setattr(tba, "rho", counted)
+    monkeypatch.setattr(tba, "_cauchy_rows", counted)
     tba._subtree_values.cache_clear()
     out = str(tmp_path / "report.json")
     assert cli.main(["numeric", "decay_fit", "--nodes", str(nodes),
@@ -242,6 +287,14 @@ def test_spec_rejects_bad_node_counts(monkeypatch, nodes, message):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
     with pytest.raises(ValueError, match=message):
         tba.QuadratureSpec(nodes=nodes)
+
+
+def test_x_sf_rejects_zeta_zero():
+    # no numeric input reaches it since T is bounded by MAX_T, but a ray
+    # node or evaluation point at zeta = 0 must still be refused
+    zc = tba.near_wall_context()
+    with pytest.raises(ValueError, match="essential singularity at zeta=0"):
+        zc.x_sf((1, 0), np.array([1.0 + 0j, 0j]))
 
 
 def test_decay_slope_steep():
