@@ -20,7 +20,8 @@ import numpy as np
 from .decay import conjecture_check, gmn_contribution, run_decay
 from .gmn import enumerate_diagrams, weight_W
 from .js import js_tree_values
-from .ks import FactorizationError, infer_weak_spectrum, verify_wall_identity
+from .ks import (FactorizationError, check_coverage, infer_weak_spectrum,
+                 verify_wall_identity)
 from .lattice import Theory, theory_by_name
 from .spectrum import DEFAULT_K, UnknownSpectrumError, spectrum_table
 from . import tba
@@ -174,14 +175,17 @@ def cmd_check_conjecture(args) -> int:
 def cmd_ks_oracle(args) -> int:
     theory = _theory(args.theory)
     strong = spectrum_table(theory.name, "strong")
+    if args.against_table:
+        # with K >= N every complete catalog rule covers degree N; a table
+        # that does not is refused before any product is built
+        weak = spectrum_table(theory.name, "weak", K=max(DEFAULT_K, args.N))
+        check_coverage(weak, args.N)
     # the inference raises unless its weak product agrees with the strong
     # one through N, so it has made the round trip
     inferred = infer_weak_spectrum(theory, strong, args.N)
     checks = {"round_trip": {"ok": True, "agree_through": args.N}}
     ok = True
     if args.against_table:
-        # with K >= N every catalog rule covers degree N
-        weak = spectrum_table(theory.name, "weak", K=max(DEFAULT_K, args.N))
         ok_w, deg_w = verify_wall_identity(theory, strong, weak, args.N)
         checks["catalog_weak_table"] = {"ok": ok_w, "agree_through": deg_w}
         ok = ok and ok_w

@@ -12,23 +12,27 @@ integer), truncated at total effective degree N.  A product is stored by
 its multipliers G_mu with x_mu -> x_mu * G_mu, and is built by applying
 each operator to the current terms of x_mu G_mu one group of equal
 exponent at a time, so no series is ever substituted into another.
-Effective degree is additive, so a series product never forms a term
-above the truncation, and the peeling builds each weak product only up
-to the degree it reads.
+Each operator reads its pairing row off the pairing's columns once, and
+the terms of exponent 0 pass through unmultiplied.  Effective degree is
+additive, so a series product never forms a term above the truncation,
+and the peeling builds each weak product only up to the degree it reads.
+A table that is incomplete, or covers fewer degrees than N, is refused
+by the wall identity check instead of reported as a failed identity.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .lattice import MINUS, PLUS, Charge, Theory
 from .spectrum import WEAK, SpectrumTable, UnknownSpectrumError
 
 Series = dict[Charge, int]
 
-# largest truncation degree: the costliest run, `ks-oracle nf3 --N 24
-# --against-table`, took 37 s on a 2-vCPU machine, and the time grows
-# about as N^6 (12 s at N = 20)
+# largest truncation degree: the costliest run, `ks-oracle nf3 --N 24`
+# (inference only: nf3 has no complete weak table), takes about 16.5 s
+# on a 2-vCPU machine, 2.4 times its time at N = 20; the costliest
+# `--against-table` run, nf2 at N = 24, takes 4.5-6 s
 MAX_N = 24
 
 
@@ -37,7 +41,7 @@ class FactorizationError(Exception):
 
 
 def eff_degree(theory: Theory, e: Charge) -> int:
-    return sum(s * x for s, x in zip(theory.effective_signs, e))
+    return sum(map(mul, theory.effective_signs, e))
 
 
 def series_sub(a: Series, b: Series) -> Series:
@@ -57,10 +61,11 @@ def series_mul(theory: Theory, a: Series, b: Series, N: int) -> Series:
     before its exponent is formed: b is scanned in increasing degree and
     the scan stops at the first term over the budget left by a's term.
     """
-    bs = sorted((eff_degree(theory, eb), eb, cb) for eb, cb in b.items())
+    signs = theory.effective_signs
+    bs = sorted((sum(map(mul, signs, eb)), eb, cb) for eb, cb in b.items())
     out: Series = {}
     for ea, ca in a.items():
-        budget = N - eff_degree(theory, ea)
+        budget = N - sum(map(mul, signs, ea))
         for db, eb, cb in bs:
             if db > budget:
                 break
@@ -75,7 +80,7 @@ def binomial_series(theory: Theory, gamma: Charge, k: int, N: int) -> Series:
     if not theory.is_effective(gamma):
         raise ValueError(f"{gamma} is not effective")
     deg, sg = eff_degree(theory, gamma), theory.sigma_value(gamma)
-    out: Series = {theory.zero(): 1}
+    out: Series = {(0,) * len(gamma): 1}
     c, j = 1, 0
     while (j + 1) * deg <= N:
         # C(k, j+1) = C(k, j) (k-j) / (j+1) is an integer, so // is exact
@@ -97,22 +102,21 @@ def compose(theory: Theory, states: list[tuple[Charge, int]],
     """
     mults: list[Series] = [{theory.zero(): 1} for _ in range(theory.rank)]
     for gamma, omega in reversed(states):
-        p = [omega * theory.pair(gamma, theory.unit(i))
-             for i in range(theory.rank)]
+        # p_j = Omega <gamma, e_j>, read off the pairing's columns
+        p = [omega * sum(map(mul, gamma, col)) for col in zip(*theory.pairing)]
         # k -> (1 - sigma x_gamma)^k, shared by every x_mu
         binomials: dict[int, Series] = {}
         for mu, g in enumerate(mults):
             groups: dict[int, Series] = {}
             for e, c in g.items():
-                k = p[mu] + sum(x * y for x, y in zip(p, e))
+                k = p[mu] + sum(map(mul, p, e))
                 groups.setdefault(k, {})[e] = c
-            out: Series = {}
+            # the k = 0 terms are fixed by the operator
+            out: Series = groups.pop(0, {})
             for k, terms in groups.items():
-                if k:
-                    if k not in binomials:
-                        binomials[k] = binomial_series(theory, gamma, k, N)
-                    terms = series_mul(theory, terms, binomials[k], N)
-                for e, c in terms.items():
+                if k not in binomials:
+                    binomials[k] = binomial_series(theory, gamma, k, N)
+                for e, c in series_mul(theory, terms, binomials[k], N).items():
                     out[e] = out.get(e, 0) + c
             mults[mu] = {e: c for e, c in out.items() if c}
     return tuple(mults)
@@ -154,19 +158,25 @@ def agreement_degree(theory: Theory, a: tuple[Series, ...],
     return worst
 
 
+def check_coverage(table: SpectrumTable, N: int) -> None:
+    """Raise UnknownSpectrumError unless the table lists every state through
+    degree N: a product of it would lack the operators it does not list,
+    and a check would report that as a failure of the identity."""
+    if not table.complete:
+        raise UnknownSpectrumError(f"{table.theory}/{table.region}: table is "
+                                   f"incomplete, its unlisted states are unknown")
+    if table.covered_degree is not None and table.covered_degree < N:
+        raise UnknownSpectrumError(
+            f"{table.theory}/{table.region}: table covers degree "
+            f"{table.covered_degree} only, below N={N}")
+
+
 def verify_wall_identity(theory: Theory, strong: SpectrumTable,
                          weak: SpectrumTable, N: int) -> tuple[bool, int]:
     """Strong product at u+ versus weak product at u-; (equal?, degree).
-
-    Raises UnknownSpectrumError when a table covers fewer degrees than N:
-    its products would lack operators it does not list, and the check
-    would report that as a failure of the identity.
-    """
+    Raises UnknownSpectrumError when either table fails check_coverage."""
     for table in (strong, weak):
-        if table.covered_degree is not None and table.covered_degree < N:
-            raise UnknownSpectrumError(
-                f"{table.theory}/{table.region}: table covers degree "
-                f"{table.covered_degree} only, below N={N}")
+        check_coverage(table, N)
     s = spectrum_auto(theory, strong, PLUS, N)
     w = spectrum_auto(theory, weak, MINUS, N)
     d = agreement_degree(theory, s, w, N)

@@ -97,6 +97,23 @@ def test_ks_oracle_reuses_the_inference_round_trip(tmp_path, monkeypatch):
     assert Ns == [6, 1, 2, 3, 4, 5, 6, 6, 6, 6]
 
 
+def test_ks_oracle_refuses_an_incomplete_table_before_any_product(
+        tmp_path, monkeypatch, capsys):
+    # nf3's hand-entered weak table lists a few states only: its product
+    # would lack the others and the check would report a false failure
+    Ns = []
+    compose = ks.compose
+
+    def counted(theory, ops, N):
+        Ns.append(N)
+        return compose(theory, ops, N)
+    monkeypatch.setattr(ks, "compose", counted)
+    code, rep = run(tmp_path, "ks-oracle", "nf3", "--N", "3", "--against-table")
+    assert (code, rep, Ns) == (2, None, [])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "UnknownSpectrumError: nf3/weak" in err[0]
+
+
 def test_numeric_subset(tmp_path):
     code, rep = run(tmp_path, "numeric", "decay_fit", "--nodes", "120")
     assert code == 0

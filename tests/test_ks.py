@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -137,15 +138,38 @@ def test_compose_builds_each_binomial_once_per_operator(monkeypatch, nf2):
     calls and 492 series_mul calls.  Every x_mu building its own would
     make 492 of each; before each peeling step was truncated at its own
     degree and the strong product built once, the counts were 208 and
-    540."""
+    540.  The series products pair 6,568 terms in all."""
     calls = {"binomial_series": 0, "series_mul": 0}
+    pairs = 0
     for name in calls:
         def counted(*args, _name=name, _f=getattr(ks, name)):
+            nonlocal pairs
             calls[_name] += 1
+            if _name == "series_mul":
+                pairs += len(args[1]) * len(args[2])
             return _f(*args)
         monkeypatch.setattr(ks, name, counted)
     ks.infer_weak_spectrum(nf2, spectrum_table("nf2", "strong"), 5)
     assert calls == {"binomial_series": 190, "series_mul": 492}
+    assert pairs == 6568
+
+
+@pytest.mark.parametrize("name", ["pentagon", "nf0", "nf1", "nf2", "nf3"])
+def test_operator_exponent_is_omega_times_pairing(name):
+    # one operator maps x_mu to x_mu (1 - sigma x_gamma)^k with
+    # k = Omega <gamma, e_mu>: compose reads each k off its pairing row
+    theory = pentagon_theory() if name == "pentagon" else theory_by_name(name)
+    signs = theory.effective_signs
+    charges = [tuple(s * x for s, x in zip(signs, e))
+               for e in product(range(3), repeat=theory.rank)]
+    for gamma in charges:
+        if not theory.is_effective(gamma) or eff_degree(theory, gamma) > 3:
+            continue
+        for omega in (-2, -1, 1, 3):
+            got = compose(theory, [(gamma, omega)], 3)
+            for mu, g in enumerate(got):
+                k = omega * theory.pair(gamma, theory.unit(mu))
+                assert g == binomial_series(theory, gamma, k, 3), (gamma, mu)
 
 
 def test_infer_builds_each_product_at_the_degree_it_reads(monkeypatch, nf0):

@@ -3,7 +3,7 @@ multipliers of the series-composition reference in ks_reference.py, its
 degree-pruned series product the reference product, and the peeling at
 per-degree truncations the entries of the reference peeling at N."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ks_reference as ref
@@ -63,12 +63,16 @@ def test_pentagon_inferred_entries_match_reference_peeling():
     assert got.entries == ref.infer_weak_entries(theory, strong.entries, 10)
 
 
+def effective_exponents(theory, top):
+    """Effective exponents and the zero one, each entry at most top in size."""
+    return st.tuples(*[st.integers(0, top)] * theory.rank).map(
+        lambda e: tuple(s * x for s, x in zip(theory.effective_signs, e)))
+
+
 def effective_series(theory):
     """Sparse series on effective exponents (and the zero exponent) of
     effective degree <= 6, with nonzero integer coefficients."""
-    span = st.integers(0, 3)
-    exponent = st.tuples(*[span] * theory.rank).map(
-        lambda e: tuple(s * x for s, x in zip(theory.effective_signs, e)))
+    exponent = effective_exponents(theory, 3)
     return st.dictionaries(exponent.filter(lambda e: eff_degree(theory, e) <= 6),
                            st.integers(-5, 5).filter(bool), max_size=8)
 
@@ -85,5 +89,32 @@ def test_pruned_series_mul_matches_reference(name):
         got = ks.series_mul(theory, a, b, N)
         assert all(type(c) is int for c in got.values())
         assert got == ref.series_mul(theory, a, b, N)
+
+    check()
+
+
+def effective_charge(theory, N):
+    """Effective charges of degree <= N + 1, non-primitive ones included
+    (a charge above N gives the identity operator)."""
+    return effective_exponents(theory, 2).filter(
+        lambda g: theory.is_effective(g) and eff_degree(theory, g) <= N + 1)
+
+
+@pytest.mark.parametrize("name", ["pentagon", *sorted(DEGREES)])
+def test_random_products_match_reference(name):
+    # Omega = 0 fixes every term, and a charge paired to zero with some
+    # x_mu (every charge with itself) leaves k = 0 terms next to k != 0 ones
+    theory = pentagon_theory() if name == "pentagon" else theory_by_name(name)
+    N = 3 if theory.rank > 3 else 4
+
+    @given(st.lists(st.tuples(effective_charge(theory, N), st.integers(-2, 2)),
+                    max_size=4).flatmap(
+        lambda states: st.permutations(states + states[:1])))
+    @example([(tuple(theory.effective_signs), 0)])
+    @example([(tuple(theory.effective_signs), 1), (theory.unit(0), -1),
+              (tuple(theory.effective_signs), 1)])
+    @settings(max_examples=100, deadline=None)
+    def check(states):
+        _assert_same_product(theory, states, N)
 
     check()
