@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .decay import conjecture_check, gmn_contribution, run_decay
+from .decay import conjecture_check, run_decay, weighted_contribution
 from .gmn import enumerate_diagrams, weight_W
 from .js import js_tree_values
 from .ks import (FactorizationError, check_coverage, infer_weak_spectrum,
@@ -112,7 +112,8 @@ def cmd_gmn(args) -> int:
         out.append({"diagram": diag.describe(),
                     "weight": str(wval),
                     "total": list(total),
-                    "contribution": repr(gmn_contribution(theory, table, diag))})
+                    "contribution": repr(weighted_contribution(theory, diag, wval,
+                                                               None))})
     report = {"command": "gmn", "theory": theory.name,
               "target": list(target), "diagrams": out}
     _emit(report, args.output)

@@ -10,7 +10,10 @@ of their accumulated charge.  Terminal single vertex diagrams contribute
 signs; sweeps that end exactly on a neighbouring ray contribute named
 singular symbols.  The total for a diagram is
 -(1/p) * W * (sum of signs + sum of signed symbols), with p the framing
-coordinate of the total charge.
+coordinate of the total charge.  Each branch carries the central charge
+on every vertex's active ray, so a ray is read from the lattice only when
+it is pushed, and the step log keeps templates and arguments, formatted
+when TraceResult.steps is read.
 
 A conjecture checker compares, per unoriented decorated tree, the sum of
 these diagram totals over framings against the tree's total in the
@@ -61,12 +64,17 @@ class SingularEndpoint:
 
 @dataclass
 class TraceResult:
-    eps_sum: Fraction = Fraction(0)
+    eps_sum: int = 0
     singular: list[SingularEndpoint] = field(default_factory=list)
-    steps: list[str] = field(default_factory=list)
     # key -> sided jump I_below - I_above (None when it could not be
     # evaluated because the completed crossing is itself singular)
     jumps: dict[str, Fraction | None] = field(default_factory=dict)
+    # each step as (template, arguments); `steps` formats them when read
+    log: list[tuple[str, tuple]] = field(default_factory=list)
+
+    @property
+    def steps(self) -> list[str]:
+        return [template.format(*args) for template, args in self.log]
 
     def bracket(self) -> Value:
         """sum of signs + sum of signed singular symbols, as a value."""
@@ -83,41 +91,32 @@ class _State:
     A plus or minus vertex's ray label is its charge: `initial` sets it
     and `_sweep` sets it again on balancing.  Only `merge` changes a
     charge, and it marks the vertex unbalanced, keeping the old charge
-    as its ray label."""
+    as its ray label.  `z` is the central charge on each vertex's active
+    ray: Z+ of its charge from `initial`, the weak-side end of its last
+    sweep from `_sweep`.  `merge` leaves it, since every reader takes
+    only its direction and a plus vertex that is folded into is pinned,
+    its Z+ on its Z- ray.  A plus vertex keeps its diagram charge, so
+    `pinned` is read once per diagram vertex and shared by every branch.
+    """
     charges: list[Charge]
     ray: list[Charge]
+    z: list[Vec2]
     status: list[str]
     parent: list[int | None]
+    pinned: list[bool]
     sign: int = 1
     pending: list[int] = field(default_factory=list)
 
     @classmethod
-    def initial(cls, diag: RootedDiagram) -> "_State":
-        return cls(list(diag.charges), list(diag.charges), [_PLUS] * diag.n,
-                   list(diag.parent))
+    def initial(cls, theory: Theory, diag: RootedDiagram) -> "_State":
+        return cls(list(diag.charges), list(diag.charges),
+                   [theory.z(PLUS, c) for c in diag.charges], [_PLUS] * diag.n,
+                   list(diag.parent), [theory.pinned(c) for c in diag.charges])
 
     def copy(self) -> "_State":
-        return _State(list(self.charges), list(self.ray), list(self.status),
-                      list(self.parent), self.sign, list(self.pending))
-
-    def alive(self) -> list[int]:
-        return [i for i, s in enumerate(self.status) if s != _DEAD]
-
-    def neighbours(self, i: int) -> list[int]:
-        out = [j for j in self.alive() if self.parent[j] == i]
-        if self.parent[i] is not None:
-            out.append(self.parent[i])
-        return out
-
-    def depth(self, i: int) -> int:
-        d = 0
-        while self.parent[i] is not None:
-            i = self.parent[i]
-            d += 1
-        return d
-
-    def active_ray(self, theory: Theory, i: int) -> Vec2:
-        return theory.z(PLUS if self.status[i] == _PLUS else MINUS, self.ray[i])
+        return _State(list(self.charges), list(self.ray), list(self.z),
+                      list(self.status), list(self.parent), self.pinned,
+                      self.sign, list(self.pending))
 
     def merge(self, moved: int, static: int) -> None:
         """Fold the moved vertex into the crossed neighbour, which keeps
@@ -125,55 +124,59 @@ class _State:
         or stops being plus here is dropped from `pending` by `_run`."""
         self.charges[static] = cadd(self.charges[static], self.charges[moved])
         self.status[static] = _UNBAL
-        for j in self.alive():
-            if j != static and self.parent[j] == moved:
-                self.parent[j] = static
-        if self.parent[static] == moved:
-            self.parent[static] = self.parent[moved]
+        parent = self.parent
+        for j, s in enumerate(self.status):
+            if s != _DEAD and j != static and parent[j] == moved:
+                parent[j] = static
+        if parent[static] == moved:
+            parent[static] = parent[moved]
         self.status[moved] = _DEAD
 
-    def frozen_key(self, theory: Theory, moving: int, end: Vec2) -> str:
+    def frozen_key(self, alive: list[int], moving: int, end: Vec2) -> str:
         """Canonical label of the frozen integral: each vertex carries its
         accumulated charge and its contour ray; the sweeping vertex sits
         exactly on the coincident ray."""
-        alive = self.alive()
-        root = next(i for i in alive if self.parent[i] is None)
         labels = [""] * len(self.charges)
         for i in alive:
-            dx, dy = direction_key(end if i == moving else self.active_ray(theory, i))
+            dx, dy = direction_key(end if i == moving else self.z[i])
             labels[i] = (f"{charge_label(self.charges[i])}@{dx},{dy}"
                          + ("!" if i == moving else ""))
-        edges = [(self.parent[j], j) for j in alive if self.parent[j] is not None]
+        parent = self.parent
+        root = next(i for i in alive if parent[i] is None)
+        edges = [(parent[j], j) for j in alive if parent[j] is not None]
         return encode(root, -1, adjacency(len(self.charges), edges), labels)[0]
 
 
-def _sweep(theory: Theory, st: _State, i: int, out: list[_State],
-           result: TraceResult) -> None:
+def _sweep(theory: Theory, st: _State, i: int, alive: list[int],
+           out: list[_State], result: TraceResult) -> None:
     """Push vertex i's ray from its active ray to the weak-side ray of its
-    accumulated charge.
+    accumulated charge; `alive` lists the branch's live vertices.
 
     Each strict crossing of a neighbour's active ray appends a residue
     branch to `out`.  Then, unless the sweep is singular (ends on an
     active ray), `st` itself follows them with vertex i balanced on its
     weak-side ray.
     """
-    start = st.active_ray(theory, i)
+    start = st.z[i]
     end = theory.z(MINUS, st.charges[i])
+    status, parent, up = st.status, st.parent, st.parent[i]
+    neighbours = [j for j in alive if parent[j] == i]
+    if up is not None:
+        neighbours.append(up)
     crossings: list[tuple[int, int]] = []
     singular = False
-    for j in st.neighbours(i):
-        if st.status[j] == _PLUS and not theory.pinned(st.charges[j]):
+    for j in neighbours:
+        if status[j] == _PLUS and not st.pinned[j]:
             # not yet pushed; a ray still moving with the wall cannot
             # interact unless it is pinned (same position on both sides)
             continue
-        tgt = st.active_ray(theory, j)
-        rel = 1 if st.parent[i] == j else -1
+        rel = 1 if up == j else -1
         try:
-            sense = sweep_crossing(start, end, tgt)
+            sense = sweep_crossing(start, end, st.z[j])
         except RayCoincidenceError:
             # the sweep ends on the target ray: its rotation sense is the side
             side = BELOW if cross(start, end) > 0 else ABOVE
-            key = st.frozen_key(theory, i, end)
+            key = st.frozen_key(alive, i, end)
             result.singular.append(
                 SingularEndpoint(key=key, side=side, coeff=st.sign))
             if key not in result.jumps:
@@ -186,8 +189,8 @@ def _sweep(theory: Theory, st: _State, i: int, out: list[_State],
                 _run(theory, [merged], sub)
                 result.jumps[key] = (CCW * rel * sub.eps_sum
                                      if not sub.singular else None)
-            result.steps.append(f"singular: vertex {i} onto ray of {j} "
-                                f"({side}), coeff={st.sign}")
+            result.log.append(("singular: vertex {} onto ray of {} ({}), coeff={}",
+                               (i, j, side, st.sign)))
             singular = True
             continue
         if sense is not None:
@@ -197,19 +200,32 @@ def _sweep(theory: Theory, st: _State, i: int, out: list[_State],
         branch.sign *= eps
         branch.merge(i, j)
         out.append(branch)
-        result.steps.append(f"residue: vertex {i} crossed {j}, "
-                            f"branch sign {branch.sign}")
+        result.log.append(("residue: vertex {} crossed {}, branch sign {}",
+                           (i, j, branch.sign)))
     if not singular:
         st.ray[i] = st.charges[i]
-        st.status[i] = _MINUS
+        st.z[i] = end
+        status[i] = _MINUS
         out.append(st)
 
 
 def run_decay(theory: Theory, diag: RootedDiagram) -> TraceResult:
     """Run the decay process to termination over all branches."""
     result = TraceResult()
-    _run(theory, [_State.initial(diag)], result)
+    _run(theory, [_State.initial(theory, diag)], result)
     return result
+
+
+def _depths(parent: list[int | None], vertices: list[int]) -> dict[int, int]:
+    """Depth of each of the vertices below the branch's root."""
+    depth = {}
+    for k in vertices:
+        d, v = 0, parent[k]
+        while v is not None:
+            v = parent[v]
+            d += 1
+        depth[k] = d
+    return depth
 
 
 def _run(theory: Theory, stack: list[_State], result: TraceResult) -> None:
@@ -221,38 +237,51 @@ def _run(theory: Theory, stack: list[_State], result: TraceResult) -> None:
     plus vertices become the pending batch in the same pass.  That is the
     nesting of the iterated integral, so it is the only order: pushing
     leaves first agrees with it on one-edge diagrams only.  A branch with
-    no plus vertex left is terminal."""
+    no plus vertex left is terminal.  Each pass lists the live vertices
+    once, and works out the depths it compares once."""
+    log = result.log
     while stack:
         st = stack.pop()
-        alive = st.alive()
-        st.pending = [k for k in st.pending if st.status[k] == _PLUS]
-        unbal = [k for k in alive if st.status[k] == _UNBAL]
-        if not st.pending and not unbal:
-            plus = [k for k in alive if st.status[k] == _PLUS]
-            top = min((st.depth(k) for k in plus), default=0)
-            st.pending = [k for k in plus if st.depth(k) == top]
-        if st.pending:
-            i = st.pending.pop(0)
-            result.steps.append(f"promote {i} {st.charges[i]}")
-        elif unbal:
-            i = min(unbal, key=lambda k: (st.depth(k), k))
-            result.steps.append(f"rebalance {i} {st.ray[i]} -> {st.charges[i]}")
+        status = st.status
+        alive = [k for k, s in enumerate(status) if s != _DEAD]
+        pending = st.pending = [k for k in st.pending if status[k] == _PLUS]
+        unbal = [] if pending else [k for k in alive if status[k] == _UNBAL]
+        if not pending and not unbal:
+            plus = [k for k in alive if status[k] == _PLUS]
+            if not plus:
+                if len(alive) == 1:
+                    result.eps_sum += st.sign
+                    log.append(("terminal singleton {}, sign {}",
+                                (st.charges[alive[0]], st.sign)))
+                else:
+                    log.append(("terminal non-singleton ({} vertices), discarded",
+                                (len(alive),)))
+                continue
+            depth = _depths(st.parent, plus)
+            top = min(depth.values())
+            pending.extend(k for k in plus if depth[k] == top)
+        if pending:
+            i = pending.pop(0)
+            log.append(("promote {} {}", (i, st.charges[i])))
         else:
-            if len(alive) == 1:
-                result.eps_sum += st.sign
-                result.steps.append(
-                    f"terminal singleton {st.charges[alive[0]]}, sign {st.sign}")
-            else:
-                result.steps.append(
-                    f"terminal non-singleton ({len(alive)} vertices), discarded")
-            continue
-        _sweep(theory, st, i, stack, result)
+            depth = _depths(st.parent, unbal)
+            i = min(unbal, key=lambda k: (depth[k], k))
+            log.append(("rebalance {} {} -> {}", (i, st.ray[i], st.charges[i])))
+        _sweep(theory, st, i, alive, stack, result)
 
 
 def gmn_contribution(theory: Theory, table: SpectrumTable, diag: RootedDiagram,
                      trace: TraceResult | None = None) -> Value:
     """Contribution of one framed diagram to the weak-side invariant."""
-    w, _ = weight_W(theory, table, diag)
+    return weighted_contribution(theory, diag, weight_W(theory, table, diag)[0],
+                                 trace)
+
+
+def weighted_contribution(theory: Theory, diag: RootedDiagram, w: Fraction,
+                          trace: TraceResult | None) -> Value:
+    """gmn_contribution of a diagram whose weight_W coefficient is w, for a
+    caller that reports the weight too; the decay runs unless `trace`
+    holds its result."""
     if w == 0:
         return Value.zero()
     p = diag.total()[theory.root_index]

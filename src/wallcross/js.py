@@ -2,7 +2,9 @@
 into strong-coupling multiples, and labelled-tree weights.
 
 Slopes: s(gamma) is the phase of Z_gamma on the strong side (u+), w(gamma)
-on the weak side (u-).  All comparisons are exact.
+on the weak side (u-).  All comparisons are exact.  The per-tree values
+build each multiset's supported slot trees, weights and keys once and
+sum its orderings over them.
 """
 from __future__ import annotations
 
@@ -316,6 +318,24 @@ class TreeValue:
     total: Value
 
 
+def _slot_bits(alphas: tuple[Charge, ...]) -> tuple[list[list[int]], int]:
+    """Slot-pair bits of an ordering, and its inversion mask.
+
+    The slots are the positions of the sorted multiset, equal parts taking
+    theirs in the order they occur; slot pair s < t is bit s n + t, and
+    bits[i][j] is the bit of the slot pair at positions i and j.  The mask
+    has the bits of the slot pairs the ordering puts in the order t, s.
+    An edge weight <alpha_i, alpha_j> is the slot weight of that pair,
+    negated when the pair is inverted."""
+    n = len(alphas)
+    slot = [0] * n
+    for s, i in enumerate(sorted(range(n), key=alphas.__getitem__)):
+        slot[i] = s
+    bits = [[1 << (min(s, t) * n + max(s, t)) for t in slot] for s in slot]
+    return bits, sum(bits[i][j] for i, j in combinations(range(n), 2)
+                     if slot[i] > slot[j])
+
+
 def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
                    max_vertices: int | None = None) -> dict[str, TreeValue]:
     """Wall-crossing sum grouped by underlying unoriented decorated tree,
@@ -325,49 +345,41 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
     The values are coefficients of sigma(target), as are the
     decay-calculus contributions they are compared with.
 
-    Every ordering of one multiset puts its tree on the same vertex set,
-    the slots of the sorted multiset (equal parts take their slots in the
-    order they occur), so the canonical key is computed once per slot
-    tree, not once per ordering: a tree is the bit set of its slot edges.
-    Within a decomposition the integer edge-weight products are summed
-    per key, so there is one Fraction multiply-add per (decomposition,
-    tree key).
+    Every ordering of one multiset puts its trees on the same vertex set,
+    the slots of the sorted multiset (see _slot_bits), and supports the
+    same slot trees.  So the first ordering of a multiset walks its own
+    supported trees once, in their order, and records each as a slot
+    tree: its bit set of slot pairs, its slot weight product P and its
+    canonical key.  An ordering with inversion mask inv then weighs a slot
+    tree with mask m as P (-1)^popcount(m & inv).  The integer weights are
+    summed per key, so there is one Fraction multiply-add per
+    (decomposition, tree key).
     """
     # tree key -> [charges, edges, total]
     trees: dict[str, list] = {}
-    # multiset -> (slot edges -> tree key)
-    slot_keys: dict[tuple[Charge, ...], dict[int, str]] = {}
+    # multiset -> [(tree key, [(slot mask, P), ...]), ...]
+    slot_trees: dict[tuple[Charge, ...], list] = {}
     for alphas, weights, base in _weighted_decompositions(theory, table,
                                                           target, max_vertices):
-        n = len(alphas)
         ms = tuple(sorted(alphas))
-        taken = Counter()
-        slot = []
-        for a in alphas:
-            slot.append(ms.index(a) + taken[a])
-            taken[a] += 1
-        edge_bit = {(i, j): 1 << (min(slot[i], slot[j]) * n
-                                  + max(slot[i], slot[j]))
-                    for i, j in combinations(range(n), 2)}
-        edge_weight = {(i, j): weights[i][j] for i, j in edge_bit}
-        keys = slot_keys.setdefault(ms, {})
-        charges = list(alphas)
-        # tree key -> [first edges, summed edge weights]
-        sums: dict[str, list] = {}
-        for edges in _supported_trees(weights):
-            slot_edges = sum(map(edge_bit.__getitem__, edges))
-            key = keys.get(slot_edges)
-            if key is None:
-                key = keys[slot_edges] = canon_unoriented(n, edges, charges)
-            w = prod(map(edge_weight.__getitem__, edges))
-            if key in sums:
-                sums[key][1] += w
-            else:
-                sums[key] = [edges, w]
-        for key, (edges, w) in sums.items():
-            if key not in trees:
-                trees[key] = [charges, list(edges), Fraction(0)]
-            trees[key][2] += base * w
+        bits, inv = _slot_bits(alphas)
+        groups = slot_trees.get(ms)
+        if groups is None:
+            n, charges = len(alphas), list(alphas)
+            by_key: dict[str, list] = {}
+            for edges in _supported_trees(weights):
+                mask = sum(bits[i][j] for i, j in edges)
+                w = prod(weights[i][j] for i, j in edges)
+                key = canon_unoriented(n, edges, charges)
+                if key not in trees:
+                    trees[key] = [charges, list(edges), Fraction(0)]
+                by_key.setdefault(key, []).append(
+                    (mask, -w if (mask & inv).bit_count() & 1 else w))
+            groups = slot_trees[ms] = list(by_key.items())
+        for key, members in groups:
+            w = sum(-p if (m & inv).bit_count() & 1 else p for m, p in members)
+            if w:
+                trees[key][2] += base * w
     return {key: TreeValue(list(charges), edges, Value.rational(total))
             for key, (charges, edges, total) in trees.items() if total}
 

@@ -5,7 +5,8 @@ A Value is a Q-linear combination of monomials, each a symbol name or
 None for the rational part.  Every exact value of the package is a
 coefficient of the quadratic refinement sigma(target) of its target
 charge, so no refinement unit appears here.  Products of two named
-symbols are not needed anywhere and raise.
+symbols are not needed anywhere and raise.  The exact solver runs the
+Gauss-Jordan elimination on sparse rows, with the dense one's pivots.
 """
 from __future__ import annotations
 
@@ -137,27 +138,48 @@ def solve_linear(equations: list[tuple[dict[str, Fraction], Fraction]],
     is inconsistent.  Returns the pivot unknowns, in pivot order, at
     their values with every free unknown fixed to zero; the free ones
     are those left out (see free_unknowns).
+
+    Rows are sparse, column -> nonzero coefficient, since each equation
+    names a few of the unknowns.  Columns are taken in order, the pivot
+    row is the first remaining one with a nonzero in the column and is
+    swapped into place, as in the dense elimination; only rows holding
+    the column are reduced, and only at the pivot row's columns.
     """
-    rows = [[eq.get(u, _Q(0)) for u in unknowns] + [rhs] for eq, rhs in equations]
+    col = {u: c for c, u in enumerate(unknowns)}
+    rows = [{col[u]: v for u, v in eq.items() if v and u in col}
+            for eq, _ in equations]
+    rhs = [_Q(b) for _, b in equations]
     pivots: list[int] = []
     for c in range(len(unknowns)):
         r = len(pivots)
         if r == len(rows):
             break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        pivot = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        rhs[r], rhs[pivot] = rhs[pivot], rhs[r]
+        row = rows[r]
+        piv = row[c]
+        if piv != 1:
+            for k in row:
+                row[k] /= piv
+            rhs[r] /= piv
+        for i, other in enumerate(rows):
+            f = other.get(c)
+            if f is None or i == r:
+                continue
+            for k, v in row.items():
+                x = other.get(k, 0) - f * v
+                if x:
+                    other[k] = x
+                else:
+                    del other[k]
+            rhs[i] -= f * rhs[r]
         pivots.append(c)
-    if any(row[-1] for row in rows[len(pivots):]):
+    if any(rhs[len(pivots):]):
         raise ValueError("inconsistent singular-symbol system")
-    return {unknowns[c]: rows[i][-1] for i, c in enumerate(pivots)}
+    return {unknowns[c]: rhs[i] for i, c in enumerate(pivots)}
 
 
 def free_unknowns(solution: dict[str, Fraction],

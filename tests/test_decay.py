@@ -3,10 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from wallcross import decay
+from wallcross import cli, decay
 from wallcross.cli import main
 from wallcross.decay import conjecture_check, gmn_contribution, run_decay
-from wallcross.gmn import enumerate_diagrams
+from wallcross.gmn import enumerate_diagrams, weight_W
 from wallcross.symbolic import Value
 from wallcross.spectrum import spectrum_table
 from wallcross.lattice import theory_by_name
@@ -139,6 +139,22 @@ def test_conjecture_and_gmn_reports_are_frozen(capsys, argv):
     frozen = DATA / (f"{cmd.replace('-', '_')}_{name}_{target.replace(',', '_')}"
                      + ("_mv5" if bound else "") + ".json")
     assert capsys.readouterr().out == frozen.read_text()
+
+
+def test_gmn_weighs_each_diagram_once(monkeypatch, capsys):
+    # the report's weight and contribution come from one weight_W call
+    # per diagram: nf0 3,4 has 92 diagrams
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return weight_W(*args)
+
+    monkeypatch.setattr(cli, "weight_W", counted)
+    monkeypatch.setattr(decay, "weight_W", counted)
+    assert main(["gmn", "nf0", "3,4"]) == 0
+    assert capsys.readouterr().out == (DATA / "gmn_nf0_3_4.json").read_text()
+    assert len(calls) == 92
 
 
 def test_merge_finds_balanced_labels_equal_to_charges(monkeypatch):

@@ -193,6 +193,31 @@ def test_weight_table_parity_is_the_sigma_fold(case):
     assert _parity_sign(weights) == theory.sigma_reduce(alphas)[0], alphas
 
 
+@given(part_sequences())
+@settings(max_examples=200, deadline=None)
+def test_slot_tree_sign_is_the_inversion_parity(case):
+    # js_tree_values weighs a supported slot tree of the sorted multiset,
+    # in any ordering, as its slot weight product P times the parity of
+    # its slot pairs that the ordering inverts
+    theory, alphas = case
+    alphas, ms = tuple(alphas), tuple(sorted(alphas))
+    slot_weights = _edge_weights(theory, ms, {})
+    slot_bits, unsorted = js._slot_bits(ms)
+    assert unsorted == 0
+    bits, inv = js._slot_bits(alphas)
+    weights = _edge_weights(theory, alphas, {})
+    # pos[s] is the position of slot s: equal parts keep their order
+    pos = [[p for p, b in enumerate(alphas) if b == a][s - ms.index(a)]
+           for s, a in enumerate(ms)]
+    for edges in js._supported_trees(slot_weights):
+        mask = sum(slot_bits[s][t] for s, t in edges)
+        p = prod(slot_weights[s][t] for s, t in edges)
+        moved = [tuple(sorted((pos[s], pos[t]))) for s, t in edges]
+        assert sum(bits[i][j] for i, j in moved) == mask, alphas
+        assert (p * (-1) ** (mask & inv).bit_count()
+                == prod(weights[i][j] for i, j in moved)), alphas
+
+
 @pytest.mark.parametrize("target, unoriented", [((3, 3), 114), ((2, 3), 20)])
 def test_tree_values_canonicalise_once_per_slot_tree(monkeypatch, target,
                                                      unoriented):

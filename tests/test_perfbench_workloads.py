@@ -4,7 +4,9 @@ perfbench/workloads.py calls library names (for example
 ``Value.sign_unit`` and ``Theory.sigma_trivial``) that no library code
 needs.  A benchmark run counts a task that raises as failed, so a broken
 name would only lower its correct fraction; this test makes it fail the
-test suite instead.
+test suite instead.  Likewise a traced run reports a per-layer metric
+that never fires on its home workload; the traced worker test makes a
+library change that silences one fail here.
 """
 import importlib.util
 import json
@@ -21,6 +23,14 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # the one conjecture task that fails on the current code
 FAILING_CONJECTURE_TASKS = {"nf1:2,1,-1"}
 WORKER_TIMEOUT_S = 60
+
+# counts of one traced conjecture pass that no speed-up may change: what
+# the check computes, not how
+CONJECTURE_COUNTS = {
+    "gmn.diagrams": 132, "decay.runs": 132, "decay.singular": 173,
+    "decay.jumps": 147, "symbolic.equations": 62, "symbolic.unknowns": 81,
+    "symbolic.free_symbols": 36, "js.u_calls": 472, "js.s_calls": 798,
+    "trees.canon_calls": 410}
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +95,34 @@ def test_worker_passes_match_their_references(workloads, seed):
         assert not {t for t, (kind, _) in outcomes.items() if kind == "wrong"}, name
         raised |= {t for t, (kind, _) in outcomes.items() if kind == "raised"}
     assert raised == FAILING_CONJECTURE_TASKS
+
+
+def _worker(name, mode, seed):
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), name, mode, str(seed)],
+        capture_output=True, text=True, timeout=WORKER_TIMEOUT_S,
+        env={**os.environ, "PYTHONHASHSEED": str(seed)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_traced_worker_passes_fire_every_home_metric(workloads):
+    # a traced benchmark run fails when a per-layer metric never fires on
+    # a workload it names as home, or when a traced output differs from
+    # an untraced one: the same worker passes are checked here
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name in workloads.WORKLOADS:
+        traced = _worker(name, "trace", 3)
+        assert traced["outcomes"] == _worker(name, "pass", 3)["outcomes"], name
+        rec = tracer.Recorder()
+        rec.add(traced["trace"])
+        values = {metric: value(rec, 1)
+                  for metric, _, _, homes, value in tracer.LAYER_METRICS
+                  if name in homes}
+        assert values, name
+        assert [m for m, v in values.items() if not v] == [], name
+        if name == "conjecture":
+            assert {m: values[m] for m in CONJECTURE_COUNTS} == CONJECTURE_COUNTS
