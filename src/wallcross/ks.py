@@ -8,7 +8,14 @@ and weak products must agree; conversely the weak exponents can be
 peeled off degree by degree from the strong product.
 
 Series are sparse maps charge-exponent -> int (every coefficient is an
-integer), truncated at total effective degree N.  A product is stored by
+integer), truncated at total effective degree N.  Inside a product they
+are keyed by one packed int per exponent (see pack): field i holds
+s_i e_i, for the effective signs s, and the top field the effective
+degree.  Every exponent there is a sum of effective charges, so each
+field is at most the degree, which is at most N <= MAX_N and fits its
+WIDTH bits: the key of a sum is the sum of the keys, a pair of terms
+costs one int addition and the degree test one comparison, and compose
+unpacks its multipliers once at the end.  A product is stored by
 its multipliers G_mu with x_mu -> x_mu * G_mu, and is built by applying
 each operator to the current terms of x_mu G_mu one group of equal
 exponent at a time, so no series is ever substituted into another.
@@ -22,18 +29,21 @@ by the wall identity check instead of reported as a failed identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .lattice import MINUS, PLUS, Charge, Theory
 from .spectrum import WEAK, SpectrumTable, UnknownSpectrumError
 
 Series = dict[Charge, int]
+Packed = dict[int, int]
 
 # largest truncation degree: the costliest run, `ks-oracle nf3 --N 24`
-# (inference only: nf3 has no complete weak table), takes about 16.5 s
-# on a 2-vCPU machine, 2.4 times its time at N = 20; the costliest
-# `--against-table` run, nf2 at N = 24, takes 4.5-6 s
+# (inference only: nf3 has no complete weak table), takes 13-14 s on a
+# 2-vCPU machine, 2.6 times its time at N = 20; the costliest
+# `--against-table` run, nf2 at N = 24, takes 3.3-3.5 s
 MAX_N = 24
+# bits per field of a packed exponent key: no field exceeds N <= MAX_N
+WIDTH = MAX_N.bit_length()
 
 
 class FactorizationError(Exception):
@@ -42,6 +52,23 @@ class FactorizationError(Exception):
 
 def eff_degree(theory: Theory, e: Charge) -> int:
     return sum(map(mul, theory.effective_signs, e))
+
+
+def pack(theory: Theory, e: Charge) -> int:
+    """Key of an effective exponent (or of zero) of degree at most MAX_N:
+    field i holds s_i e_i and the top field the effective degree."""
+    fields = list(map(mul, theory.effective_signs, e))
+    key = sum(fields)
+    for f in reversed(fields):
+        key = (key << WIDTH) + f
+    return key
+
+
+def unpack(theory: Theory, key: int) -> Charge:
+    """The exponent of a key (inverse of pack)."""
+    mask = (1 << WIDTH) - 1
+    return tuple(s * ((key >> i * WIDTH) & mask)
+                 for i, s in enumerate(theory.effective_signs))
 
 
 def series_sub(a: Series, b: Series) -> Series:
@@ -53,34 +80,35 @@ def series_sub(a: Series, b: Series) -> Series:
     return out
 
 
-def series_mul(theory: Theory, a: Series, b: Series, N: int) -> Series:
+def series_mul(theory: Theory, a: Packed, b: Packed, N: int) -> Packed:
     """a * b through effective degree N.
 
-    The degree of a product term is the sum of its factors' degrees, so
-    each term's degree is computed once and a pair over N is skipped
-    before its exponent is formed: b is scanned in increasing degree and
-    the scan stops at the first term over the budget left by a's term.
+    A pair of terms is kept iff its key sum is below (N + 1) in the degree
+    field, since the fields of a kept pair add without carries; b is
+    scanned in increasing key, so in increasing degree, and the scan stops
+    at the first pair over N.
     """
-    signs = theory.effective_signs
-    bs = sorted((sum(map(mul, signs, eb)), eb, cb) for eb, cb in b.items())
-    out: Series = {}
-    for ea, ca in a.items():
-        budget = N - sum(map(mul, signs, ea))
-        for db, eb, cb in bs:
-            if db > budget:
+    top = (N + 1) << theory.rank * WIDTH
+    bs = sorted(b.items())
+    out: Packed = {}
+    for ka, ca in a.items():
+        room = top - ka
+        for kb, cb in bs:
+            if kb >= room:
                 break
-            e = tuple(map(add, ea, eb))
+            e = ka + kb
             out[e] = out.get(e, 0) + ca * cb
     return {e: c for e, c in out.items() if c}
 
 
-def binomial_series(theory: Theory, gamma: Charge, k: int, N: int) -> Series:
+def binomial_series(theory: Theory, gamma: Charge, k: int, N: int) -> Packed:
     """(1 - sigma(gamma) x_gamma)^k through effective degree N, for any
     integer k (generalised binomial coefficients when k < 0)."""
     if not theory.is_effective(gamma):
         raise ValueError(f"{gamma} is not effective")
-    deg, sg = eff_degree(theory, gamma), theory.sigma_value(gamma)
-    out: Series = {(0,) * len(gamma): 1}
+    key, deg = pack(theory, gamma), eff_degree(theory, gamma)
+    sg = theory.sigma_value(gamma)
+    out: Packed = {0: 1}
     c, j = 1, 0
     while (j + 1) * deg <= N:
         # C(k, j+1) = C(k, j) (k-j) / (j+1) is an integer, so // is exact
@@ -88,7 +116,7 @@ def binomial_series(theory: Theory, gamma: Charge, k: int, N: int) -> Series:
         j += 1
         if not c:
             break
-        out[tuple(j * x for x in gamma)] = c
+        out[j * key] = c
     return out
 
 
@@ -100,26 +128,37 @@ def compose(theory: Theory, states: list[tuple[Charge, int]],
     back to T_1 multiplies every current term x^{mu+e} by
     (1 - sigma x_gamma)^{Omega <gamma, mu+e>}.
     """
-    mults: list[Series] = [{theory.zero(): 1} for _ in range(theory.rank)]
+    if N > MAX_N:
+        raise ValueError(f"truncation degree N must be at most {MAX_N}, got {N}")
+    for gamma, _ in states:
+        if not theory.is_effective(gamma):
+            raise ValueError(f"{gamma} is not effective")
+    mults: list[Packed] = [{0: 1} for _ in range(theory.rank)]
+    # key -> exponent of every term met, to read its pairings
+    exps = {0: theory.zero()}
     for gamma, omega in reversed(states):
         # p_j = Omega <gamma, e_j>, read off the pairing's columns
         p = [omega * sum(map(mul, gamma, col)) for col in zip(*theory.pairing)]
         # k -> (1 - sigma x_gamma)^k, shared by every x_mu
-        binomials: dict[int, Series] = {}
+        binomials: dict[int, Packed] = {}
         for mu, g in enumerate(mults):
-            groups: dict[int, Series] = {}
-            for e, c in g.items():
+            groups: dict[int, Packed] = {}
+            for key, c in g.items():
+                e = exps.get(key)
+                if e is None:
+                    e = exps[key] = unpack(theory, key)
                 k = p[mu] + sum(map(mul, p, e))
-                groups.setdefault(k, {})[e] = c
+                groups.setdefault(k, {})[key] = c
             # the k = 0 terms are fixed by the operator
-            out: Series = groups.pop(0, {})
+            out: Packed = groups.pop(0, {})
             for k, terms in groups.items():
                 if k not in binomials:
                     binomials[k] = binomial_series(theory, gamma, k, N)
-                for e, c in series_mul(theory, terms, binomials[k], N).items():
-                    out[e] = out.get(e, 0) + c
-            mults[mu] = {e: c for e, c in out.items() if c}
-    return tuple(mults)
+                for key, c in series_mul(theory, terms, binomials[k], N).items():
+                    out[key] = out.get(key, 0) + c
+            mults[mu] = {key: c for key, c in out.items() if c}
+    return tuple({exps.get(key) or unpack(theory, key): c for key, c in g.items()}
+                 for g in mults)
 
 
 def _phase_sorted(theory: Theory, region: str,

@@ -151,10 +151,20 @@ def propagator(zctx: ZContext, tree, zeta, spec: QuadratureSpec = DEFAULT_SPEC,
     is the rho kernel applied to it.
 
     ray_z overrides the integration-ray direction of the root (used when
-    probing contour moves); the integrand still uses the true Z.
+    probing contour moves); the integrand still uses the true Z.  A point
+    of zeta on a node of the root's ray raises ValueError.
     """
+    zeta = np.asarray(zeta)
     pts, f = _ray_integrand(zctx, _frozen(tree), spec, ray_z)
-    return _apply_kernel(np.asarray(zeta), pts, f)
+    # the Cauchy kernel 1 / (tau - sigma) is singular on the root's nodes;
+    # |tau| increases along the ray, so each zeta meets one candidate node
+    near = np.searchsorted(np.abs(pts), np.abs(zeta))
+    on_node = pts[np.minimum(near, len(pts) - 1)] == zeta
+    if on_node.any():
+        raise ValueError(f"zeta = {complex(zeta[on_node][0])} lies on a "
+                         f"quadrature node of the integration ray of "
+                         f"{tuple(tree[0])}, where the rho kernel is singular")
+    return _apply_kernel(zeta, pts, f)
 
 
 def _frozen(tree):
@@ -259,7 +269,8 @@ def residue_move_check(zctx: ZContext, delta: tuple[int, ...],
     single integral of x_sf of the sum along ell_delta.  ray_plus and
     ray_minus are Z-values whose rays straddle ell_delta, ray_plus
     counterclockwise of it (the two near-wall positions of the gm-ray).
-    Returns (lhs, rhs, |lhs-rhs|).
+    Returns (lhs, rhs, |lhs-rhs|); raises ValueError when rhs underflows
+    to 0, where the relative residual is undefined.
     """
     p1, d1 = ray_points(zctx.z(delta), spec)
 
@@ -271,6 +282,10 @@ def residue_move_check(zctx: ZContext, delta: tuple[int, ...],
     lhs = double(ray_plus) - double(ray_minus)
     total = tuple(a + b for a, b in zip(delta, gm))
     rhs = np.sum(rho(zeta, p1) * zctx.x_sf(total, p1) * d1) * 2 / (4j * math.pi)
+    if rhs == 0:
+        raise ValueError(f"at R = {zctx.R} x_sf underflows to 0 on the ray of "
+                         f"{delta}, so the residue move's relative residual "
+                         f"|lhs - rhs| / |rhs| is 0/0")
     return lhs, rhs, abs(lhs - rhs)
 
 

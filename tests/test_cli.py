@@ -179,29 +179,38 @@ def test_numeric_rejects_zero_zeta(tmp_path, capsys, check):
     assert capsys.readouterr().err.startswith("config error: zeta")
 
 
-def _on_a_decay_fit_node():
-    # --zeta-re/--zeta-im exactly on a node of the ray of Z_(1,0) that the
-    # decay_fit chain integrates over at --nodes 40
+def _decay_fit_node():
+    # a node of the ray of Z_(1,0) that the decay_fit chain integrates over
+    # at --nodes 40
     spec = tba.QuadratureSpec(nodes=40)
     zc = tba.near_wall_context(R=3.0, scale=0.1)
-    p = tba.ray_points(zc.z((1, 0)), spec)[0][20]
-    return ("--nodes", "40", "--zeta-re", repr(float(p.real)),
-            "--zeta-im", repr(float(p.imag)))
+    return complex(tba.ray_points(zc.z((1, 0)), spec)[0][20])
+
+
+def _on_a_decay_fit_node():
+    # --zeta-re/--zeta-im exactly on that node
+    p = _decay_fit_node()
+    return ("--nodes", "40", "--zeta-re", repr(p.real),
+            "--zeta-im", repr(p.imag))
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("--R", "1e10"), "residue_move gave a non-finite result: the quadrature "
-                      "left the floating-point range"),
+    (("--R", "1e10"), "at R = 10000000000.0 x_sf underflows to 0 on the ray "
+                      "of (1, 0), so the residue move's relative residual "
+                      "|lhs - rhs| / |rhs| is 0/0"),
     (("decay_fit", *_on_a_decay_fit_node()),
-     "decay_fit gave a non-finite result: the quadrature left the "
-     "floating-point range"),
+     f"zeta = {_decay_fit_node()} lies on a quadrature node of the "
+     "integration ray of (1, 0), where the rho kernel is singular"),
     (("--T", "800"), f"T must be at most {tba.MAX_T}, got 800.0"),
     (("--T", "500"), f"T must be at most {tba.MAX_T}, got 500.0"),
-    (("decay_fit", "--T", "500"), f"T must be at most {tba.MAX_T}, got 500.0")])
+    (("decay_fit", "--T", "500"), f"T must be at most {tba.MAX_T}, got 500.0"),
+    (("--R", "60"), "at R = 60.0 x_sf underflows to 0 on the ray of (1, 0), "
+                    "so the residue move's relative residual |lhs - rhs| / "
+                    "|rhs| is 0/0")])
 def test_numeric_overflow_is_bad_input(tmp_path, capsys, argv, message):
-    # At R = 1e10 x_sf underflows to 0 on every node, so residue_move's
-    # relative residual is 0/0.  With zeta on a ray node the Cauchy kernel
-    # divides by zero.  T above tba.MAX_T is refused before any check runs:
+    # From R = 60 x_sf underflows to 0 on every node, so residue_move's
+    # relative residual would be 0/0.  With zeta on a ray node the Cauchy
+    # kernel would divide by zero.  T above tba.MAX_T is refused before any check runs:
     # from T = 354 the dense rho overflows to nan, and at T = 800 exp(-T)
     # puts ray nodes on zeta' = 0.  None is a failed check, and none may
     # print a warning, a traceback, NaN in a report or CSV rows

@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from wallcross import ks
+from wallcross.cli import main
 from wallcross.ks import (binomial_series, compose, eff_degree,
                           infer_weak_spectrum, series_mul, verify_wall_identity)
 from wallcross.lattice import PLUS, Theory, theory_by_name
@@ -11,26 +13,36 @@ from wallcross.spectrum import (SpectrumTable, UnknownSpectrumError,
                                 spectrum_table)
 
 N = 8
+DATA = Path(__file__).parent / "data"
 
 
 def identity(theory):
     return tuple({theory.zero(): 1} for _ in range(theory.rank))
 
 
+def packed(theory, s):
+    return {ks.pack(theory, e): c for e, c in s.items()}
+
+
+def unpacked(theory, s):
+    return {ks.unpack(theory, key): c for key, c in s.items()}
+
+
 def test_series_arithmetic(nf0):
-    a = {(0, 0): 1, (1, 0): 2}
+    a = packed(nf0, {(0, 0): 1, (1, 0): 2})
     sq = series_mul(nf0, a, a, N)
-    assert sq == {(0, 0): 1, (1, 0): 4, (2, 0): 4}
-    assert series_mul(nf0, sq, {(0, 0): 1, (1, 1): 1}, 2) == {
+    assert unpacked(nf0, sq) == {(0, 0): 1, (1, 0): 4, (2, 0): 4}
+    one_plus_g = packed(nf0, {(0, 0): 1, (1, 1): 1})
+    assert unpacked(nf0, series_mul(nf0, sq, one_plus_g, 2)) == {
         (0, 0): 1, (1, 0): 4, (2, 0): 4, (1, 1): 1}
 
 
 def test_series_pow_truncates(nf0):
     # (1 - x_d)^5 through degree 3: sigma(d) = 1, coefficient of x_d^3 is -10
-    p = binomial_series(nf0, (1, 0), 5, 3)
+    p = unpacked(nf0, binomial_series(nf0, (1, 0), 5, 3))
     assert p == {(0, 0): 1, (1, 0): -5, (2, 0): 10, (3, 0): -10}
     # (1 - x_g)^-3 with g of degree 2: C(-3, 2) = 6 at x_g^2 = degree 4
-    q = binomial_series(nf0, (1, 1), -3, 5)
+    q = unpacked(nf0, binomial_series(nf0, (1, 1), -3, 5))
     assert q == {(0, 0): 1, (1, 1): 3, (2, 2): 6}
     with pytest.raises(ValueError):
         binomial_series(nf0, (1, -1), 1, 3)
@@ -41,9 +53,41 @@ def test_binomial_series_inverse(k, nf0, nf1):
     for theory, gamma in ((nf0, (1, 0)), (nf0, (1, 2)), (nf1, (1, 1, -1))):
         a = binomial_series(theory, gamma, k, N)
         b = binomial_series(theory, gamma, -k, N)
-        assert all(eff_degree(theory, e) <= N for e in a)
+        assert all(eff_degree(theory, e) <= N for e in unpacked(theory, a))
         assert all(type(c) is int for c in a.values())
-        assert series_mul(theory, a, b, N) == {theory.zero(): 1}
+        assert unpacked(theory, series_mul(theory, a, b, N)) == {
+            theory.zero(): 1}
+
+
+@pytest.mark.parametrize("name,gamma,omega", [
+    ("nf2", (1, -1, 0, 0), 1), ("nf0", (1, -1), 2), ("nf1", (0, 0, 1), 1),
+    ("nf0", (0, 0), 1), ("nf0", (1, -1), 0)])
+def test_compose_refuses_a_non_effective_state(name, gamma, omega):
+    # (1, -1, 0, 0) pairs to 0 with every basis vector of nf2, so no
+    # binomial series is ever built for it: the check sits in compose
+    theory = theory_by_name(name)
+    with pytest.raises(ValueError, match="is not effective"):
+        compose(theory, [((1,) + (0,) * (theory.rank - 1), 1), (gamma, omega)],
+                4)
+
+
+def test_compose_refuses_a_degree_above_max_n(nf0):
+    with pytest.raises(ValueError, match=f"at most {ks.MAX_N}, got"):
+        compose(nf0, [((1, 0), 1)], ks.MAX_N + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("nf0", "--N", "10", "--against-table"),
+    ("nf1", "--N", "5", "--against-table"),
+    ("nf2", "--N", "6", "--against-table"),
+    ("nf3", "--N", "6")])
+def test_ks_oracle_reports_are_frozen(capsys, argv):
+    # reports of the tuple-keyed series products, byte for byte
+    name, _, n, *against = argv
+    assert main(["ks-oracle", *argv]) == 0
+    frozen = DATA / (f"ks_oracle_{name}_N{n}"
+                     + ("_against_table" if against else "") + ".json")
+    assert capsys.readouterr().out == frozen.read_text()
 
 
 def test_basic_operator_action(nf0):
@@ -169,7 +213,8 @@ def test_operator_exponent_is_omega_times_pairing(name):
             got = compose(theory, [(gamma, omega)], 3)
             for mu, g in enumerate(got):
                 k = omega * theory.pair(gamma, theory.unit(mu))
-                assert g == binomial_series(theory, gamma, k, 3), (gamma, mu)
+                assert g == unpacked(
+                    theory, binomial_series(theory, gamma, k, 3)), (gamma, mu)
 
 
 def test_infer_builds_each_product_at_the_degree_it_reads(monkeypatch, nf0):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ks_reference as ref
-from test_ks import pentagon_theory
+from test_ks import packed, pentagon_theory, unpacked
 from wallcross import ks
 from wallcross.ks import compose, eff_degree
 from wallcross.lattice import MINUS, PLUS, theory_by_name
@@ -77,6 +77,33 @@ def effective_series(theory):
                            st.integers(-5, 5).filter(bool), max_size=8)
 
 
+@pytest.mark.parametrize("name", ["pentagon", *sorted(DEGREES)])
+def test_packed_keys_add_like_exponents(name):
+    # a key round-trips, its top field is the degree, and while the sum's
+    # degree is at most MAX_N the keys of two exponents add to the key of
+    # their sum (every field, the degree's included, adds with no carry)
+    theory = pentagon_theory() if name == "pentagon" else theory_by_name(name)
+    top, last = ks.MAX_N // theory.rank, theory.unit(theory.rank - 1)
+    edge = tuple(theory.effective_signs[-1] * x for x in last)
+    shift = theory.rank * ks.WIDTH
+
+    @given(effective_exponents(theory, top), effective_exponents(theory, top))
+    @example(tuple(ks.MAX_N * x for x in edge), theory.zero())
+    @example(tuple((ks.MAX_N - 1) * x for x in edge), edge)
+    @settings(max_examples=200, deadline=None)
+    def check(a, b):
+        total = tuple(x + y for x, y in zip(a, b))
+        for e in (a, b):
+            assert ks.unpack(theory, ks.pack(theory, e)) == e
+            assert ks.pack(theory, e) >> shift == eff_degree(theory, e)
+        if eff_degree(theory, total) <= ks.MAX_N:
+            assert ks.pack(theory, a) + ks.pack(theory, b) == \
+                ks.pack(theory, total)
+            assert ks.unpack(theory, ks.pack(theory, total)) == total
+
+    check()
+
+
 @pytest.mark.parametrize("name", ["nf0", "nf1"])
 def test_pruned_series_mul_matches_reference(name):
     # nf1's cone has a -1 sign: the degree of (0, 0, -1) is 1, not -1
@@ -86,9 +113,9 @@ def test_pruned_series_mul_matches_reference(name):
            st.integers(0, 13))
     @settings(max_examples=200, deadline=None)
     def check(a, b, N):
-        got = ks.series_mul(theory, a, b, N)
+        got = ks.series_mul(theory, packed(theory, a), packed(theory, b), N)
         assert all(type(c) is int for c in got.values())
-        assert got == ref.series_mul(theory, a, b, N)
+        assert unpacked(theory, got) == ref.series_mul(theory, a, b, N)
 
     check()
 

@@ -297,6 +297,33 @@ def test_x_sf_rejects_zeta_zero():
         zc.x_sf((1, 0), np.array([1.0 + 0j, 0j]))
 
 
+@pytest.mark.parametrize("nodes", [1, 40, 401])
+def test_propagator_refuses_zeta_on_a_node_of_its_ray(nodes):
+    # every node of the root's ray, alone or among other points, is refused
+    # before the kernel divides by tau - sigma = 0; points off the nodes
+    # (a child's ray shares no node with its parent's) are not
+    spec = tba.QuadratureSpec(nodes=nodes)
+    zc = tba.near_wall_context(R=3.0, scale=0.1)
+    tree = ((1, 0), [((0, 1), [])])
+    pts = tba.ray_points(zc.z((1, 0)), spec)[0]
+    for i in {0, nodes // 2, nodes - 1}:
+        for zeta in (pts[i], np.array([ZETA, pts[i]])):
+            with pytest.raises(ValueError, match=r"lies on a quadrature node "
+                               r"of the integration ray of \(1, 0\)"):
+                tba.propagator(zc, tree, zeta, spec)
+    near = np.array([ZETA, pts[0] * (1 + 1e-12), pts[-1] * 2])
+    assert np.isfinite(tba.propagator(zc, tree, near, spec)).all()
+
+
+def test_residue_move_refuses_an_underflowed_rhs():
+    # from R = 60 x_sf is 0 on every node of the ray, and |lhs - rhs| / |rhs|
+    # would be 0/0
+    zc = tba.near_wall_context(R=60.0, scale=0.1, side="mid")
+    with pytest.raises(ValueError, match="at R = 60.0 x_sf underflows to 0"):
+        tba.residue_move_check(zc, (1, 0), (0, 1), 1 + 10j, -0.5 + 10j,
+                               ZETA, SPEC)
+
+
 def test_decay_slope_steep():
     zc = tba.near_wall_context(R=3.0, scale=0.1)
     slope = tba.decay_slope(zc, [(1, 0), (0, 1)] * 2, ZETA, SPEC)
