@@ -23,7 +23,7 @@ from .js import js_tree_values
 from .ks import (FactorizationError, check_coverage, infer_weak_spectrum,
                  verify_wall_identity)
 from .lattice import Theory, theory_by_name
-from .spectrum import DEFAULT_K, UnknownSpectrumError, spectrum_table
+from .spectrum import DEFAULT_K, UnknownSpectrumError, spectrum_table, strong_table
 from . import tba
 
 PASS, FAIL, CONFIG_ERROR = 0, 1, 2
@@ -81,7 +81,7 @@ def cmd_spectrum(args) -> int:
 def cmd_js(args) -> int:
     theory = _theory(args.theory)
     target = _parse_charge(theory, args.target)
-    table = spectrum_table(theory.name, "strong")
+    table = strong_table(theory)
     trees = js_tree_values(theory, table, target,
                            max_vertices=args.max_vertices)
     # the tree totals are coefficients of sigma(target) summing to the invariant
@@ -103,7 +103,7 @@ def cmd_js(args) -> int:
 def cmd_gmn(args) -> int:
     theory = _theory(args.theory)
     target = _parse_charge(theory, args.target)
-    table = spectrum_table(theory.name, "strong")
+    table = strong_table(theory)
     diagrams = enumerate_diagrams(theory, table, target,
                                   max_vertices=args.max_vertices)
     out = []
@@ -123,7 +123,7 @@ def cmd_gmn(args) -> int:
 def cmd_decay_trace(args) -> int:
     theory = _theory(args.theory)
     target = _parse_charge(theory, args.target)
-    table = spectrum_table(theory.name, "strong")
+    table = strong_table(theory)
     diagrams = enumerate_diagrams(theory, table, target,
                                   max_vertices=args.max_vertices)
     if not diagrams:
@@ -175,7 +175,7 @@ def cmd_check_conjecture(args) -> int:
 
 def cmd_ks_oracle(args) -> int:
     theory = _theory(args.theory)
-    strong = spectrum_table(theory.name, "strong")
+    strong = strong_table(theory)
     if args.against_table:
         # with K >= N every complete catalog rule covers degree N; a table
         # that does not is refused before any product is built

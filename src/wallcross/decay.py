@@ -28,7 +28,7 @@ from .lattice import (CCW, MINUS, PLUS, Charge, RayCoincidenceError,
                       Theory, Vec2, cadd, cross, direction_key, sweep_crossing)
 from .gmn import RootedDiagram, enumerate_diagrams, weight_W
 from .js import js_tree_values
-from .spectrum import SpectrumTable, spectrum_table
+from .spectrum import SpectrumTable, strong_table
 from .symbolic import Value, free_unknowns, solve_linear
 from .trees import adjacency, canon_unoriented, charge_label, encode
 
@@ -328,7 +328,7 @@ def conjecture_check(theory: Theory, target: Charge,
     if target[theory.root_index] == 0:
         raise ValueError(f"target {target} has framing coordinate 0: "
                          "no framed diagram exists")
-    strong = spectrum_table(theory.name, "strong")
+    strong = strong_table(theory)
     js = js_tree_values(theory, strong, target, max_vertices=max_vertices)
     diagrams = enumerate_diagrams(theory, strong, target, max_vertices=max_vertices)
 

@@ -23,7 +23,8 @@ from .trees import canon_unoriented, enumerate_labelled_trees
 
 
 def _slope_cmp(za, zb) -> int:
-    """-1/0/+1 as phase(za) is below/equal/above phase(zb)."""
+    """-1/0/+1 as phase(za) is below/equal/above phase(zb), both in the
+    open upper half-plane (see `Theory`)."""
     c = cross(za, zb)
     return -1 if c > 0 else (1 if c < 0 else 0)
 

@@ -163,13 +163,9 @@ def compose(theory: Theory, states: list[tuple[Charge, int]],
 
 def _phase_sorted(theory: Theory, region: str,
                   charges: list[Charge]) -> list[Charge]:
-    """Decreasing phase of Z_gamma in the region (exact; Im Z > 0 assumed)."""
-    def key(g: Charge):
-        re, im = theory.z(region, g)
-        if im <= 0:
-            raise ValueError(f"charge {g} has non-positive Im Z at {region}")
-        return (Fraction(re, im), g)
-    return sorted(charges, key=key)
+    """Decreasing phase of Z_gamma in the region (exact).  The charges are
+    effective, so Im Z > 0 (see `Theory`)."""
+    return sorted(charges, key=lambda g: (Fraction(*theory.z(region, g)), g))
 
 
 def spectrum_auto(theory: Theory, table: SpectrumTable, region: str,

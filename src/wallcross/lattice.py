@@ -1,4 +1,4 @@
-"""Charge lattices of the SU(2) theories with 0 <= Nf <= 3 flavours.
+"""Charge lattices as `Theory` data, and the SU(2) catalog with 0 <= Nf <= 3.
 
 Charges are integer coordinate tuples in a fixed basis of vanishing
 cycles.  The antisymmetric pairing, the central-charge models on the two
@@ -89,6 +89,15 @@ def direction_key(a: Vec2) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Theory:
+    """A charge lattice and its two central-charge models, as data.
+
+    The constructor raises ValueError unless the fields have one entry per
+    basis element, the pairing is a square antisymmetric integer matrix,
+    each effective sign s_i is +-1, 0 <= root_index < rank, each central
+    charge Z_i is a pair of ints or Fractions, and Im(s_i Z_i) > 0 on both
+    sides.  So every nonzero effective charge has its central charge in the
+    open upper half-plane, as every exact phase comparison assumes.
+    """
     name: str
     basis: tuple[str, ...]
     pairing: tuple[tuple[int, ...], ...]
@@ -96,6 +105,34 @@ class Theory:
     z_minus: tuple[Vec2, ...]
     effective_signs: tuple[int, ...]  # gamma effective iff sign*coord >= 0 each
     root_index: int              # basis direction carrying GMN framings
+
+    def __post_init__(self):
+        # reads the fields, not `z` or `pair`: the benchmark counts their calls
+        n, p = len(self.basis), self.pairing
+        short = [f for f in ("pairing", "z_plus", "z_minus", "effective_signs")
+                 if len(getattr(self, f)) != n]
+        if short:
+            raise ValueError(f"{self.name}: {', '.join(short)} not of length "
+                             f"rank {n}")
+        if not all(len(row) == n and all(isinstance(x, int) for x in row)
+                   for row in p):
+            raise ValueError(f"{self.name}: pairing is not a square integer matrix")
+        if any(p[i][j] != -p[j][i] for i in range(n) for j in range(i, n)):
+            raise ValueError(f"{self.name}: pairing is not antisymmetric")
+        if any(s not in (1, -1) for s in self.effective_signs):
+            raise ValueError(f"{self.name}: effective signs must be +1 or -1")
+        if not 0 <= self.root_index < n:
+            raise ValueError(f"{self.name}: root_index {self.root_index} "
+                             f"not in 0..{n - 1}")
+        for side, zs in ((PLUS, self.z_plus), (MINUS, self.z_minus)):
+            for b, s, z in zip(self.basis, self.effective_signs, zs):
+                if not (isinstance(z, tuple) and len(z) == 2 and all(
+                        isinstance(x, (int, Fraction)) for x in z)):
+                    raise ValueError(f"{self.name}: Z{side}({b}) = {z!r} is not "
+                                     "a pair of ints or Fractions")
+                if s * z[1] <= 0:
+                    raise ValueError(f"{self.name}: Im Z{side}({b}) times its "
+                                     f"effective sign {s} is not positive")
 
     @property
     def rank(self) -> int:
@@ -162,10 +199,10 @@ class Theory:
 def sweep_crossing(start: Vec2, end: Vec2, target: Vec2) -> int | None:
     """Does the ray moving from `start` to `end` cross the `target` ray?
 
-    All vectors are ray directions within one open half-plane.  Returns
-    CCW / CW for a strict crossing, None if not crossed (including when
-    target coincides with start), and raises RayCoincidenceError when
-    target coincides with the endpoint.
+    All vectors are ray directions within one open half-plane (see
+    `Theory`).  Returns CCW / CW for a strict crossing, None if not crossed
+    (including when target coincides with start), and raises
+    RayCoincidenceError when target coincides with the endpoint.
     """
     if same_ray(start, end):
         if same_ray(target, end):
@@ -195,47 +232,34 @@ _TYPE_M_PLUS: Vec2 = (2, 20)
 _TYPE_M_MINUS: Vec2 = (-1, 20)
 
 
-def su2_theory(nf: int) -> Theory:
-    if nf == 0:
-        return Theory(
-            name="nf0", basis=("d", "m"),
-            pairing=((0, 2), (-2, 0)),
-            z_plus=(_TYPE_D_PLUS, _TYPE_M_PLUS),
-            z_minus=(_TYPE_D_MINUS, _TYPE_M_MINUS),
-            effective_signs=(1, 1), root_index=0)
-    if nf == 1:
-        # basis g1, g2, g3 with g3 = -g1 - g2 in the gauge lattice;
-        # effective cone generated by g1, g2, -g3
-        z3p = (-_TYPE_D_PLUS[0] - _TYPE_M_PLUS[0], -_TYPE_D_PLUS[1] - _TYPE_M_PLUS[1])
-        z3m = (-_TYPE_D_MINUS[0] - _TYPE_M_MINUS[0], -_TYPE_D_MINUS[1] - _TYPE_M_MINUS[1])
-        return Theory(
-            name="nf1", basis=("g1", "g2", "g3"),
-            pairing=((0, 1, -1), (-1, 0, 1), (1, -1, 0)),
-            z_plus=(_TYPE_D_PLUS, _TYPE_M_PLUS, z3p),
-            z_minus=(_TYPE_D_MINUS, _TYPE_M_MINUS, z3m),
-            effective_signs=(1, 1, -1), root_index=0)
-    if nf == 2:
-        return Theory(
-            name="nf2", basis=("g1_1", "g2_1", "g1_2", "g2_2"),
-            pairing=((0, 0, 1, 1), (0, 0, 1, 1), (-1, -1, 0, 0), (-1, -1, 0, 0)),
-            z_plus=(_TYPE_D_PLUS, _TYPE_D_PLUS, _TYPE_M_PLUS, _TYPE_M_PLUS),
-            z_minus=(_TYPE_D_MINUS, _TYPE_D_MINUS, _TYPE_M_MINUS, _TYPE_M_MINUS),
-            effective_signs=(1, 1, 1, 1), root_index=0)
-    if nf == 3:
-        return Theory(
-            name="nf3", basis=("g1_1", "g2_1", "g3_1", "g4_1", "g2"),
-            pairing=((0, 0, 0, 0, 1), (0, 0, 0, 0, 1), (0, 0, 0, 0, 1),
-                     (0, 0, 0, 0, 1), (-1, -1, -1, -1, 0)),
-            z_plus=(_TYPE_D_PLUS,) * 4 + (_TYPE_M_PLUS,),
-            z_minus=(_TYPE_D_MINUS,) * 4 + (_TYPE_M_MINUS,),
-            effective_signs=(1, 1, 1, 1, 1), root_index=0)
-    raise ValueError(f"nf must be 0..3, got {nf}")
-
-
-THEORIES = {f"nf{k}": k for k in range(4)}
+# SU(2) with Nf = 0..3 flavours; a name adds only the weak rules of spectrum.py
+CATALOG: dict[str, Theory] = {th.name: th for th in (
+    Theory(name="nf0", basis=("d", "m"), pairing=((0, 2), (-2, 0)),
+           z_plus=(_TYPE_D_PLUS, _TYPE_M_PLUS),
+           z_minus=(_TYPE_D_MINUS, _TYPE_M_MINUS),
+           effective_signs=(1, 1), root_index=0),
+    # g3 = -g1 - g2 in the gauge lattice, so Z(g3) = -Z(g1) - Z(g2) on
+    # both sides; effective cone generated by g1, g2, -g3
+    Theory(name="nf1", basis=("g1", "g2", "g3"),
+           pairing=((0, 1, -1), (-1, 0, 1), (1, -1, 0)),
+           z_plus=(_TYPE_D_PLUS, _TYPE_M_PLUS, (0, -40)),
+           z_minus=(_TYPE_D_MINUS, _TYPE_M_MINUS, (0, -40)),
+           effective_signs=(1, 1, -1), root_index=0),
+    Theory(name="nf2", basis=("g1_1", "g2_1", "g1_2", "g2_2"),
+           pairing=((0, 0, 1, 1), (0, 0, 1, 1), (-1, -1, 0, 0), (-1, -1, 0, 0)),
+           z_plus=(_TYPE_D_PLUS, _TYPE_D_PLUS, _TYPE_M_PLUS, _TYPE_M_PLUS),
+           z_minus=(_TYPE_D_MINUS, _TYPE_D_MINUS, _TYPE_M_MINUS, _TYPE_M_MINUS),
+           effective_signs=(1, 1, 1, 1), root_index=0),
+    Theory(name="nf3", basis=("g1_1", "g2_1", "g3_1", "g4_1", "g2"),
+           pairing=((0, 0, 0, 0, 1), (0, 0, 0, 0, 1), (0, 0, 0, 0, 1),
+                    (0, 0, 0, 0, 1), (-1, -1, -1, -1, 0)),
+           z_plus=(_TYPE_D_PLUS,) * 4 + (_TYPE_M_PLUS,),
+           z_minus=(_TYPE_D_MINUS,) * 4 + (_TYPE_M_MINUS,),
+           effective_signs=(1, 1, 1, 1, 1), root_index=0),
+)}
 
 
 def theory_by_name(name: str) -> Theory:
-    if name not in THEORIES:
-        raise ValueError(f"unknown theory {name!r}; expected one of {sorted(THEORIES)}")
-    return su2_theory(THEORIES[name])
+    if name not in CATALOG:
+        raise ValueError(f"unknown theory {name!r}; expected one of {sorted(CATALOG)}")
+    return CATALOG[name]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Charge, cneg, cscale, content, primitive, theory_by_name
+from .lattice import Charge, Theory, cneg, cscale, content, primitive, theory_by_name
 
 STRONG = "strong"
 WEAK = "weak"
@@ -43,8 +43,9 @@ class SpectrumTable:
             raise UnknownSpectrumError(
                 f"{self.theory}/{self.region}: Omega({gamma}) not tabulated")
         if self.covered_degree is not None and _degree(gamma) > self.covered_degree:
-            raise UnknownSpectrumError(
-                f"{self.theory}/{self.region}: {gamma} beyond truncation K={self.truncation}")
+            k = "" if self.truncation is None else f" (truncation K={self.truncation})"
+            raise UnknownSpectrumError(f"{self.theory}/{self.region}: {gamma} beyond "
+                                       f"the covered degree {self.covered_degree}{k}")
         return 0
 
     def dt(self, gamma: Charge) -> Fraction:
@@ -75,18 +76,21 @@ class SpectrumTable:
         }
 
 
+def strong_table(theory: Theory) -> SpectrumTable:
+    """The strong-side table: each effective basis state with Omega = 1."""
+    return SpectrumTable(theory.name, STRONG, None, True, None, {
+        cscale(s, theory.unit(i)): 1 for i, s in enumerate(theory.effective_signs)})
+
+
 def spectrum_table(theory_name: str, region: str, K: int = DEFAULT_K) -> SpectrumTable:
-    """Generate a table from the catalog rules (families truncated at K)."""
+    """A catalog theory's table by name, weak families truncated at K."""
     if K < 0:
         raise ValueError(f"family truncation K must be at least 0, got {K}")
     if K > MAX_K:
         raise ValueError(f"family truncation K must be at most {MAX_K}, got {K}")
     th = theory_by_name(theory_name)
     if region == STRONG:
-        entries = {}
-        for i, s in enumerate(th.effective_signs):
-            entries[cscale(s, th.unit(i))] = 1
-        return SpectrumTable(theory_name, region, None, True, None, entries)
+        return strong_table(th)
     if region != WEAK:
         raise ValueError(f"region must be strong/weak, got {region!r}")
 

@@ -1,5 +1,5 @@
-"""Each module of the package imports at module level only, and uses every
-name it imports."""
+"""Each module of the package imports at module level only, uses every name
+it imports, and only the entry points resolve a theory name."""
 import ast
 from pathlib import Path
 
@@ -52,3 +52,33 @@ def test_nested_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_imports_inside_functions(path):
     assert nested_imports(path.read_text()) == []
+
+
+# a theory name is resolved only at the entry points: the library takes
+# `Theory` values, and the weak-table rules are the one place a catalog
+# name picks physics
+NAME_LOOKUPS = {"theory_by_name": {"cli", "spectrum"}, "spectrum_table": {"cli"}}
+
+
+def name_lookups(source: str) -> list[str]:
+    """The names of NAME_LOOKUPS that a module imports or reads as an
+    attribute."""
+    tree = ast.parse(source)
+    names = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [a.name for a in node.names]
+    return sorted(set(names) & NAME_LOOKUPS.keys())
+
+
+def test_name_lookups_are_found():
+    source = ("from .lattice import theory_by_name as t\n"
+              "from . import spectrum\nx = spectrum.spectrum_table\n")
+    assert name_lookups(source) == ["spectrum_table", "theory_by_name"]
+
+
+def test_only_the_entry_points_resolve_theory_names():
+    found = {(name, path.stem) for path in MODULES
+             for name in name_lookups(path.read_text())}
+    assert {(name, module) for name, module in found
+            if module not in NAME_LOOKUPS[name]} == set()

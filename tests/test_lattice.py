@@ -1,9 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from wallcross.lattice import (CCW, MINUS, PLUS, cadd, cneg, content, cross,
-                               direction_key, primitive, same_ray, su2_theory,
+from wallcross.lattice import (CATALOG, CCW, MINUS, PLUS, cadd, cneg, content,
+                               cross, direction_key, primitive, same_ray,
                                sweep_crossing, theory_by_name)
 
 Q = Fraction
@@ -28,12 +29,59 @@ def test_direction_key_normalizes():
 
 @pytest.mark.parametrize("nf", [0, 1, 2, 3])
 def test_catalog_theories_consistent(nf):
-    th = su2_theory(nf)
+    th = CATALOG[f"nf{nf}"]
     assert theory_by_name(f"nf{nf}").name == th.name
     # antisymmetric integer pairing
     for i in range(th.rank):
         for j in range(th.rank):
             assert th.pairing[i][j] == -th.pairing[j][i]
+
+
+def test_unknown_theory_name_lists_the_catalog():
+    with pytest.raises(ValueError, match=r"^unknown theory 'nf4'; expected one "
+                       r"of \['nf0', 'nf1', 'nf2', 'nf3'\]$"):
+        theory_by_name("nf4")
+
+
+# one malformed field each: the constructor refuses it, before any
+# computation can read it (js read 0 on a symmetric pairing, and on Im Z < 0)
+MALFORMED = {
+    "pairing-length": ("nf0", {"pairing": ((0, 2),)}, "pairing not of length"),
+    "z_plus-length": ("nf0", {"z_plus": ((-2, 20),)}, "z_plus not of length"),
+    "z_minus-length": ("nf0", {"z_minus": ((1, 20),) * 3},
+                       "z_minus not of length"),
+    "signs-length": ("nf0", {"effective_signs": (1,)},
+                     "effective_signs not of length"),
+    "pairing-not-square": ("nf0", {"pairing": ((0, 2, 0), (-2, 0, 0))},
+                           "not a square integer matrix"),
+    "pairing-not-integer": ("nf0", {"pairing": ((0, Fraction(1, 2)),
+                                                (Fraction(-1, 2), 0))},
+                            "not a square integer matrix"),
+    "pairing-symmetric": ("nf0", {"pairing": ((0, 2), (2, 0))},
+                          "not antisymmetric"),
+    "pairing-diagonal": ("nf0", {"pairing": ((1, 2), (-2, 0))},
+                         "not antisymmetric"),
+    "sign-zero": ("nf0", {"effective_signs": (1, 0)}, "must be \\+1 or -1"),
+    "root-index": ("nf0", {"root_index": 2}, "root_index 2 not in 0..1"),
+    "root-index-negative": ("nf0", {"root_index": -1}, "root_index -1"),
+    "z-float": ("nf0", {"z_plus": ((-2.0, 20.0), (2, 20))},
+                "not a pair of ints or Fractions"),
+    "z-triple": ("nf0", {"z_minus": ((1, 20, 0), (-1, 20))},
+                 "not a pair of ints or Fractions"),
+    "im-z-minus": ("nf0", {"z_minus": ((1, -20), (-1, 20))},
+                   "Im Z-\\(d\\) times its effective sign 1 is not positive"),
+    "im-z-plus-zero": ("nf0", {"z_plus": ((-2, 20), (2, 0))},
+                       "Im Z\\+\\(m\\)"),
+    "im-z-sign": ("nf1", {"effective_signs": (1, 1, 1)},
+                  "Im Z\\+\\(g3\\) times its effective sign 1"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_theory_is_refused(case):
+    name, fields, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=f"^{name}: .*{message}"):
+        dataclasses.replace(CATALOG[name], **fields)
 
 
 def test_nf0_pairing_and_phases(nf0):

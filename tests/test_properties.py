@@ -1,4 +1,5 @@
 """Structural invariants checked over generated inputs."""
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -12,8 +13,11 @@ from wallcross.gmn import enumerate_diagrams
 from wallcross.js import js_wallcross
 from wallcross.ks import infer_weak_spectrum
 from wallcross.lattice import cadd, cneg, content, theory_by_name
-from wallcross.spectrum import f_coeff, spectrum_table
+from wallcross.spectrum import f_coeff, spectrum_table, strong_table
 from wallcross.trees import enumerate_labelled_trees
+
+from test_conjecture_sweep import _kronecker
+from test_ks import pentagon_theory
 
 Q = Fraction
 
@@ -126,29 +130,49 @@ def test_decay_terminates_and_is_closed(name, target):
                 assert label in step
 
 
-# effective degree bound per theory: 27 + 55 + 125 + 125 = 332 charges
-JS_KS_DEGREES = {"nf0": 6, "nf1": 5, "nf2": 5, "nf3": 4}
+def _reversed(name):
+    """A catalog theory with the two sides of the wall swapped."""
+    th = theory_by_name(name)
+    return dataclasses.replace(th, name=f"{name}-reversed",
+                               z_plus=th.z_minus, z_minus=th.z_plus)
 
 
-@pytest.mark.parametrize("name", sorted(JS_KS_DEGREES))
-def test_js_matches_ks_inferred_spectrum(name):
+# (label, theory, input table, effective degree bound N): the catalog from
+# its strong tables; the pentagon and the 3-Kronecker quiver from their
+# basis states; and nf0-nf2 crossed backwards, from the catalog weak table
+# (Omega = -2 and non-primitive DT as inputs) to the strong one
+JS_KS_CASES = (
+    [(n, theory_by_name(n), spectrum_table(n, "strong"), N)
+     for n, N in (("nf0", 6), ("nf1", 5), ("nf2", 5), ("nf3", 4))]
+    + [(th.name, th, strong_table(th), 6)
+       for th in (pentagon_theory(), _kronecker(3))]
+    + [(f"{n}-reversed", _reversed(n), spectrum_table(n, "weak"), N)
+       for n, N in (("nf0", 6), ("nf1", 5), ("nf2", 5))])
+JS_KS_CHARGES = {"nf0": 27, "nf1": 55, "nf2": 125, "nf3": 125, "pentagon": 27,
+                 "kron3": 27, "nf0-reversed": 27, "nf1-reversed": 55,
+                 "nf2-reversed": 125}
+
+
+@pytest.mark.parametrize("label,th,table,N", JS_KS_CASES,
+                         ids=[case[0] for case in JS_KS_CASES])
+def test_js_matches_ks_inferred_spectrum(label, th, table, N):
     # the combinatorial sum gives, at every effective charge up to the
     # bound, the weak DT invariant of the spectrum that the KS ordered
-    # product infers from the strong one
-    th = theory_by_name(name)
-    N = JS_KS_DEGREES[name]
-    strong = spectrum_table(name, "strong")
-    weak = infer_weak_spectrum(th, strong, N)
+    # product infers from the input one
+    weak = infer_weak_spectrum(th, table, N)
+    if label.endswith("-reversed"):
+        # crossing back from the weak table gives the strong one
+        assert weak.entries == strong_table(th).entries
     checked, wrong = 0, []
     for coords in product(range(N + 1), repeat=th.rank):
         if not 1 <= sum(coords) <= N:
             continue
         gamma = tuple(s * x for s, x in zip(th.effective_signs, coords))
-        got, want = js_wallcross(th, strong, gamma), weak.dt(gamma)
+        got, want = js_wallcross(th, table, gamma), weak.dt(gamma)
         checked += 1
         if got != want:
             wrong.append((gamma, got, want))
-    assert checked == {"nf0": 27, "nf1": 55, "nf2": 125, "nf3": 125}[name]
+    assert checked == JS_KS_CHARGES[label]
     assert wrong == []
 
 

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from wallcross.ks import infer_weak_spectrum
 from wallcross.spectrum import (MAX_K, UnknownSpectrumError, f_coeff,
-                                spectrum_table)
+                                spectrum_table, strong_table)
 
 Q = Fraction
 
@@ -39,6 +40,18 @@ def test_incomplete_table_raises():
     assert not t.complete
     with pytest.raises(UnknownSpectrumError):
         t.omega((9, 9, 9, 9, 18))
+
+
+def test_omega_beyond_the_covered_degree_names_it(nf0):
+    # an inferred table has no family truncation, only a covered degree
+    inferred = infer_weak_spectrum(nf0, strong_table(nf0), 3)
+    with pytest.raises(UnknownSpectrumError, match=r"^nf0/weak: \(5, 5\) "
+                       r"beyond the covered degree 3$"):
+        inferred.omega((5, 5))
+    # a catalog weak table names its family truncation as well
+    with pytest.raises(UnknownSpectrumError, match=r"^nf0/weak: \(5, 5\) "
+                       r"beyond the covered degree 3 \(truncation K=1\)$"):
+        spectrum_table("nf0", "weak", K=1).omega((5, 5))
 
 
 DATA = Path(__file__).parent / "data"
