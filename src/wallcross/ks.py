@@ -20,7 +20,10 @@ its multipliers G_mu with x_mu -> x_mu * G_mu, and is built by applying
 each operator to the current terms of x_mu G_mu one group of equal
 exponent at a time, so no series is ever substituted into another.
 Each operator reads its pairing row off the pairing's columns once, and
-the terms of exponent 0 pass through unmultiplied.  Effective degree is
+packs gamma and reads its degree and sigma once: each power
+(1 - sigma x_gamma)^k it needs is one integer recurrence on those three
+values, built once per k and shared by every x_mu.  The terms of
+exponent 0 pass through unmultiplied.  Effective degree is
 additive, so a series product never forms a term above the truncation,
 and the peeling builds each weak product only up to the degree it reads.
 A table that is incomplete, or covers fewer degrees than N, is refused
@@ -38,9 +41,9 @@ Series = dict[Charge, int]
 Packed = dict[int, int]
 
 # largest truncation degree: the costliest run, `ks-oracle nf3 --N 24`
-# (inference only: nf3 has no complete weak table), takes 13-14 s on a
-# 2-vCPU machine, 2.6 times its time at N = 20; the costliest
-# `--against-table` run, nf2 at N = 24, takes 3.3-3.5 s
+# (inference only: nf3 has no complete weak table), takes 9.6-11.6 s on
+# a 2-vCPU machine, over twice its time at N = 20; the costliest
+# `--against-table` run, nf2 at N = 24, takes 2.4-3.0 s
 MAX_N = 24
 # bits per field of a packed exponent key: no field exceeds N <= MAX_N
 WIDTH = MAX_N.bit_length()
@@ -101,23 +104,35 @@ def series_mul(theory: Theory, a: Packed, b: Packed, N: int) -> Packed:
     return {e: c for e, c in out.items() if c}
 
 
+def _check_degree(N: int) -> None:
+    if N < 0:
+        raise ValueError(f"truncation degree N must be at least 0, got {N}")
+    if N > MAX_N:
+        raise ValueError(f"truncation degree N must be at most {MAX_N}, got {N}")
+
+
+def _binomial(key: int, deg: int, sg: int, k: int, N: int) -> Packed:
+    """(1 - sg x)^k through effective degree N, for the monomial x of an
+    effective charge with packed key `key` and effective degree `deg`."""
+    out: Packed = {0: 1}
+    c = 1
+    for j in range(N // deg):
+        # C(k, j+1) = C(k, j) (k-j) / (j+1) is an integer, so // is exact
+        c = -sg * c * (k - j) // (j + 1)
+        if not c:
+            break
+        out[(j + 1) * key] = c
+    return out
+
+
 def binomial_series(theory: Theory, gamma: Charge, k: int, N: int) -> Packed:
     """(1 - sigma(gamma) x_gamma)^k through effective degree N, for any
     integer k (generalised binomial coefficients when k < 0)."""
+    _check_degree(N)
     if not theory.is_effective(gamma):
         raise ValueError(f"{gamma} is not effective")
-    key, deg = pack(theory, gamma), eff_degree(theory, gamma)
-    sg = theory.sigma_value(gamma)
-    out: Packed = {0: 1}
-    c, j = 1, 0
-    while (j + 1) * deg <= N:
-        # C(k, j+1) = C(k, j) (k-j) / (j+1) is an integer, so // is exact
-        c = -sg * c * (k - j) // (j + 1)
-        j += 1
-        if not c:
-            break
-        out[j * key] = c
-    return out
+    return _binomial(pack(theory, gamma), eff_degree(theory, gamma),
+                     theory.sigma_value(gamma), k, N)
 
 
 def compose(theory: Theory, states: list[tuple[Charge, int]],
@@ -128,8 +143,7 @@ def compose(theory: Theory, states: list[tuple[Charge, int]],
     back to T_1 multiplies every current term x^{mu+e} by
     (1 - sigma x_gamma)^{Omega <gamma, mu+e>}.
     """
-    if N > MAX_N:
-        raise ValueError(f"truncation degree N must be at most {MAX_N}, got {N}")
+    _check_degree(N)
     for gamma, _ in states:
         if not theory.is_effective(gamma):
             raise ValueError(f"{gamma} is not effective")
@@ -139,6 +153,9 @@ def compose(theory: Theory, states: list[tuple[Charge, int]],
     for gamma, omega in reversed(states):
         # p_j = Omega <gamma, e_j>, read off the pairing's columns
         p = [omega * sum(map(mul, gamma, col)) for col in zip(*theory.pairing)]
+        # key, degree and sigma of gamma, read once for every power below
+        gkey, gdeg, sg = (pack(theory, gamma), eff_degree(theory, gamma),
+                          theory.sigma_value(gamma))
         # k -> (1 - sigma x_gamma)^k, shared by every x_mu
         binomials: dict[int, Packed] = {}
         for mu, g in enumerate(mults):
@@ -153,7 +170,7 @@ def compose(theory: Theory, states: list[tuple[Charge, int]],
             out: Packed = groups.pop(0, {})
             for k, terms in groups.items():
                 if k not in binomials:
-                    binomials[k] = binomial_series(theory, gamma, k, N)
+                    binomials[k] = _binomial(gkey, gdeg, sg, k, N)
                 for key, c in series_mul(theory, terms, binomials[k], N).items():
                     out[key] = out.get(key, 0) + c
             mults[mu] = {key: c for key, c in out.items() if c}
@@ -175,8 +192,7 @@ def spectrum_auto(theory: Theory, table: SpectrumTable, region: str,
     identity and a check built on it would compare nothing."""
     if N < 1:
         raise ValueError(f"truncation degree N must be at least 1, got {N}")
-    if N > MAX_N:
-        raise ValueError(f"truncation degree N must be at most {MAX_N}, got {N}")
+    _check_degree(N)
     charges = [g for g in table.charges()
                if theory.is_effective(g) and eff_degree(theory, g) <= N]
     ordered = _phase_sorted(theory, region, charges)

@@ -76,13 +76,27 @@ def test_compose_refuses_a_degree_above_max_n(nf0):
         compose(nf0, [((1, 0), 1)], ks.MAX_N + 1)
 
 
+def test_truncation_degree_outside_0_to_max_n_is_refused(nf0):
+    # a product truncated below degree 0 would send every x_mu to 0
+    with pytest.raises(ValueError, match="at least 0, got -1"):
+        compose(nf0, [((1, 0), 1), ((0, 1), 1)], -1)
+    with pytest.raises(ValueError, match="at least 0, got -2"):
+        binomial_series(nf0, (1, 0), 3, -2)
+    with pytest.raises(ValueError, match=f"at most {ks.MAX_N}, got"):
+        binomial_series(nf0, (1, 0), 3, ks.MAX_N + 1)
+
+
 @pytest.mark.parametrize("argv", [
     ("nf0", "--N", "10", "--against-table"),
     ("nf1", "--N", "5", "--against-table"),
     ("nf2", "--N", "6", "--against-table"),
-    ("nf3", "--N", "6")])
+    ("nf3", "--N", "6"),
+    ("nf2", "--N", "12", "--against-table"),
+    ("nf3", "--N", "9")])
 def test_ks_oracle_reports_are_frozen(capsys, argv):
-    # reports of the tuple-keyed series products, byte for byte
+    # reports of earlier versions of the products, byte for byte; the
+    # last two reach larger exponents than the nf2 and nf3 reports above
+    # (|k| up to 34 and 16, against 12)
     name, _, n, *against = argv
     assert main(["ks-oracle", *argv]) == 0
     frozen = DATA / (f"ks_oracle_{name}_N{n}"
@@ -178,13 +192,15 @@ def test_inferred_matches_catalog(name, n):
 
 def test_compose_builds_each_binomial_once_per_operator(monkeypatch, nf2):
     """Each operator builds (1 - sigma x_gamma)^k once per k and shares it
-    across the x_mu: inferring nf2 at N = 5 makes 190 binomial_series
-    calls and 492 series_mul calls.  Every x_mu building its own would
-    make 492 of each; before each peeling step was truncated at its own
-    degree and the strong product built once, the counts were 208 and
-    540.  The series products pair 6,568 terms in all."""
-    calls = {"binomial_series": 0, "series_mul": 0}
-    pairs = 0
+    across the x_mu: inferring nf2 at N = 5 builds 190 binomials and
+    makes 492 series_mul calls.  Every x_mu building its own would make
+    492 of each; before each peeling step was truncated at its own degree
+    and the strong product built once, the counts were 208 and 540.  The
+    series products pair 6,568 terms in all.  Each of the 58 operators
+    reads sigma(gamma) once for all its powers, not once per power."""
+    calls = {"_binomial": 0, "series_mul": 0}
+    pairs = operators = sigmas = 0
+    composing = False
     for name in calls:
         def counted(*args, _name=name, _f=getattr(ks, name)):
             nonlocal pairs
@@ -193,9 +209,26 @@ def test_compose_builds_each_binomial_once_per_operator(monkeypatch, nf2):
                 pairs += len(args[1]) * len(args[2])
             return _f(*args)
         monkeypatch.setattr(ks, name, counted)
+
+    def counted_compose(theory, states, N, _f=ks.compose):
+        nonlocal operators, composing
+        operators += len(states)
+        composing = True
+        try:
+            return _f(theory, states, N)
+        finally:
+            composing = False
+
+    def counted_sigma(self, gamma, _f=Theory.sigma_value):
+        nonlocal sigmas
+        sigmas += composing
+        return _f(self, gamma)
+    monkeypatch.setattr(ks, "compose", counted_compose)
+    monkeypatch.setattr(Theory, "sigma_value", counted_sigma)
     ks.infer_weak_spectrum(nf2, spectrum_table("nf2", "strong"), 5)
-    assert calls == {"binomial_series": 190, "series_mul": 492}
+    assert calls == {"_binomial": 190, "series_mul": 492}
     assert pairs == 6568
+    assert (operators, sigmas) == (58, 58)
 
 
 @pytest.mark.parametrize("name", ["pentagon", "nf0", "nf1", "nf2", "nf3"])

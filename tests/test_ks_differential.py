@@ -1,7 +1,10 @@
 """Differential tests: the term-by-term KS product returns exactly the
 multipliers of the series-composition reference in ks_reference.py, its
-degree-pruned series product the reference product, and the peeling at
+degree-pruned series product the reference product, its binomial kernel
+the reference power of 1 - sigma x_gamma, and the peeling at
 per-degree truncations the entries of the reference peeling at N."""
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -102,6 +105,29 @@ def test_packed_keys_add_like_exponents(name):
             assert ks.unpack(theory, ks.pack(theory, total)) == total
 
     check()
+
+
+@pytest.mark.parametrize("name", ["pentagon", *sorted(DEGREES)])
+def test_binomial_kernel_matches_reference_power(name):
+    # (1 - sigma x_gamma)^k from gamma's key, degree and sigma alone is the
+    # reference power of the series 1 - sigma x_gamma, term for term; at
+    # N = MAX_N the key of every term is the key of its exponent, so the
+    # packed fields of j gamma do not carry
+    theory = pentagon_theory() if name == "pentagon" else theory_by_name(name)
+    signs = theory.effective_signs
+    for e in product(range(4), repeat=theory.rank):
+        gamma = tuple(s * x for s, x in zip(signs, e))
+        deg = eff_degree(theory, gamma)
+        if not theory.is_effective(gamma) or deg > 3:
+            continue
+        sg = theory.sigma_value(gamma)
+        one_minus = {theory.zero(): 1, gamma: -sg}
+        for N in sorted({0, 1, deg, 2 * deg, ks.MAX_N}):
+            for k in range(-5, 6):
+                got = ks._binomial(ks.pack(theory, gamma), deg, sg, k, N)
+                want = ref.series_pow(theory, one_minus, k, N)
+                assert got == packed(theory, want), (gamma, k, N)
+                assert all(type(c) is int for c in got.values())
 
 
 @pytest.mark.parametrize("name", ["nf0", "nf1"])
