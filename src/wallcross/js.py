@@ -3,8 +3,9 @@ into strong-coupling multiples, and labelled-tree weights.
 
 Slopes: s(gamma) is the phase of Z_gamma on the strong side (u+), w(gamma)
 on the weak side (u-).  All comparisons are exact.  The per-tree values
-build each multiset's supported slot trees, weights and keys once and
-sum its orderings over them.
+and the invariant walk each multiset's supported trees once, as slot
+trees with their weights (and, for the per-tree values, their keys),
+and sum its orderings over them.
 """
 from __future__ import annotations
 
@@ -304,14 +305,6 @@ def _supported_trees(weights: list[list[int]]):
     return enumerate_labelled_trees(n, zero)
 
 
-def _tree_weight(weights: list[list[int]]) -> int:
-    """Sum over the labelled trees on the parts of the product of their
-    edge weights."""
-    w = {(i, j): weights[i][j] for i, j in combinations(range(len(weights)), 2)}
-    return sum(prod(map(w.__getitem__, edges))
-               for edges in _supported_trees(weights))
-
-
 @dataclass
 class TreeValue:
     charges: list[Charge]
@@ -337,6 +330,27 @@ def _slot_bits(alphas: tuple[Charge, ...]) -> tuple[list[list[int]], int]:
                      if slot[i] > slot[j])
 
 
+def _slot_trees(alphas: tuple[Charge, ...], weights: list[list[int]]
+                ) -> list[tuple[tuple[tuple[int, int], ...], int, int]]:
+    """The supported trees of an ordering as slot trees, in their order:
+    (edges, slot mask, P) with P the slot weight product, the tree's
+    weight product with the sign of the slot pairs the ordering inverts
+    undone."""
+    bits, inv = _slot_bits(alphas)
+    rows = []
+    for edges in _supported_trees(weights):
+        mask = sum(bits[i][j] for i, j in edges)
+        w = prod(weights[i][j] for i, j in edges)
+        rows.append((edges, mask, -w if (mask & inv).bit_count() & 1 else w))
+    return rows
+
+
+def _slot_sum(rows: list, inv: int) -> int:
+    """Sum of the weight products that an ordering with inversion mask inv
+    gives the slot trees rows: P (-1)^popcount(mask & inv) each."""
+    return sum(-p if (m & inv).bit_count() & 1 else p for _, m, p in rows)
+
+
 def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
                    max_vertices: int | None = None) -> dict[str, TreeValue]:
     """Wall-crossing sum grouped by underlying unoriented decorated tree,
@@ -350,35 +364,33 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
     the slots of the sorted multiset (see _slot_bits), and supports the
     same slot trees.  So the first ordering of a multiset walks its own
     supported trees once, in their order, and records each as a slot
-    tree: its bit set of slot pairs, its slot weight product P and its
-    canonical key.  An ordering with inversion mask inv then weighs a slot
-    tree with mask m as P (-1)^popcount(m & inv).  The integer weights are
+    tree (_slot_trees): its bit set of slot pairs and its slot weight
+    product P; here each also gets its canonical key.  An ordering with
+    inversion mask inv then weighs a slot tree with mask m as
+    P (-1)^popcount(m & inv) (_slot_sum).  The integer weights are
     summed per key, so there is one Fraction multiply-add per
     (decomposition, tree key).
     """
     # tree key -> [charges, edges, total]
     trees: dict[str, list] = {}
-    # multiset -> [(tree key, [(slot mask, P), ...]), ...]
-    slot_trees: dict[tuple[Charge, ...], list] = {}
+    # multiset -> [(tree key, slot trees), ...]
+    groups_of: dict[tuple[Charge, ...], list] = {}
     for alphas, weights, base in _weighted_decompositions(theory, table,
                                                           target, max_vertices):
         ms = tuple(sorted(alphas))
-        bits, inv = _slot_bits(alphas)
-        groups = slot_trees.get(ms)
+        groups = groups_of.get(ms)
         if groups is None:
             n, charges = len(alphas), list(alphas)
             by_key: dict[str, list] = {}
-            for edges in _supported_trees(weights):
-                mask = sum(bits[i][j] for i, j in edges)
-                w = prod(weights[i][j] for i, j in edges)
-                key = canon_unoriented(n, edges, charges)
+            for row in _slot_trees(alphas, weights):
+                key = canon_unoriented(n, row[0], charges)
                 if key not in trees:
-                    trees[key] = [charges, list(edges), Fraction(0)]
-                by_key.setdefault(key, []).append(
-                    (mask, -w if (mask & inv).bit_count() & 1 else w))
-            groups = slot_trees[ms] = list(by_key.items())
-        for key, members in groups:
-            w = sum(-p if (m & inv).bit_count() & 1 else p for m, p in members)
+                    trees[key] = [charges, list(row[0]), Fraction(0)]
+                by_key.setdefault(key, []).append(row)
+            groups = groups_of[ms] = list(by_key.items())
+        inv = _slot_bits(alphas)[1]
+        for key, rows in groups:
+            w = _slot_sum(rows, inv)
             if w:
                 trees[key][2] += base * w
     return {key: TreeValue(list(charges), edges, Value.rational(total))
@@ -388,7 +400,18 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
 def js_wallcross(theory: Theory, table: SpectrumTable, target: Charge,
                  max_vertices: int | None = None) -> Fraction:
     """Weak-side DT invariant of the target charge: the coefficient of
-    sigma(target) in the sum of js_tree_values."""
-    return sum((c * _tree_weight(weights) for _, weights, c in
-                _weighted_decompositions(theory, table, target, max_vertices)),
-               Fraction(0))
+    sigma(target) in the sum of js_tree_values.
+
+    The same slot trees as there, with no keys: the first ordering of a
+    multiset walks its supported trees once, and every ordering adds
+    its coefficient times _slot_sum over them."""
+    total = Fraction(0)
+    rows_of: dict[tuple[Charge, ...], list] = {}
+    for alphas, weights, base in _weighted_decompositions(theory, table,
+                                                          target, max_vertices):
+        ms = tuple(sorted(alphas))
+        rows = rows_of.get(ms)
+        if rows is None:
+            rows = rows_of[ms] = _slot_trees(alphas, weights)
+        total += base * _slot_sum(rows, _slot_bits(alphas)[1])
+    return total

@@ -1,12 +1,14 @@
 """Labelled tree enumeration and canonical forms of charge-decorated trees.
 
 The js and gmn tree loops both get their trees from one call,
-enumerate_labelled_trees(n, zero_edges), in js._supported_trees."""
+enumerate_labelled_trees(n, zero_edges), in js._supported_trees: the
+spanning trees of the graph of nonzero edges, generated directly as
+parent pointers and put in Prufer order, never filtered from all
+n^(n-2) labelled trees."""
 from __future__ import annotations
 
 from collections.abc import Collection
 from functools import cache
-from itertools import combinations, permutations, product
 
 from .lattice import Charge
 
@@ -16,94 +18,97 @@ Edge = tuple[int, int]
 
 
 @cache
-def _tree_table(n: int) -> tuple[tuple[tuple[Edge, ...], ...], dict[Edge, int]]:
-    """The labelled trees on 0..n-1 in Prufer-sequence order, and for each
-    edge the bit set (bit k for tree k) of the trees that contain it.
+def _edge_table(n: int) -> dict[Edge, Edge]:
+    """Each ordered pair of distinct vertices, mapped to the edge tuple
+    (i, j) with i < j that every tree on n vertices shares."""
+    return {(a, b): (min(a, b), max(a, b))
+            for a in range(n) for b in range(n) if a != b}
 
-    Built from the table one size down by the first leaf.  Write a
-    sequence as (s0, t): its first leaf l is the smallest vertex not in
-    it, the first edge is (l, s0), and the rest of the tree is the tree of
-    t on the other n - 1 vertices, relabelled by the monotone map that
-    skips l.  l is the smallest vertex l1 missing from t, or the second
-    smallest l2 when s0 = l1, so each tail t needs two lifted subtrees.
-    Tree k = s0 n^(n-3) + (index of t) is then (l, s0) plus one of them.
 
-    The bit sets are built per tail, not per tree: L1[x] marks the tails
-    whose l1 subtree has the edge x or whose l1 is the vertex x, L2[x]
-    the same for l2.  The block of s0 takes L2[e] where l1 = s0 and L1[e]
-    elsewhere, and has the first edge (o, s0) where l = o.  The n(n-1)/2
-    edge tuples are shared between trees to keep the n = 7 table small.
+@cache
+def _spanning_trees(n: int, zero: frozenset[Edge]
+                    ) -> tuple[tuple[Edge, ...], ...]:
+    """The spanning trees of K_n minus the edges in zero, each as the heap
+    Prufer decoder gives it, in the order of their sequences.
+
+    Rooted at r = n - 1, a tree is a parent pointer for each other vertex,
+    chosen among its neighbours.  The vertices take theirs in turn; a
+    choice p for v closes a cycle iff the parents of the vertices already
+    set lead from p back to v.  The linear Prufer encoder then removes the
+    smallest leaf n - 2 times, and the leaf with its parent, then the last
+    vertex with r, are the edges in the decoder's order.
     """
     if n == 1:
-        return ((),), {}
-    if n == 2:
-        return (((0, 1),),), {(0, 1): 1}
-    edge = {e: e for e in combinations(range(n), 2)}
-    sub = _tree_table(n - 1)[0]
-    # lift[l] maps an edge on 0..n-2 to the shared edge that skips vertex l
-    lift = [{(i, j): edge[i + (i >= l), j + (j >= l)]
-             for i, j in combinations(range(n - 1), 2)} for l in range(n)]
-    tails = n ** (n - 3)
-    # marks[c][x][tails - 1 - k] is "1" iff L1 (c = 0) or L2 (c = 1) has
-    # tail k: base-2 numerals
-    marks = [{x: bytearray(b"0") * tails for x in [*edge, *range(n)]}
-             for c in (0, 1)]
-    one = ord("1")
-    rests = []
-    for k, t in enumerate(product(range(n), repeat=n - 3)):
-        pair = []
-        for l, mark in zip([v for v in range(n) if v not in t], marks):
-            idx = 0
-            for v in t:
-                idx = idx * (n - 1) + v - (v > l)
-            rest = tuple(map(lift[l].__getitem__, sub[idx]))
-            pair.append((l, rest))
-            for x in (l, *rest):
-                mark[x][tails - 1 - k] = one
-        rests.append(pair)
-    head = {(l, s0): (edge[min(l, s0), max(l, s0)],)
-            for l, s0 in permutations(range(n), 2)}
-    table = tuple([head[l2, s0] + r2 if s0 == l1 else head[l1, s0] + r1
-                   for s0 in range(n) for (l1, r1), (l2, r2) in rests])
-    L1, L2 = ({x: int(b, 2) for x, b in mark.items()} for mark in marks)
-    masks = dict.fromkeys(edge, 0)
-    for e in edge:
-        for s0 in range(n):
-            block = (L1[e] & ~L1[s0]) | (L2[e] & L1[s0])
-            if s0 in e:
-                o = e[0] + e[1] - s0
-                block |= L1[o] | (L1[s0] & L2[o])
-            masks[e] |= block << (s0 * tails)
-    return table, masks
+        return ((),)
+    edge = _edge_table(n)
+    r = n - 1
+    neighbours = [[u for u in range(n) if u != v and edge[v, u] not in zero]
+                  for v in range(n)]
+    parent = [r] * n
+    found: list[tuple[list[int], tuple[Edge, ...]]] = []
+
+    def encode() -> None:
+        degree = [1] * r + [0]
+        for v in range(r):
+            degree[parent[v]] += 1
+        seq: list[int] = []
+        edges: list[Edge] = []
+        low = degree.index(1)
+        leaf = low
+        for _ in range(n - 2):
+            p = parent[leaf]
+            seq.append(p)
+            edges.append(edge[leaf, p])
+            degree[p] -= 1
+            if degree[p] == 1 and p < low:
+                leaf = p
+            else:
+                low = degree.index(1, low + 1)
+                leaf = low
+        edges.append(edge[leaf, r])
+        found.append((seq, tuple(edges)))
+
+    def choose(v: int) -> None:
+        if v == r:
+            encode()
+            return
+        for p in neighbours[v]:
+            u = p
+            while u < v:
+                u = parent[u]
+            if u != v:
+                parent[v] = p
+                choose(v + 1)
+
+    choose(0)
+    found.sort()
+    return tuple(edges for _, edges in found)
 
 
 def enumerate_labelled_trees(n: int, zero_edges: Collection[Edge] = ()
                              ) -> tuple[tuple[Edge, ...], ...]:
     """The labelled trees on vertices 0..n-1 that contain no edge of
-    zero_edges, in the order of their Prufer sequences.
+    zero_edges, in the order of their Prufer sequences, each with the
+    edges in the order the heap decoder gives them.
 
-    Each edge is (i, j) with i < j.  The table is built once per process
-    and, with no zero edge, returned itself to every caller, so it is made
-    of tuples.  A tree sum weighted by edge factors needs only the trees
-    without a zero factor: each zero edge clears the bit set of its trees.
+    Each zero edge is (i, j) with 0 <= i < j < n; any other value is
+    refused.  A tree sum weighted by edge factors needs only the trees
+    without a zero factor, and they are generated directly, never
+    filtered from all n^(n-2).  The list for each vertex count and zero
+    edge set is built once per process and returned itself to every
+    caller, so it is made of tuples, and its edge tuples are shared.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     if n > MAX_TREE_VERTICES:
         raise ValueError(f"tree size {n} exceeds bound {MAX_TREE_VERTICES}")
-    table, masks = _tree_table(n)
-    if not zero_edges:
-        return table
-    keep = (1 << len(table)) - 1
     for e in zero_edges:
-        keep &= ~masks[e]
-    bits = f"{keep:b}"[::-1]
-    out = []
-    k = bits.find("1")
-    while k >= 0:
-        out.append(table[k])
-        k = bits.find("1", k + 1)
-    return tuple(out)
+        if not (isinstance(e, tuple) and len(e) == 2
+                and all(isinstance(x, int) for x in e)
+                and 0 <= e[0] < e[1] < n):
+            raise ValueError(f"zero edge {e!r} is not a pair (i, j) with "
+                             f"0 <= i < j < {n}")
+    return _spanning_trees(n, frozenset(zero_edges))
 
 
 def adjacency(n: int, edges: list[Edge]) -> list[list[int]]:

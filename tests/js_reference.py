@@ -5,8 +5,8 @@ re-reads central charges as exact fractions for every slope test, U sums
 over every nested composition of the parts, the tree weight sums over
 every labelled tree, supported or not, with ``Theory.pair`` called on each
 pair of parts, not read from the library's weight table, the labelled trees
-are decoded from their Prufer sequences with a heap of leaves, apart from
-the library's table, and filtered edge by edge, not through its bit sets,
+are decoded from their Prufer sequences with a heap of leaves and
+filtered edge by edge, apart from the library's direct enumeration,
 the ordered decompositions are the distinct elements of every permutation
 of every multiset of parts, the multisets found by trying every vector of
 part multiplicities up to the most each part fits into the target, apart

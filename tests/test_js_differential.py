@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 import js_reference as ref
 from test_conjecture_sweep import MAX_DEGREE, _targets
 from wallcross import js
-from wallcross.js import (_edge_weights, _tree_weight, decompositions,
-                          s_symbol, strong_parts, u_symbol)
+from wallcross.js import (_edge_weights, _slot_bits, _slot_sum, _slot_trees,
+                          decompositions, s_symbol, strong_parts, u_symbol)
 from wallcross.lattice import PLUS, MINUS, direction_key, theory_by_name
 from wallcross.spectrum import SpectrumTable, spectrum_table
 from wallcross.symbolic import Value
@@ -111,9 +111,16 @@ def test_u_matches_reference_on_any_part_sequence(case):
 
 
 def test_tree_weight_matches_reference(theory_decomps):
+    # js_wallcross weighs an ordering's trees through the slot trees of
+    # its multiset; they are built here from the last ordering, not the
+    # sorted first one, so that the builder's own inversions are undone
     theory, decomps = theory_decomps
-    for alphas in decomps:
-        assert _tree_weight(_edge_weights(theory, alphas, {})) == \
+    rows_of = {}
+    for alphas in reversed(decomps):
+        ms = tuple(sorted(alphas))
+        if ms not in rows_of:
+            rows_of[ms] = _slot_trees(alphas, _edge_weights(theory, alphas, {}))
+        assert _slot_sum(rows_of[ms], _slot_bits(alphas)[1]) == \
             ref.tree_weight_sum(theory, alphas), alphas
 
 

@@ -31,6 +31,11 @@ CONJECTURE_COUNTS = {
     "decay.jumps": 147, "symbolic.equations": 62, "symbolic.unknowns": 81,
     "symbolic.free_symbols": 36, "js.u_calls": 472, "js.s_calls": 798,
     "trees.canon_calls": 410}
+# the same for one traced invariant pass: the decompositions summed and
+# the symbols and pairings they need, whatever walks their trees
+INVARIANT_COUNTS = {
+    "js.decompositions": 533, "js.u_calls": 533, "js.s_calls": 703,
+    "lattice.pair_calls": 103}
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +131,5 @@ def test_traced_worker_passes_fire_every_home_metric(workloads):
         assert [m for m, v in values.items() if not v] == [], name
         if name == "conjecture":
             assert {m: values[m] for m in CONJECTURE_COUNTS} == CONJECTURE_COUNTS
+        if name == "invariant":
+            assert {m: values[m] for m in INVARIANT_COUNTS} == INVARIANT_COUNTS

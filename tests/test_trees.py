@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -5,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from js_reference import labelled_trees, tree_from_prufer, trees_without
-from wallcross.trees import (_tree_table, adjacency, canon_oriented,
-                             canon_unoriented, centroids,
-                             enumerate_labelled_trees)
+from wallcross.trees import (adjacency, canon_oriented, canon_unoriented,
+                             centroids, enumerate_labelled_trees)
 
 
 def test_cayley_counts():
@@ -71,18 +71,47 @@ def test_table_matches_heap_decoder(n):
     assert [list(t) for t in enumerate_labelled_trees(n)] == labelled_trees(n)
 
 
-@pytest.mark.parametrize("n", range(1, 8))
-def test_edge_masks_match_heap_decoder(n):
-    # bit k of an edge's mask is set iff the k-th heap-decoded tree has the
-    # edge; the cache is cleared so the table and the smaller ones it is
-    # built from are made afresh
-    _tree_table.cache_clear()
-    trees = [set(t) for t in labelled_trees(n)]
-    masks = _tree_table(n)[1]
-    assert set(masks) == set(combinations(range(n), 2))
-    for e, mask in masks.items():
-        assert f"{mask:0{len(trees)}b}"[::-1] == \
-            "".join("01"[e in t] for t in trees), e
+def _zero_edge_subsets(n):
+    edges = list(combinations(range(n), 2))
+    for bits in range(1 << len(edges)):
+        yield [e for k, e in enumerate(edges) if bits >> k & 1]
+
+
+def test_every_zero_edge_subset_matches_heap_decoder():
+    # every support graph on at most 5 vertices: the same trees, tree
+    # order and edge order as the heap decoder filtered edge by edge
+    cases = 0
+    for n in range(1, 6):
+        for zero in _zero_edge_subsets(n):
+            got = [list(t) for t in enumerate_labelled_trees(n, zero)]
+            assert got == trees_without(n, zero), (n, zero)
+            cases += 1
+    assert cases == 1099
+
+
+def _bipartite_zero_edges(a, n):
+    # the edges inside either side of a + (n - a) vertices
+    return [(i, j) for i, j in combinations(range(n), 2)
+            if (i < a) == (j < a)]
+
+
+@pytest.mark.parametrize("a,n", [(2, 6), (3, 7)])
+def test_complete_bipartite_supports_match_heap_decoder(a, n):
+    # K_{2,4} and K_{3,4}, then each of them with one edge removed
+    zero = _bipartite_zero_edges(a, n)
+    cross = [e for e in combinations(range(n), 2) if e not in zero]
+    for extra in [[], *([e] for e in cross)]:
+        got = [list(t) for t in enumerate_labelled_trees(n, zero + extra)]
+        assert got == trees_without(n, zero + extra), extra
+
+
+@pytest.mark.parametrize("bad", [(2, 1), (0, 9), (1, 1), (-1, 2), [0, 1],
+                                 (0, 1, 2)])
+def test_zero_edge_must_be_an_edge(bad):
+    # an edge out of order, past the last vertex or a loop is refused by
+    # name; skipping it would return trees that contain the edge
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        enumerate_labelled_trees(4, [bad])
 
 
 @st.composite
@@ -99,7 +128,7 @@ def zero_edge_sets(draw):
 @settings(max_examples=150, deadline=None)
 def test_zero_edges_filter_the_table(case):
     # against the heap decoder filtered edge by edge, not the library's
-    # own table and bit sets
+    # own enumeration
     n, zero = case
     got = [list(t) for t in enumerate_labelled_trees(n, zero)]
     assert got == trees_without(n, zero)
@@ -108,8 +137,7 @@ def test_zero_edges_filter_the_table(case):
 def test_zero_edges_complete_bipartite():
     # edges inside either side of 3 + 4 vertices vanish: the 3^3 * 4^2 = 432
     # spanning trees of K_{3,4} remain
-    zero = [(i, j) for i, j in combinations(range(7), 2) if (i < 3) == (j < 3)]
-    assert len(enumerate_labelled_trees(7, zero)) == 432
+    assert len(enumerate_labelled_trees(7, _bipartite_zero_edges(3, 7))) == 432
     assert enumerate_labelled_trees(7, []) is enumerate_labelled_trees(7)
 
 
