@@ -84,18 +84,18 @@ def cmd_js(args) -> int:
     table = strong_table(theory)
     trees = js_tree_values(theory, table, target,
                            max_vertices=args.max_vertices)
-    # the tree totals are coefficients of sigma(target) summing to the invariant
+    # the tree totals are coefficients of sigma(target) summing to the
+    # invariant; a vertex bound leaves out terms, so its sum is partial
     dt = sum(tv.total.coeff() for tv in trees.values())
-    report = {
-        "command": "js",
-        "theory": theory.name,
-        "target": list(target),
-        "dt_weak": str(dt),
-        "trees": [{"charges": [list(c) for c in tv.charges],
-                   "edges": [list(e) for e in tv.edges],
-                   "total": repr(tv.total)}
-                  for key, tv in sorted(trees.items())],
-    }
+    report = {"command": "js", "theory": theory.name, "target": list(target)}
+    if args.max_vertices is None:
+        report["dt_weak"] = str(dt)
+    else:
+        report.update(max_vertices=args.max_vertices, partial_sum=str(dt))
+    report["trees"] = [{"charges": [list(c) for c in tv.charges],
+                        "edges": [list(e) for e in tv.edges],
+                        "total": repr(tv.total)}
+                       for key, tv in sorted(trees.items())]
     _emit(report, args.output)
     return PASS
 

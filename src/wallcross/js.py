@@ -3,9 +3,8 @@ into strong-coupling multiples, and labelled-tree weights.
 
 Slopes: s(gamma) is the phase of Z_gamma on the strong side (u+), w(gamma)
 on the weak side (u-).  All comparisons are exact.  The per-tree values
-and the invariant walk each multiset's supported trees once, as slot
-trees with their weights (and, for the per-tree values, their keys),
-and sum its orderings over them.
+and the invariant work per multiset: one walk of its supported trees, as
+slot trees, and one Fraction factor; its orderings add up integers.
 """
 from __future__ import annotations
 
@@ -251,35 +250,43 @@ def decompositions(theory: Theory, table: SpectrumTable, target: Charge,
                   for order in _orderings(ms))
 
 
-def _weighted_decompositions(theory: Theory, table: SpectrumTable,
-                             target: Charge, max_vertices: int | None
-                             ) -> Iterator[tuple[tuple[Charge, ...],
-                                                 list[list[int]], Fraction]]:
-    """Each ordered decomposition with at most max_vertices parts whose
-    coefficient U * prod DT * (-1)^(n-1) / 2^(n-1) is nonzero, with its
-    _edge_weights table and that coefficient times the refinement sign:
-    prod_k sigma(alpha_k) is that sign times sigma(target).
+def _multiset_terms(theory: Theory, table: SpectrumTable, target: Charge,
+                    max_vertices: int | None) -> Iterator[tuple]:
+    """Per sorted multiset, in first-seen order, of the ordered
+    decompositions with at most max_vertices parts and a nonzero
+    coefficient U prod DT (-1)^(n-1) / 2^(n-1): its first such ordering,
+    that ordering's _edge_weights table (the only one built), c, and each
+    such ordering's (U (n!)^2, _inversions).
 
-    The pairing and DT of the parts are read once per call.  The sign is
-    (-1)^(sum_{i<j} <alpha_i, alpha_j>), read off the weight table: by
-    bilinearity this is the parity Theory.sigma_reduce folds."""
+    The coefficient times the refinement sign (prod_k sigma(alpha_k) is
+    the sign times sigma(target)) is c U (n!)^2, and U (n!)^2 is an
+    integer (see u_symbol).  c = sign prod DT (-1)^(n-1) / (2^(n-1) (n!)^2)
+    is the same for every ordering of the multiset: the sign is
+    (-1)^(sum_{i<j} <alpha_i, alpha_j>) (Theory.sigma_reduce's fold, by
+    bilinearity), and swapping two parts negates one pairing, keeping the
+    parity.  DT is read once per distinct part and each ordered pair of
+    parts paired once per call."""
+    groups: dict[tuple[Charge, ...], list] = {}
+    for alphas in decompositions(theory, table, target, max_vertices):
+        u = u_symbol(theory, list(alphas))
+        if u:
+            groups.setdefault(tuple(sorted(alphas)), []).append((alphas, u))
     dt: dict[Charge, Fraction] = {}
     pairs: dict[tuple[Charge, Charge], int] = {}
-    for alphas in decompositions(theory, table, target, max_vertices):
-        n = len(alphas)
-        u = u_symbol(theory, list(alphas))
-        if u == 0:
-            continue
-        for a in alphas:
+    for ms, orders in groups.items():
+        for a in ms:
             if a not in dt:
                 dt[a] = table.dt(a)
-        dts = prod(map(dt.__getitem__, alphas))
+        dts = prod(map(dt.__getitem__, ms))
         if dts == 0:
             continue
-        weights = _edge_weights(theory, alphas, pairs)
-        sign = -1 if sum(map(sum, weights)) % 2 else 1
-        yield (alphas, weights,
-               sign * u * dts * Fraction((-1) ** (n - 1), 2 ** (n - 1)))
+        n, first = len(ms), orders[0][0]
+        weights = _edge_weights(theory, first, pairs)
+        scale = factorial(n) ** 2
+        sign = -1 if (n - 1 + sum(map(sum, weights))) % 2 else 1
+        yield (first, weights, sign * dts / (2 ** (n - 1) * scale),
+               [(u.numerator * (scale // u.denominator), _inversions(a))
+                for a, u in orders])
 
 
 def _edge_weights(theory: Theory, alphas: tuple[Charge, ...],
@@ -312,22 +319,23 @@ class TreeValue:
     total: Value
 
 
-def _slot_bits(alphas: tuple[Charge, ...]) -> tuple[list[list[int]], int]:
-    """Slot-pair bits of an ordering, and its inversion mask.
-
-    The slots are the positions of the sorted multiset, equal parts taking
-    theirs in the order they occur; slot pair s < t is bit s n + t, and
-    bits[i][j] is the bit of the slot pair at positions i and j.  The mask
-    has the bits of the slot pairs the ordering puts in the order t, s.
-    An edge weight <alpha_i, alpha_j> is the slot weight of that pair,
-    negated when the pair is inverted."""
-    n = len(alphas)
-    slot = [0] * n
-    for s, i in enumerate(sorted(range(n), key=alphas.__getitem__)):
+def _slots(alphas: tuple[Charge, ...]) -> list[int]:
+    """The slot of each position: the slots are the positions of the
+    sorted multiset, equal parts taking theirs in the order they occur."""
+    slot = [0] * len(alphas)
+    for s, i in enumerate(sorted(range(len(alphas)), key=alphas.__getitem__)):
         slot[i] = s
-    bits = [[1 << (min(s, t) * n + max(s, t)) for t in slot] for s in slot]
-    return bits, sum(bits[i][j] for i, j in combinations(range(n), 2)
-                     if slot[i] > slot[j])
+    return slot
+
+
+def _inversions(alphas: tuple[Charge, ...]) -> int:
+    """The inversion mask of an ordering: slot pair s < t is bit s n + t,
+    and the mask has the bits of the slot pairs the ordering puts in the
+    order t, s.  An edge weight <alpha_i, alpha_j> is the slot weight of
+    that pair, negated when the pair is inverted."""
+    n, slot = len(alphas), _slots(alphas)
+    return sum(1 << (s * n + t) for j, s in enumerate(slot)
+               for t in slot[:j] if t > s)
 
 
 def _slot_trees(alphas: tuple[Charge, ...], weights: list[list[int]]
@@ -336,10 +344,11 @@ def _slot_trees(alphas: tuple[Charge, ...], weights: list[list[int]]
     (edges, slot mask, P) with P the slot weight product, the tree's
     weight product with the sign of the slot pairs the ordering inverts
     undone."""
-    bits, inv = _slot_bits(alphas)
+    n, slot, inv = len(alphas), _slots(alphas), _inversions(alphas)
     rows = []
     for edges in _supported_trees(weights):
-        mask = sum(bits[i][j] for i, j in edges)
+        mask = sum(1 << (min(slot[i], slot[j]) * n + max(slot[i], slot[j]))
+                   for i, j in edges)
         w = prod(weights[i][j] for i, j in edges)
         rows.append((edges, mask, -w if (mask & inv).bit_count() & 1 else w))
     return rows
@@ -361,38 +370,31 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
     decay-calculus contributions they are compared with.
 
     Every ordering of one multiset puts its trees on the same vertex set,
-    the slots of the sorted multiset (see _slot_bits), and supports the
-    same slot trees.  So the first ordering of a multiset walks its own
+    the slots of the sorted multiset (see _slots), and supports the same
+    slot trees.  So the first ordering of a multiset walks its own
     supported trees once, in their order, and records each as a slot
     tree (_slot_trees): its bit set of slot pairs and its slot weight
     product P; here each also gets its canonical key.  An ordering with
     inversion mask inv then weighs a slot tree with mask m as
-    P (-1)^popcount(m & inv) (_slot_sum).  The integer weights are
-    summed per key, so there is one Fraction multiply-add per
-    (decomposition, tree key).
+    P (-1)^popcount(m & inv) (_slot_sum).  Per (multiset, tree key),
+    U (n!)^2 times that is summed over the orderings in integers, then
+    times the multiset's c (_multiset_terms): one Fraction multiply-add.
     """
     # tree key -> [charges, edges, total]
     trees: dict[str, list] = {}
-    # multiset -> [(tree key, slot trees), ...]
-    groups_of: dict[tuple[Charge, ...], list] = {}
-    for alphas, weights, base in _weighted_decompositions(theory, table,
-                                                          target, max_vertices):
-        ms = tuple(sorted(alphas))
-        groups = groups_of.get(ms)
-        if groups is None:
-            n, charges = len(alphas), list(alphas)
-            by_key: dict[str, list] = {}
-            for row in _slot_trees(alphas, weights):
-                key = canon_unoriented(n, row[0], charges)
-                if key not in trees:
-                    trees[key] = [charges, list(row[0]), Fraction(0)]
-                by_key.setdefault(key, []).append(row)
-            groups = groups_of[ms] = list(by_key.items())
-        inv = _slot_bits(alphas)[1]
-        for key, rows in groups:
-            w = _slot_sum(rows, inv)
+    for first, weights, c, terms in _multiset_terms(theory, table, target,
+                                                    max_vertices):
+        n, charges = len(first), list(first)
+        by_key: dict[str, list] = {}
+        for row in _slot_trees(first, weights):
+            key = canon_unoriented(n, row[0], charges)
+            if key not in trees:
+                trees[key] = [charges, list(row[0]), Fraction(0)]
+            by_key.setdefault(key, []).append(row)
+        for key, rows in by_key.items():
+            w = sum(u * _slot_sum(rows, inv) for u, inv in terms)
             if w:
-                trees[key][2] += base * w
+                trees[key][2] += c * w
     return {key: TreeValue(list(charges), edges, Value.rational(total))
             for key, (charges, edges, total) in trees.items() if total}
 
@@ -403,15 +405,12 @@ def js_wallcross(theory: Theory, table: SpectrumTable, target: Charge,
     sigma(target) in the sum of js_tree_values.
 
     The same slot trees as there, with no keys: the first ordering of a
-    multiset walks its supported trees once, and every ordering adds
-    its coefficient times _slot_sum over them."""
+    multiset walks its supported trees once, and the multiset adds its
+    factor c times the integer sum of U (n!)^2 _slot_sum over its
+    orderings."""
     total = Fraction(0)
-    rows_of: dict[tuple[Charge, ...], list] = {}
-    for alphas, weights, base in _weighted_decompositions(theory, table,
-                                                          target, max_vertices):
-        ms = tuple(sorted(alphas))
-        rows = rows_of.get(ms)
-        if rows is None:
-            rows = rows_of[ms] = _slot_trees(alphas, weights)
-        total += base * _slot_sum(rows, _slot_bits(alphas)[1])
+    for first, weights, c, terms in _multiset_terms(theory, table, target,
+                                                    max_vertices):
+        rows = _slot_trees(first, weights)
+        total += c * sum(u * _slot_sum(rows, inv) for u, inv in terms)
     return total

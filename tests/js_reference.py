@@ -13,7 +13,7 @@ part multiplicities up to the most each part fits into the target, apart
 from the library's walk, and the grouped tree values canonicalise every
 (ordering, labelled tree) pair afresh and weight each ordering with this
 module's U, the table's DT and a refinement sign read off their own pairing
-table, never through the library's weighted decompositions.  The library
+table, never through the library's per-multiset terms.  The library
 computes the same numbers faster; the differential tests check that it
 returns exactly these values.
 """

@@ -444,6 +444,19 @@ def test_js_vertex_bound_limits_the_orderings(tmp_path):
     assert rep["trees"] and all(len(t["charges"]) <= 3 for t in rep["trees"])
 
 
+def test_js_vertex_bound_reports_a_partial_sum(tmp_path):
+    # a bound leaves out the larger multisets: nf0 3,3 summed up to 3
+    # vertices gives 34/9, but its weak DT is -2/9, so a bounded report
+    # names the bound and does not call its sum the invariant
+    code, rep = run(tmp_path, "js", "nf0", "3,3", "--max-vertices", "3")
+    assert code == 0
+    assert "dt_weak" not in rep
+    assert rep["max_vertices"] == 3 and rep["partial_sum"] == "34/9"
+    code, rep = run(tmp_path, "js", "nf0", "3,3")
+    assert code == 0
+    assert "max_vertices" not in rep and rep["dt_weak"] == "-2/9"
+
+
 def test_js_runs_the_decomposition_loop_once(tmp_path, monkeypatch):
     # dt_weak is the sum of the tree totals, so each of the 37 ordered
     # decompositions of nf0 2,3 gets one U symbol, not one per quantity

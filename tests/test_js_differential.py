@@ -3,7 +3,7 @@ tree values return exactly the values of the reference implementations in
 js_reference.py."""
 from collections import defaultdict
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import js_reference as ref
 from test_conjecture_sweep import MAX_DEGREE, _targets
 from wallcross import js
-from wallcross.js import (_edge_weights, _slot_bits, _slot_sum, _slot_trees,
+from wallcross.js import (_edge_weights, _inversions, _slot_sum, _slot_trees,
                           decompositions, s_symbol, strong_parts, u_symbol)
 from wallcross.lattice import PLUS, MINUS, direction_key, theory_by_name
 from wallcross.spectrum import SpectrumTable, spectrum_table
@@ -120,7 +120,7 @@ def test_tree_weight_matches_reference(theory_decomps):
         ms = tuple(sorted(alphas))
         if ms not in rows_of:
             rows_of[ms] = _slot_trees(alphas, _edge_weights(theory, alphas, {}))
-        assert _slot_sum(rows_of[ms], _slot_bits(alphas)[1]) == \
+        assert _slot_sum(rows_of[ms], _inversions(alphas)) == \
             ref.tree_weight_sum(theory, alphas), alphas
 
 
@@ -173,20 +173,49 @@ def _parity_sign(weights):
 
 
 def test_weighted_decompositions_read_sigma_off_the_weight_table():
-    # the fast path reads each pairing once per call and takes the sign
-    # from the weight table; the slow path pairs afresh and folds
-    # sigma_reduce, and the coefficient is rebuilt from U, DT and that sign
+    # the fast path groups the orderings by multiset, reads each pairing
+    # once per call and takes the sign from the first weight table; the
+    # slow path pairs afresh and folds sigma_reduce, and the multiset's
+    # factor and each ordering's integer U are rebuilt from U, DT and that
+    # sign
     for name, target, max_vertices in _tree_value_targets():
         theory, table = theory_by_name(name), spectrum_table(name, "strong")
-        for alphas, weights, c in js._weighted_decompositions(
-                theory, table, target, max_vertices):
-            n = len(alphas)
-            sign = theory.sigma_reduce(list(alphas))[0]
-            assert weights == _edge_weights(theory, alphas, {}), alphas
-            assert _parity_sign(weights) == sign, alphas
-            assert c == (sign * u_symbol(theory, list(alphas))
-                         * prod(map(table.dt, alphas))
-                         * Fraction((-1) ** (n - 1), 2 ** (n - 1))), alphas
+        orders_of = {}
+        for alphas in decompositions(theory, table, target, max_vertices):
+            u = u_symbol(theory, list(alphas))
+            if u:
+                orders_of.setdefault(tuple(sorted(alphas)), []).append(
+                    (alphas, u))
+        got = list(js._multiset_terms(theory, table, target, max_vertices))
+        assert [tuple(sorted(first)) for first, *_ in got] == [
+            ms for ms in orders_of if prod(map(table.dt, ms))], target
+        for first, weights, c, terms in got:
+            ms = tuple(sorted(first))
+            n, scale = len(ms), factorial(len(ms)) ** 2
+            sign = theory.sigma_reduce(list(first))[0]
+            assert first == orders_of[ms][0][0], ms
+            assert weights == _edge_weights(theory, first, {}), first
+            assert _parity_sign(weights) == sign, first
+            assert c == (sign * prod(map(table.dt, ms))
+                         * Fraction((-1) ** (n - 1), 2 ** (n - 1) * scale)), ms
+            assert len(terms) == len(orders_of[ms]), ms
+            for (u_int, inv), (alphas, u) in zip(terms, orders_of[ms]):
+                assert Fraction(u_int, scale) == u, alphas
+                assert inv == _inversions(alphas), alphas
+
+
+@given(part_sequences(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_multiset_factor_is_ordering_invariant(case, data):
+    # _multiset_terms takes the sign of a multiset from one ordering and
+    # sums U (n!)^2 of every ordering as an integer
+    theory, alphas = case
+    n, sign = len(alphas), theory.sigma_reduce(alphas)[0]
+    for _ in range(3):
+        perm = data.draw(st.permutations(alphas))
+        assert _parity_sign(_edge_weights(theory, tuple(perm), {})) == \
+            theory.sigma_reduce(perm)[0] == sign, perm
+        assert (u_symbol(theory, perm) * factorial(n) ** 2).denominator == 1
 
 
 @given(part_sequences())
@@ -208,19 +237,21 @@ def test_slot_tree_sign_is_the_inversion_parity(case):
     # its slot pairs that the ordering inverts
     theory, alphas = case
     alphas, ms = tuple(alphas), tuple(sorted(alphas))
+    n = len(ms)
     slot_weights = _edge_weights(theory, ms, {})
-    slot_bits, unsorted = js._slot_bits(ms)
-    assert unsorted == 0
-    bits, inv = js._slot_bits(alphas)
     weights = _edge_weights(theory, alphas, {})
     # pos[s] is the position of slot s: equal parts keep their order
     pos = [[p for p, b in enumerate(alphas) if b == a][s - ms.index(a)]
            for s, a in enumerate(ms)]
+    assert [js._slots(alphas)[p] for p in pos] == list(range(n))
+    inv = _inversions(alphas)
+    assert _inversions(ms) == 0
+    assert inv == sum(1 << (s * n + t) for s in range(n)
+                      for t in range(s + 1, n) if pos[s] > pos[t]), alphas
     for edges in js._supported_trees(slot_weights):
-        mask = sum(slot_bits[s][t] for s, t in edges)
+        mask = sum(1 << (s * n + t) for s, t in edges)
         p = prod(slot_weights[s][t] for s, t in edges)
         moved = [tuple(sorted((pos[s], pos[t]))) for s, t in edges]
-        assert sum(bits[i][j] for i, j in moved) == mask, alphas
         assert (p * (-1) ** (mask & inv).bit_count()
                 == prod(weights[i][j] for i, j in moved)), alphas
 
