@@ -18,7 +18,8 @@ def main():
     for name, target, mv in CATALOG:
         theory = theory_by_name(name)
         rep = conjecture_check(theory, target, max_vertices=mv)
-        print(f"\n== {name}, target {target}: "
+        bound = "" if mv is None else f", at most {mv} vertices"
+        print(f"\n== {name}, target {target}{bound}: "
               f"{'AGREE' if rep.ok else 'DISAGREE'} ==")
         for key, tc in sorted(rep.trees.items()):
             framings = ", ".join(d.describe() for d, _ in tc.framings)

@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .decay import conjecture_check, run_decay, weighted_contribution
-from .gmn import enumerate_diagrams, weight_W
+from .decay import conjecture_check, gmn_contribution, run_decay
+from .gmn import enumerate_diagrams, root_direction, weight_W
 from .js import js_tree_values
 from .ks import (FactorizationError, check_coverage, infer_weak_spectrum,
                  verify_wall_identity)
@@ -106,14 +106,15 @@ def cmd_gmn(args) -> int:
     table = strong_table(theory)
     diagrams = enumerate_diagrams(theory, table, target,
                                   max_vertices=args.max_vertices)
+    # each weight is a coefficient along the framing direction
+    direction = list(root_direction(theory))
     out = []
     for diag in diagrams:
-        wval, total = weight_W(theory, table, diag)
+        w = weight_W(theory, table, diag)
         out.append({"diagram": diag.describe(),
-                    "weight": str(wval),
-                    "total": list(total),
-                    "contribution": repr(weighted_contribution(theory, diag, wval,
-                                                               None))})
+                    "weight": str(w),
+                    "total": direction,
+                    "contribution": repr(gmn_contribution(theory, diag, w))})
     report = {"command": "gmn", "theory": theory.name,
               "target": list(target), "diagrams": out}
     _emit(report, args.output)
@@ -153,10 +154,12 @@ def cmd_check_conjecture(args) -> int:
     theory = _theory(args.theory)
     target = _parse_charge(theory, args.target)
     rep = conjecture_check(theory, target, max_vertices=args.max_vertices)
-    report = {
-        "command": "check-conjecture",
-        "theory": rep.theory,
-        "target": list(rep.target),
+    report = {"command": "check-conjecture", "theory": rep.theory,
+              "target": list(rep.target)}
+    if args.max_vertices is not None:
+        # only trees of at most this many vertices were compared
+        report["max_vertices"] = args.max_vertices
+    report.update({
         "ok": rep.ok,
         "ledger": {k: str(v) for k, v in sorted(rep.ledger.items())},
         "free_symbols": rep.free_symbols,
@@ -168,7 +171,7 @@ def cmd_check_conjecture(args) -> int:
                    "framings": len(tc.framings),
                    "ok": tc.ok}
                   for key, tc in sorted(rep.trees.items())],
-    }
+    })
     _emit(report, args.output)
     return PASS if rep.ok else FAIL
 

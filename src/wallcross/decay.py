@@ -28,7 +28,7 @@ from .lattice import (CCW, MINUS, PLUS, Charge, RayCoincidenceError,
                       Theory, Vec2, cadd, cross, direction_key, sweep_crossing)
 from .gmn import RootedDiagram, enumerate_diagrams, weight_W
 from .js import js_tree_values
-from .spectrum import SpectrumTable, strong_table
+from .spectrum import strong_table
 from .symbolic import Value, free_unknowns, solve_linear
 from .trees import adjacency, canon_unoriented, charge_label, encode
 
@@ -270,18 +270,11 @@ def _run(theory: Theory, stack: list[_State], result: TraceResult) -> None:
         _sweep(theory, st, i, alive, stack, result)
 
 
-def gmn_contribution(theory: Theory, table: SpectrumTable, diag: RootedDiagram,
+def gmn_contribution(theory: Theory, diag: RootedDiagram, w: Fraction,
                      trace: TraceResult | None = None) -> Value:
-    """Contribution of one framed diagram to the weak-side invariant."""
-    return weighted_contribution(theory, diag, weight_W(theory, table, diag)[0],
-                                 trace)
-
-
-def weighted_contribution(theory: Theory, diag: RootedDiagram, w: Fraction,
-                          trace: TraceResult | None) -> Value:
-    """gmn_contribution of a diagram whose weight_W coefficient is w, for a
-    caller that reports the weight too; the decay runs unless `trace`
-    holds its result."""
+    """Contribution of one framed diagram of weight w = weight_W(diag) to
+    the weak-side invariant; the decay runs unless `trace` holds its
+    result."""
     if w == 0:
         return Value.zero()
     p = diag.total()[theory.root_index]
@@ -341,7 +334,8 @@ def conjecture_check(theory: Theory, target: Charge,
         for jk, jv in trace.jumps.items():
             if jumps.setdefault(jk, jv) != jv:
                 raise ValueError(f"conflicting jump values for {jk}")
-        contrib = gmn_contribution(theory, strong, diag, trace=trace)
+        contrib = gmn_contribution(theory, diag, weight_W(theory, strong, diag),
+                                   trace)
         if key not in trees:    # framings only: the js sum has no such tree
             trees[key] = TreeCheck(diag.charges, tuple(diag.edges()))
         tc = trees[key]

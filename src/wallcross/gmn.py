@@ -2,17 +2,17 @@
 
 A diagram is a tree whose vertices carry effective charges (positive
 multiples of strong-coupling BPS directions), rooted at a vertex lying
-on the framing direction.  Its weight is built from the f-coefficients
-of the vertices, the pairings along the edges, and the automorphism
-count of the rooted decorated tree.
+on the framing direction.  Its weight is built from the DT invariants of
+the vertices, the pairings along the edges, and the automorphism order
+of the rooted decorated tree, which the enumeration keeps.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Charge, Theory, cadd, czero, primitive
-from .spectrum import SpectrumTable, f_coeff
+from .lattice import Charge, Theory, cadd, content, czero, primitive
+from .spectrum import SpectrumTable
 from .js import _edge_weights, _supported_trees, multisets
 from .trees import adjacency, charge_label, encode
 
@@ -21,6 +21,7 @@ from .trees import adjacency, charge_label, encode
 class RootedDiagram:
     charges: tuple[Charge, ...]
     parent: tuple[int | None, ...]   # parent[i]; exactly one None (the root)
+    aut: int    # order of the automorphism group of the rooted decorated tree
 
     @property
     def root(self) -> int:
@@ -42,24 +43,12 @@ class RootedDiagram:
     def edges(self) -> list[tuple[int, int]]:
         return [(p, i) for i, p in enumerate(self.parent) if p is not None]
 
-    def _encoded(self) -> tuple[str, int]:
-        labels = [charge_label(c) for c in self.charges]
-        return encode(self.root, -1, adjacency(self.n, self.edges()), labels)
-
-    def canonical(self) -> str:
-        return self._encoded()[0]
-
     def describe(self) -> str:
         def walk(i):
             kids = ",".join(walk(j) for j in sorted(self.children(i)))
             label = "+".join(str(x) for x in self.charges[i])
             return f"({label})[{kids}]" if kids else f"({label})"
         return walk(self.root)
-
-
-def aut_order(diag: RootedDiagram) -> int:
-    """Order of the automorphism group of the rooted decorated tree."""
-    return diag._encoded()[1]
 
 
 def root_direction(theory: Theory) -> Charge:
@@ -73,7 +62,8 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
     Vertices are strong multiples, edges require nonzero pairing, and the
     root lies on the framing direction.  Deduplicated up to rooted
     decorated isomorphism: a rooting of a supported labelled tree becomes
-    a diagram only if its canonical string is new.
+    a diagram only if its canonical string is new, and keeps the
+    automorphism order that the same encoding returns.
     """
     rdir = root_direction(theory)
     seen: dict[str, RootedDiagram] = {}
@@ -87,7 +77,7 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
         for edges in _supported_trees(_edge_weights(theory, ms, pairs)):
             adj = adjacency(n, edges)
             for r in roots:
-                key = encode(r, -1, adj, labels)[0]
+                key, aut = encode(r, -1, adj, labels)
                 if key in seen:
                     continue
                 parent: list[int | None] = [None] * n
@@ -98,24 +88,28 @@ def enumerate_diagrams(theory: Theory, table: SpectrumTable, target: Charge,
                         if u != r and parent[u] is None:
                             parent[u] = v
                             stack.append(u)
-                seen[key] = RootedDiagram(ms, tuple(parent))
+                seen[key] = RootedDiagram(ms, tuple(parent), aut)
     return [seen[k] for k in sorted(seen, key=lambda k: (seen[k].n, k))]
 
 
-def weight_W(theory: Theory, table: SpectrumTable,
-             diag: RootedDiagram) -> tuple[Fraction, Charge]:
-    """Diagram weight: (-1)^n / |Aut| * f^root * prod <gamma_parent, f^child>.
+def weight_W(theory: Theory, table: SpectrumTable, diag: RootedDiagram) -> Fraction:
+    """Diagram weight (-1)^n / |Aut| * f^root * prod <gamma_parent, f^child>,
+    as a coefficient of sigma of the diagram's total charge along the
+    framing direction.
 
-    Returns (coefficient, direction); the coefficient is in units of
-    sigma of the diagram's total charge: each f^gamma is c * sigma(gamma)
-    times a direction, and prod sigma(gamma) = sign * sigma(total).
+    A vertex's f^gamma = sum_n sigma(gamma/n)^n / n * Omega(gamma/n) * gamma/n
+    is sigma(gamma) DT(gamma) gamma, because sigma(2 beta) = +1 gives
+    sigma(gamma/n)^n = sigma(gamma) for each divisor n of content(gamma).
+    So <gamma_p, f^c> = sigma(c) DT(c) <gamma_p, gamma_c>, f^root is
+    sigma(root) DT(root) content(root) times the framing direction, and
+    prod sigma(gamma) = sign * sigma(total) by sigma_reduce: the weight is
+    (-1)^n sign content(root) prod DT(v) prod <gamma_p, gamma_c> / |Aut|.
     """
-    w = Fraction((-1) ** diag.n * theory.sigma_reduce(list(diag.charges))[0],
-                 aut_order(diag))
-    for i, c in enumerate(diag.charges):
-        coeff, direction = f_coeff(table, c)
-        w *= coeff
-        p = diag.parent[i]
+    charges = diag.charges
+    w = Fraction((-1) ** diag.n * theory.sigma_reduce(list(charges))[0]
+                 * content(charges[diag.root]), diag.aut)
+    for c, p in zip(charges, diag.parent):
+        w *= table.dt(c)
         if p is not None:
-            w *= theory.pair(diag.charges[p], direction)
-    return w, primitive(diag.charges[diag.root])
+            w *= theory.pair(charges[p], c)
+    return w

@@ -1,5 +1,4 @@
-"""BPS index tables on both sides of the wall, DT multi-cover values and
-the f-coefficients attached to tree vertices."""
+"""BPS index tables on both sides of the wall and DT multi-cover values."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -137,18 +136,3 @@ def spectrum_table(theory_name: str, region: str, K: int = DEFAULT_K) -> Spectru
         entries[(1, 1, 1, 1, 2)] = -2
         return SpectrumTable(theory_name, region, None, False, None, entries)
     raise ValueError(f"no spectrum rules for theory {theory_name!r}")
-
-
-# ---------------------------------------------------------------------------
-# f-coefficients
-
-def f_coeff(table: SpectrumTable, gamma: Charge) -> tuple[Fraction, Charge]:
-    """Vertex coefficient
-    f^gamma = sum_n sigma(gamma/n)^n / n * Omega(gamma/n) * gamma/n
-    as (c, direction) with f^gamma = c * sigma(gamma) * direction.
-
-    sigma(2 beta) = +1 for every refinement, so sigma(gamma/n)^n = sigma(gamma)
-    for each divisor n of the content of gamma, and f^gamma is
-    sigma(gamma) DT(gamma) gamma.
-    """
-    return table.dt(gamma) * content(gamma), primitive(gamma)

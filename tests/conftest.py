@@ -5,6 +5,7 @@ import pytest
 from wallcross.gmn import enumerate_diagrams
 from wallcross.lattice import theory_by_name
 from wallcross.spectrum import spectrum_table
+from wallcross.trees import adjacency, charge_label, encode
 
 Q = Fraction
 
@@ -46,3 +47,11 @@ def diagram_by_describe(theory, table, target, text, max_vertices=None):
         if d.describe() == text:
             return d
     raise AssertionError(f"no diagram {text!r} for {theory.name} {target}")
+
+
+def encode_rooted(charges, parent):
+    """(canonical string, automorphism order) of the rooted decorated tree
+    with the given parent map, straight from the one encoder."""
+    edges = [(p, i) for i, p in enumerate(parent) if p is not None]
+    return encode(parent.index(None), -1, adjacency(len(charges), edges),
+                  [charge_label(c) for c in charges])

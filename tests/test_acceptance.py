@@ -114,8 +114,7 @@ def test_acceptance_3_diagram_weights(nf0, nf0_strong, nf1, nf2, nf3):
     ok = True
     for th, table, target, text, want in cases:
         d = diagram_by_describe(th, table, target, text, max_vertices=5)
-        w, _ = weight_W(th, table, d)
-        ok = ok and w == want
+        ok = ok and weight_W(th, table, d) == want
     report("diagram weights 2, -2, -4, 8, -1, 1, -1, 4 (coefficients of "
            "sigma(target)) on the catalogued framings", ok)
 
@@ -127,11 +126,13 @@ def test_acceptance_4_decay_contributions(nf0, nf0_strong):
     # the vanishing chain
     chain = diagram_by_describe(nf0, nf0_strong, (2, 3),
                                 "(1+0)[(0+1)[(1+0)[(0+2)]]]")
-    ok = ok and gmn_contribution(nf0, nf0_strong, chain) == Value.zero()
+    ok = ok and gmn_contribution(
+        nf0, chain, weight_W(nf0, nf0_strong, chain)) == Value.zero()
     # the two framings that first split off 2gamma_m contribute -4 each
     for text in ["(1+0)[(0+1),(0+2)[(1+0)]]", "(1+0)[(0+2)[(1+0)[(0+1)]]]"]:
         d = diagram_by_describe(nf0, nf0_strong, (2, 3), text)
-        ok = ok and gmn_contribution(nf0, nf0_strong, d) == Value.rational(-4)
+        ok = ok and gmn_contribution(
+            nf0, d, weight_W(nf0, nf0_strong, d)) == Value.rational(-4)
     # the worked star's two surviving singletons cancel: +1 - 1 = 0
     star = diagram_by_describe(nf0, nf0_strong, (2, 3),
                                "(1+0)[(0+1)[(1+0)[(0+1),(0+1)]]]")

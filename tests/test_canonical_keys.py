@@ -8,8 +8,10 @@ format or to the walk that builds them shows here.
 import pytest
 
 from wallcross.decay import conjecture_check
-from wallcross.gmn import RootedDiagram, aut_order, enumerate_diagrams
+from wallcross.gmn import enumerate_diagrams
 from wallcross.lattice import theory_by_name
+
+from conftest import encode_rooted
 
 GOLDEN = {
     ("nf0", (2, 3)): {
@@ -68,7 +70,7 @@ NF0_23_AUT = [
 
 
 def test_aut_order_of_enumerated_diagrams(nf0, nf0_strong):
-    got = [(d.describe(), aut_order(d))
+    got = [(d.describe(), d.aut)
            for d in enumerate_diagrams(nf0, nf0_strong, (2, 3))]
     assert got == NF0_23_AUT
 
@@ -86,6 +88,4 @@ def test_aut_order_of_enumerated_diagrams(nf0, nf0_strong):
      "(2,0|(0,1|);(0,1|);(0,1|))"),
 ])
 def test_aut_order_and_canonical(charges, parent, order, canonical):
-    diag = RootedDiagram(charges, parent)
-    assert aut_order(diag) == order
-    assert diag.canonical() == canonical
+    assert encode_rooted(charges, parent) == (canonical, order)

@@ -457,6 +457,18 @@ def test_js_vertex_bound_reports_a_partial_sum(tmp_path):
     assert "max_vertices" not in rep and rep["dt_weak"] == "-2/9"
 
 
+def test_check_conjecture_vertex_bound_is_reported(tmp_path):
+    # nf0 3,3 checked up to 3 vertices leaves out its 4- to 6-vertex
+    # trees, so a bounded report names the bound next to its "ok"
+    code, rep = run(tmp_path, "check-conjecture", "nf0", "3,3",
+                    "--max-vertices", "3")
+    assert code == 0
+    assert list(rep)[:5] == ["command", "theory", "target", "max_vertices", "ok"]
+    assert rep["max_vertices"] == 3 and rep["ok"] is True
+    code, rep = run(tmp_path, "check-conjecture", "nf0", "1,2")
+    assert code == 0 and "max_vertices" not in rep
+
+
 def test_js_runs_the_decomposition_loop_once(tmp_path, monkeypatch):
     # dt_weak is the sum of the tree totals, so each of the 37 ordered
     # decompositions of nf0 2,3 gets one U symbol, not one per quantity

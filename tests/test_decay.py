@@ -23,14 +23,16 @@ def test_single_interaction_chain(nf0, nf0_strong):
     trace = run_decay(nf0, d)
     assert trace.eps_sum == 1
     assert not trace.singular
-    assert gmn_contribution(nf0, nf0_strong, d) == Value.rational(-2)
+    w = weight_W(nf0, nf0_strong, d)
+    assert gmn_contribution(nf0, d, w) == Value.rational(-2)
 
 
 def test_star_two_photons(nf0, nf0_strong):
     d = diagram_by_describe(nf0, nf0_strong, (1, 2), "(1+0)[(0+1),(0+1)]")
     trace = run_decay(nf0, d)
     assert trace.eps_sum == 1
-    assert gmn_contribution(nf0, nf0_strong, d) == Value.rational(2)
+    w = weight_W(nf0, nf0_strong, d)
+    assert gmn_contribution(nf0, d, w) == Value.rational(2)
 
 
 def test_worked_vanishing_chain(nf0, nf0_strong):
@@ -39,7 +41,8 @@ def test_worked_vanishing_chain(nf0, nf0_strong):
                             "(1+0)[(0+1)[(1+0)[(0+2)]]]")
     trace = run_decay(nf0, d)
     assert trace.eps_sum == 0
-    assert gmn_contribution(nf0, nf0_strong, d) == Value.zero()
+    w = weight_W(nf0, nf0_strong, d)
+    assert gmn_contribution(nf0, d, w) == Value.zero()
 
 
 def test_worked_star_cancellation(nf0, nf0_strong):
@@ -54,7 +57,8 @@ def test_minus_four_contributions(nf0, nf0_strong):
     for text in ["(1+0)[(0+1),(0+2)[(1+0)]]",
                  "(1+0)[(0+2)[(1+0)[(0+1)]]]"]:
         d = diagram_by_describe(nf0, nf0_strong, (2, 3), text)
-        assert gmn_contribution(nf0, nf0_strong, d) == Value.rational(-4)
+        w = weight_W(nf0, nf0_strong, d)
+        assert gmn_contribution(nf0, d, w) == Value.rational(-4)
 
 
 def test_trace_log_is_populated(nf0, nf0_strong):

@@ -18,7 +18,8 @@ DEMO_TIMEOUT_S = 60
 HEADLINES = {
     "numeric_checks.py": "  log-linear slope -20.19",
     "spectrum_from_product.py": "  -> matches the catalogued weak table",
-    "wall_crossing_catalog.py": "== nf3, target (1, 1, 1, 1, 2): AGREE ==",
+    "wall_crossing_catalog.py":
+        "== nf3, target (1, 1, 1, 1, 2), at most 5 vertices: AGREE ==",
 }
 
 

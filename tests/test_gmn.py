@@ -2,19 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.gmn import (RootedDiagram, aut_order, enumerate_diagrams,
+from wallcross.gmn import (RootedDiagram, enumerate_diagrams, root_direction,
                            weight_W)
 from wallcross.symbolic import Value
 from wallcross.spectrum import spectrum_table
-from wallcross.lattice import theory_by_name
+from wallcross.lattice import primitive, theory_by_name
 
-from conftest import diagram_by_describe
+from conftest import diagram_by_describe, encode_rooted
 
 Q = Fraction
 
 
 def test_rooted_diagram_basics():
-    d = RootedDiagram(((1, 0), (0, 1), (0, 1)), (None, 0, 0))
+    d = RootedDiagram(((1, 0), (0, 1), (0, 1)), (None, 0, 0), 2)
     assert d.root == 0
     assert d.total() == (1, 2)
     assert d.children(0) == [1, 2]
@@ -22,18 +22,16 @@ def test_rooted_diagram_basics():
 
 
 def test_aut_order_counts_equal_subtrees():
-    star = RootedDiagram(((1, 0), (0, 1), (0, 1)), (None, 0, 0))
-    assert aut_order(star) == 2
-    chain = RootedDiagram(((1, 0), (0, 1), (1, 0)), (None, 0, 1))
-    assert aut_order(chain) == 1
-    big = RootedDiagram(((1, 0), (0, 1), (0, 1), (0, 1)), (None, 0, 0, 0))
-    assert aut_order(big) == 6
+    assert encode_rooted(((1, 0), (0, 1), (0, 1)), (None, 0, 0))[1] == 2
+    assert encode_rooted(((1, 0), (0, 1), (1, 0)), (None, 0, 1))[1] == 1
+    assert encode_rooted(((1, 0), (0, 1), (0, 1), (0, 1)),
+                         (None, 0, 0, 0))[1] == 6
 
 
 def test_canonical_identifies_isomorphic_rootings():
-    a = RootedDiagram(((1, 0), (0, 1), (0, 1)), (None, 0, 0))
-    b = RootedDiagram(((0, 1), (1, 0), (0, 1)), (1, None, 1))
-    assert a.canonical() == b.canonical()
+    a = encode_rooted(((1, 0), (0, 1), (0, 1)), (None, 0, 0))
+    b = encode_rooted(((0, 1), (1, 0), (0, 1)), (1, None, 1))
+    assert a[0] == b[0]
 
 
 def test_enumerate_delta_gamma(nf0, nf0_strong):
@@ -70,9 +68,9 @@ WEIGHTS_NF0 = [
 @pytest.mark.parametrize("text,target,expect", WEIGHTS_NF0)
 def test_weight_values_nf0(nf0, nf0_strong, text, target, expect):
     d = diagram_by_describe(nf0, nf0_strong, target, text)
-    w, direction = weight_W(nf0, nf0_strong, d)
-    assert w == expect
-    assert direction == (1, 0)
+    assert weight_W(nf0, nf0_strong, d) == expect
+    # the weight is a coefficient along the root's direction
+    assert primitive(d.charges[d.root]) == root_direction(nf0) == (1, 0)
 
 
 def test_weight_values_nf1(nf1):
@@ -83,8 +81,7 @@ def test_weight_values_nf1(nf1):
         "(1+0+0)[(0+0+-1),(0+1+0)]": Value.rational(1),
     }
     for d in enumerate_diagrams(nf1, table, (1, 1, -1)):
-        w, _ = weight_W(nf1, table, d)
-        assert w == expect[d.describe()]
+        assert weight_W(nf1, table, d) == expect[d.describe()]
 
 
 def test_weight_values_nf2(nf2):
@@ -92,8 +89,7 @@ def test_weight_values_nf2(nf2):
     diags = enumerate_diagrams(nf2, table, (1, 1, 1, 1))
     assert len(diags) == 4
     for d in diags:
-        w, _ = weight_W(nf2, table, d)
-        assert w == Value.rational(-1)
+        assert weight_W(nf2, table, d) == Value.rational(-1)
 
 
 def test_weight_value_nf3_star(nf3):
@@ -101,5 +97,4 @@ def test_weight_value_nf3_star(nf3):
     star = "(1+0+0+0+0)[(0+0+0+0+2)[(0+0+0+1+0),(0+0+1+0+0),(0+1+0+0+0)]]"
     d = diagram_by_describe(nf3, table, (1, 1, 1, 1, 2), star,
                             max_vertices=5)
-    w, _ = weight_W(nf3, table, d)
-    assert w == Value.rational(4)
+    assert weight_W(nf3, table, d) == Value.rational(4)

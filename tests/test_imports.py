@@ -82,3 +82,73 @@ def test_only_the_entry_points_resolve_theory_names():
              for name in name_lookups(path.read_text())}
     assert {(name, module) for name, module in found
             if module not in NAME_LOOKUPS[name]} == set()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PROGRAM = [p for d in ("src", "perfbench", "demos")
+           for p in sorted((ROOT / d).rglob("*.py"))]
+# checked public entry points that the program itself never calls
+UNREFERENCED = {"ks.binomial_series"}
+
+
+def defined_functions(source: str, module: str) -> list[tuple[str, str]]:
+    """(qualified name, name) of every function and method but dunders."""
+    out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                if not (isinstance(child, ast.ClassDef)
+                        or child.name.startswith("__")):
+                    out.append((f"{prefix}.{child.name}", child.name))
+                walk(child, f"{prefix}.{child.name}")
+
+    walk(ast.parse(source), module)
+    return out
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name read, attribute taken or name imported, and every
+    dotted identifier in a string constant, leaving out a function's
+    references to itself from its own body.  Strings count because the
+    benchmark's tracer wraps functions by name ("Theory.z",
+    "canon_oriented"), and a function it names must stay."""
+    found = set()
+
+    def walk(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name.split(".")[-1]]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [part for part in node.value.split(".") if part.isidentifier()]
+        found.update(n for n in names if n not in inside)
+        for child in ast.iter_child_nodes(node):
+            walk(child, inside)
+
+    walk(ast.parse(source), frozenset())
+    return found
+
+
+def test_unreferenced_functions_are_found():
+    source = ("def f():\n    return f()\n\ndef g():\n    return 1\n\n"
+              "class C:\n    def __init__(self):\n        self.m = g\n"
+              "    def m2(self):\n        return 'C.m3'\n    def m3(self):\n"
+              "        pass\n")
+    defined = defined_functions(source, "x")
+    used = referenced_names(source)
+    assert [q for q, name in defined if name not in used] == ["x.f", "x.C.m2"]
+
+
+def test_every_function_is_referenced_by_the_program():
+    used = set().union(*(referenced_names(p.read_text()) for p in PROGRAM))
+    unreferenced = {qual for path in MODULES
+                    for qual, name in defined_functions(path.read_text(), path.stem)
+                    if name not in used}
+    assert unreferenced == UNREFERENCED

@@ -13,9 +13,10 @@ from wallcross.gmn import enumerate_diagrams
 from wallcross.js import js_wallcross
 from wallcross.ks import infer_weak_spectrum
 from wallcross.lattice import cadd, cneg, content, theory_by_name
-from wallcross.spectrum import f_coeff, spectrum_table, strong_table
+from wallcross.spectrum import spectrum_table, strong_table
 from wallcross.trees import enumerate_labelled_trees
 
+from gmn_reference import f_coeff
 from test_conjecture_sweep import _kronecker
 from test_ks import pentagon_theory
 

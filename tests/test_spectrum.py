@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from gmn_reference import f_coeff
 from wallcross.ks import infer_weak_spectrum
-from wallcross.spectrum import (MAX_K, UnknownSpectrumError, f_coeff,
-                                spectrum_table, strong_table)
+from wallcross.spectrum import (MAX_K, UnknownSpectrumError, spectrum_table,
+                                strong_table)
 
 Q = Fraction
 
