@@ -115,8 +115,11 @@ def cmd_gmn(args) -> int:
                     "weight": str(w),
                     "total": direction,
                     "contribution": repr(gmn_contribution(theory, diag, w))})
-    report = {"command": "gmn", "theory": theory.name,
-              "target": list(target), "diagrams": out}
+    report = {"command": "gmn", "theory": theory.name, "target": list(target)}
+    if args.max_vertices is not None:
+        # only diagrams of at most this many vertices were listed
+        report["max_vertices"] = args.max_vertices
+    report["diagrams"] = out
     _emit(report, args.output)
     return PASS
 
@@ -134,9 +137,11 @@ def cmd_decay_trace(args) -> int:
                           f"(0..{len(diagrams) - 1})")
     diag = diagrams[args.index]
     trace = run_decay(theory, diag)
-    report = {
-        "command": "decay-trace",
-        "theory": theory.name,
+    report = {"command": "decay-trace", "theory": theory.name}
+    if args.max_vertices is not None:
+        # the index counts only diagrams of at most this many vertices
+        report["max_vertices"] = args.max_vertices
+    report.update({
         "diagram": diag.describe(),
         "eps_sum": str(trace.eps_sum),
         "bracket": repr(trace.bracket()),
@@ -145,7 +150,7 @@ def cmd_decay_trace(args) -> int:
         "jumps": {k: (None if v is None else str(v))
                   for k, v in sorted(trace.jumps.items())},
         "steps": trace.steps,
-    }
+    })
     _emit(report, args.output)
     return PASS
 

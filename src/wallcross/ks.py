@@ -28,13 +28,26 @@ additive, so a series product never forms a term above the truncation,
 and the peeling builds each weak product only up to the degree it reads.
 A table that is incomplete, or covers fewer degrees than N, is refused
 by the wall identity check instead of reported as a failed identity.
+
+`spectrum_auto` caches each product it builds on its content: the
+theory, the phase-ordered (gamma, Omega) operators through N, and N.
+The cache lives as long as the process, with no size bound, so an
+inference's strong and final weak products are the ones that
+`verify_wall_identity` of the same tables reads, and a catalog table
+whose operators through N equal the inferred ones reuses the inferred
+product.  Cached products are shared between callers: they are
+read-only, and every caller here only reads them (`series_sub` copies).
+The peeling steps of `infer_weak_spectrum` are never asked for again
+and call `compose` directly.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
+from functools import cache
 from operator import mul
 
-from .lattice import MINUS, PLUS, Charge, Theory
+from .lattice import MINUS, PLUS, Charge, Theory, cscale
 from .spectrum import WEAK, SpectrumTable, UnknownSpectrumError
 
 Series = dict[Charge, int]
@@ -50,7 +63,8 @@ WIDTH = MAX_N.bit_length()
 
 
 class FactorizationError(Exception):
-    """No consistent KS exponent reproduces the discrepancy."""
+    """No consistent KS exponent reproduces the discrepancy, or the product
+    cannot determine one."""
 
 
 def eff_degree(theory: Theory, e: Charge) -> int:
@@ -135,7 +149,7 @@ def binomial_series(theory: Theory, gamma: Charge, k: int, N: int) -> Packed:
                      theory.sigma_value(gamma), k, N)
 
 
-def compose(theory: Theory, states: list[tuple[Charge, int]],
+def compose(theory: Theory, states: Sequence[tuple[Charge, int]],
             N: int) -> tuple[Series, ...]:
     """Multipliers G_mu of T_1 ... T_k for states [(gamma_1, Omega_1), ...].
 
@@ -178,25 +192,40 @@ def compose(theory: Theory, states: list[tuple[Charge, int]],
                  for g in mults)
 
 
-def _phase_sorted(theory: Theory, region: str,
-                  charges: list[Charge]) -> list[Charge]:
-    """Decreasing phase of Z_gamma in the region (exact).  The charges are
+def _operators(theory: Theory, entries: dict[Charge, int], region: str,
+               N: int) -> tuple[tuple[Charge, int], ...]:
+    """The (gamma, Omega) states of effective degree <= N among the entries,
+    in decreasing phase of Z_gamma in the region (exact).  The charges are
     effective, so Im Z > 0 (see `Theory`)."""
-    return sorted(charges, key=lambda g: (Fraction(*theory.z(region, g)), g))
+    charges = [g for g in entries
+               if theory.is_effective(g) and eff_degree(theory, g) <= N]
+    charges.sort(key=lambda g: (Fraction(*theory.z(region, g)), g))
+    return tuple((g, entries[g]) for g in charges)
+
+
+@cache
+def _product(theory: Theory, states: tuple[tuple[Charge, int], ...],
+             N: int) -> tuple[Series, ...]:
+    """compose(theory, states, N), built once per process for each content
+    and shared by every caller, who only reads it."""
+    return compose(theory, states, N)
+
+
+def _check_truncation(N: int) -> None:
+    """1 <= N <= MAX_N: below degree 1 every product is the identity and a
+    check built on it would compare nothing."""
+    if N < 1:
+        raise ValueError(f"truncation degree N must be at least 1, got {N}")
+    _check_degree(N)
 
 
 def spectrum_auto(theory: Theory, table: SpectrumTable, region: str,
                   N: int) -> tuple[Series, ...]:
     """Multipliers of the ordered product of one spectrum table's KS
-    operators; 1 <= N <= MAX_N, since below degree 1 every product is the
-    identity and a check built on it would compare nothing."""
-    if N < 1:
-        raise ValueError(f"truncation degree N must be at least 1, got {N}")
-    _check_degree(N)
-    charges = [g for g in table.charges()
-               if theory.is_effective(g) and eff_degree(theory, g) <= N]
-    ordered = _phase_sorted(theory, region, charges)
-    return compose(theory, [(g, table.omega(g)) for g in ordered], N)
+    operators through degree N, 1 <= N <= MAX_N.  The product is cached on
+    its operators (see `_product`), so the result must not be modified."""
+    _check_truncation(N)
+    return _product(theory, _operators(theory, table.entries, region, N), N)
 
 
 def agreement_degree(theory: Theory, a: tuple[Series, ...],
@@ -234,28 +263,64 @@ def verify_wall_identity(theory: Theory, strong: SpectrumTable,
     return d >= N, d
 
 
+def _check_radical(theory: Theory, N: int) -> None:
+    """Raise FactorizationError if an effective charge of degree <= N pairs
+    to zero with every basis charge.  The operator of such a charge is the
+    identity, so no product shows its Omega, and the peeling would read 0
+    there whatever it is.
+
+    The walk goes degree by degree and builds each effective charge once,
+    as a multiset of signed basis charges s_i e_i added in increasing i.
+    A charge carries its packed key and its pairings <gamma, e_j> packed
+    into one int, as the sum of the signed pairing rows of its parts:
+    field j of width w holds <gamma, e_j>, and |<gamma, e_j>| < 2^(w-1),
+    so the int is 0 iff every pairing is.
+    """
+    w = (N * max(abs(x) for row in theory.pairing for x in row)).bit_length() + 1
+    steps = [(pack(theory, cscale(s, theory.unit(i))),
+              sum(s * x << j * w for j, x in enumerate(row)), i)
+             for i, (s, row) in enumerate(zip(theory.effective_signs,
+                                              theory.pairing))]
+    # (key, packed pairings, lowest basis index still to add)
+    level = [(0, 0, 0)]
+    for d in range(1, N + 1):
+        level = [(key + k, pairs + r, i)
+                 for key, pairs, first in level for k, r, i in steps[first:]]
+        radical = [key for key, pairs, _ in level if not pairs]
+        if radical:
+            gamma = min(unpack(theory, key) for key in radical)
+            raise FactorizationError(
+                f"{theory.name}: the effective charge {gamma} of degree {d} "
+                f"pairs to zero with every basis charge, so no KS product "
+                f"determines its Omega through N={N}")
+
+
 def infer_weak_spectrum(theory: Theory, strong: SpectrumTable,
                         N: int) -> SpectrumTable:
     """Peel the weak-side exponents off the strong product degree by degree.
 
     At the lowest uncorrected degree the discrepancy is linear in the
     missing exponents, one per charge; inserting the solved operators in
-    phase order and repeating converges through degree N.
+    phase order and repeating converges through degree N.  A theory with
+    an effective charge of degree <= N in the radical of the pairing is
+    refused first (see `_check_radical`).
 
     Iteration d reads the weak product only through degree d (below d it
     must agree with the strong one), so it builds that product truncated
     at d.  This is exact: every multiplier exponent is a sum of effective
     charges, so effective degrees are >= 0 and add under products, and a
-    term above d never feeds a coefficient of degree <= d.  The strong
+    term above d never feeds a coefficient of degree <= d.  No caller asks
+    for these products again, so they bypass the cache.  The strong
     product is built once, at N, and the final check compares it with the
-    full weak product of the inferred table at N.
+    full weak product of the inferred table at N; both are cached, so
+    `verify_wall_identity` of the same tables builds nothing.
     """
+    _check_truncation(N)
+    _check_radical(theory, N)
     target = spectrum_auto(theory, strong, PLUS, N)
     entries: dict[Charge, int] = {}
     for d in range(1, N + 1):
-        table = SpectrumTable(theory.name, WEAK, None, True, d - 1,
-                              dict(entries))
-        current = spectrum_auto(theory, table, MINUS, d)
+        current = compose(theory, _operators(theory, entries, MINUS, d), d)
         discrepancy: dict[Charge, dict[int, int]] = {}
         for mu in range(theory.rank):
             for e, c in series_sub(target[mu], current[mu]).items():

@@ -2,12 +2,20 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross import ks
 from wallcross.gmn import enumerate_diagrams
 from wallcross.lattice import theory_by_name
 from wallcross.spectrum import spectrum_table
 from wallcross.trees import adjacency, charge_label, encode
 
 Q = Fraction
+
+
+@pytest.fixture(autouse=True)
+def fresh_products():
+    """Each test starts with no KS product cached, so a test that counts
+    the products it builds does not depend on which tests ran before."""
+    ks._product.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import wallcross
-from wallcross import cli, js, ks, tba
+from wallcross import cli, js, ks, lattice, tba
 from wallcross.cli import main
 from wallcross.lattice import theory_by_name
 from wallcross.spectrum import MAX_K, spectrum_table
+
+from test_ks import RADICAL_THEORY
 
 
 def run(tmp_path, *argv):
@@ -82,8 +84,9 @@ def test_ks_oracle_against_table_covers_N(tmp_path, monkeypatch):
 def test_ks_oracle_reuses_the_inference_round_trip(tmp_path, monkeypatch):
     # infer_weak_spectrum checks its table against the strong product at N,
     # so the round trip builds no product of its own: the inference's
-    # strong product, one weak product per degree and the final one, then
-    # the catalog check's two
+    # strong product, one weak product per degree and the final one.  The
+    # catalog check reads the cached strong product, and nf0's catalog
+    # operators through N are the inferred ones, so it builds nothing
     Ns = []
     compose = ks.compose
 
@@ -94,7 +97,7 @@ def test_ks_oracle_reuses_the_inference_round_trip(tmp_path, monkeypatch):
     code, rep = run(tmp_path, "ks-oracle", "nf0", "--N", "6", "--against-table")
     assert code == 0
     assert rep["checks"]["round_trip"] == {"ok": True, "agree_through": 6}
-    assert Ns == [6, 1, 2, 3, 4, 5, 6, 6, 6, 6]
+    assert Ns == [6, 1, 2, 3, 4, 5, 6, 6]
 
 
 def test_ks_oracle_refuses_an_incomplete_table_before_any_product(
@@ -112,6 +115,20 @@ def test_ks_oracle_refuses_an_incomplete_table_before_any_product(
     assert (code, rep, Ns) == (2, None, [])
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "UnknownSpectrumError: nf3/weak" in err[0]
+
+
+def test_ks_oracle_refuses_a_charge_in_the_radical(tmp_path, monkeypatch,
+                                                  capsys):
+    # e1 pairs to zero with e0 and e2, so every operator of k e1 is the
+    # identity and no product shows Omega(k e1), which js gives as 1/k^2:
+    # the inference is refused, with exit 2 and the charge named
+    monkeypatch.setitem(lattice.CATALOG, "r3", RADICAL_THEORY)
+    code, rep = run(tmp_path, "ks-oracle", "r3", "--N", "3")
+    assert (code, rep) == (2, None)
+    assert capsys.readouterr().err == (
+        "error: FactorizationError: r3: the effective charge (0, 1, 0) of "
+        "degree 1 pairs to zero with every basis charge, so no KS product "
+        "determines its Omega through N=3\n")
 
 
 def test_numeric_subset(tmp_path):
@@ -466,6 +483,20 @@ def test_check_conjecture_vertex_bound_is_reported(tmp_path):
     assert list(rep)[:5] == ["command", "theory", "target", "max_vertices", "ok"]
     assert rep["max_vertices"] == 3 and rep["ok"] is True
     code, rep = run(tmp_path, "check-conjecture", "nf0", "1,2")
+    assert code == 0 and "max_vertices" not in rep
+
+
+@pytest.mark.parametrize("argv,after", [
+    (("gmn", "nf0", "3,3"), "target"),
+    (("decay-trace", "nf0", "3,3", "--index", "0"), "theory")])
+def test_gmn_and_decay_trace_vertex_bound_is_reported(tmp_path, argv, after):
+    # a bounded run lists, and indexes, only the diagrams within its bound,
+    # so its report names the bound; an unbounded one does not
+    code, rep = run(tmp_path, *argv, "--max-vertices", "3")
+    keys = list(rep)
+    assert code == 0 and keys[keys.index(after) + 1] == "max_vertices"
+    assert rep["max_vertices"] == 3
+    code, rep = run(tmp_path, *argv)
     assert code == 0 and "max_vertices" not in rep
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -8,9 +9,10 @@ from wallcross import ks
 from wallcross.cli import main
 from wallcross.ks import (binomial_series, compose, eff_degree,
                           infer_weak_spectrum, series_mul, verify_wall_identity)
-from wallcross.lattice import PLUS, Theory, theory_by_name
+from wallcross.js import js_wallcross
+from wallcross.lattice import CATALOG, PLUS, Theory, theory_by_name
 from wallcross.spectrum import (SpectrumTable, UnknownSpectrumError,
-                                spectrum_table)
+                                spectrum_table, strong_table)
 
 N = 8
 DATA = Path(__file__).parent / "data"
@@ -161,6 +163,50 @@ def pentagon_theory():
                   effective_signs=(1, 1), root_index=0)
 
 
+# rank 3 with <e0, e2> = 1 only, on geometry g0: e1 pairs to zero with
+# every basis charge
+RADICAL_THEORY = Theory(name="r3", basis=("e0", "e1", "e2"),
+                        pairing=((0, 0, 1), (0, 0, 0), (-1, 0, 0)),
+                        z_plus=((-3, 20), (1, 20), (4, 20)),
+                        z_minus=((3, 20), (-1, 21), (-4, 20)),
+                        effective_signs=(1, 1, 1), root_index=0)
+
+
+def test_infer_refuses_a_charge_in_the_radical(monkeypatch):
+    # every operator of k e1 is the identity, so no product shows
+    # Omega(k e1); the peeling read 0 there and called its table complete,
+    # while js gives DT(0, 2, 0) = 1/4.  The refusal comes before any
+    # product is built
+    th = RADICAL_THEORY
+    assert js_wallcross(th, strong_table(th), (0, 2, 0)) == Fraction(1, 4)
+
+    def never(*args):
+        raise AssertionError("compose called")
+    monkeypatch.setattr(ks, "compose", never)
+    with pytest.raises(ks.FactorizationError,
+                       match=r"charge \(0, 1, 0\) of degree 1 pairs to zero"):
+        infer_weak_spectrum(th, strong_table(th), 3)
+
+
+def test_radical_refusal_names_the_lowest_degree_charge():
+    # <e0, e2> = 1 and <e1, e2> = -1: no basis charge is in the radical,
+    # e0 + e1 is, so N = 1 passes and N = 2 names (1, 1, 0)
+    th = dataclasses.replace(RADICAL_THEORY, name="r3b",
+                             pairing=((0, 0, 1), (0, 0, -1), (-1, 1, 0)))
+    assert infer_weak_spectrum(th, strong_table(th), 1).entries == \
+        strong_table(th).entries
+    with pytest.raises(ks.FactorizationError,
+                       match=r"r3b: the effective charge \(1, 1, 0\) of degree 2"):
+        infer_weak_spectrum(th, strong_table(th), 2)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_no_catalog_theory_has_a_charge_in_the_radical(name):
+    # nf1's radical is spanned by (1, 1, 1) against signs (1, 1, -1), and
+    # nf2's and nf3's by differences of flavour copies: none is effective
+    ks._check_radical(CATALOG[name], ks.MAX_N)
+
+
 def test_pentagon():
     th = pentagon_theory()
     strong = SpectrumTable("pentagon", PLUS, None, True, None,
@@ -261,6 +307,41 @@ def test_infer_builds_each_product_at_the_degree_it_reads(monkeypatch, nf0):
     monkeypatch.setattr(ks, "compose", counted)
     ks.infer_weak_spectrum(nf0, spectrum_table("nf0", "strong"), 4)
     assert degrees == [4, 1, 2, 3, 4, 4]
+
+
+def test_an_inference_caches_its_strong_and_final_products(monkeypatch, nf0):
+    # the peeling steps bypass the cache: what stays is the strong product
+    # at N and the weak product of the inferred table at N, which a wall
+    # check of the same tables then reads without building anything
+    strong = spectrum_table("nf0", "strong")
+    weak = ks.infer_weak_spectrum(nf0, strong, 6)
+    assert ks._product.cache_info().currsize == 2
+
+    def never(*args):
+        raise AssertionError("compose called")
+    monkeypatch.setattr(ks, "compose", never)
+    assert verify_wall_identity(nf0, strong, weak, 6) == (True, 6)
+
+
+def test_cached_product_does_not_hide_a_wrong_table(monkeypatch, nf0):
+    # the cache is keyed by every Omega: one wrong exponent is a new
+    # product, built and found wrong after the right one was cached
+    strong = spectrum_table("nf0", "strong")
+    weak = spectrum_table("nf0", "weak")
+    assert verify_wall_identity(nf0, strong, weak, N) == (True, N)
+    bad = SpectrumTable(weak.theory, weak.region, weak.truncation,
+                        weak.complete, weak.covered_degree,
+                        {**weak.entries, (1, 2): 2})
+    degrees = []
+
+    def counted(theory, states, n, _f=ks.compose):
+        degrees.append(n)
+        return _f(theory, states, n)
+    monkeypatch.setattr(ks, "compose", counted)
+    assert verify_wall_identity(nf0, strong, bad, N) == (False, 2)
+    assert degrees == [N]
+    assert verify_wall_identity(nf0, strong, weak, N) == (True, N)
+    assert degrees == [N]
 
 
 def test_verify_rejects_a_table_below_N(nf0):

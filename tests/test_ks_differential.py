@@ -66,6 +66,27 @@ def test_pentagon_inferred_entries_match_reference_peeling():
     assert got.entries == ref.infer_weak_entries(theory, strong.entries, 10)
 
 
+@pytest.mark.parametrize("name", sorted(DEGREES) + ["pentagon"])
+def test_cached_products_match_a_fresh_compose(name):
+    # spectrum_auto hands every caller the one cached product of its
+    # operators; after an inference and a wall check have read it, it
+    # still equals the product built afresh in the reference's phase order
+    if name == "pentagon":
+        theory, N = pentagon_theory(), 10
+        strong = SpectrumTable("pentagon", PLUS, None, True, None,
+                               {(1, 0): 1, (0, 1): 1})
+    else:
+        theory, N = theory_by_name(name), DEGREES[name]
+        strong = spectrum_table(name, "strong")
+    weak = ks.infer_weak_spectrum(theory, strong, N)
+    assert ks.verify_wall_identity(theory, strong, weak, N) == (True, N)
+    for table, side in ((strong, PLUS), (weak, MINUS)):
+        cached = ks.spectrum_auto(theory, table, side, N)
+        assert ks.spectrum_auto(theory, table, side, N) is cached
+        assert cached == compose(
+            theory, ref.ordered_states(theory, table.entries, side, N), N)
+
+
 def effective_exponents(theory, top):
     """Effective exponents and the zero one, each entry at most top in size."""
     return st.tuples(*[st.integers(0, top)] * theory.rank).map(

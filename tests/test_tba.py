@@ -16,6 +16,22 @@ def test_quadrature_integrates_gaussian():
     assert abs(got - math.sqrt(math.pi)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [400, 1600])
+def test_gauss_legendre_is_exact_to_degree_2n_minus_1(n):
+    # an n-node rule integrates every polynomial of degree < 2n exactly:
+    # over [-T, T], P_k(t/T) integrates to 2T for k = 0 and to 0 otherwise.
+    # P_k at the nodes comes from Bonnet's recurrence, |P_k| <= 1 there
+    T = 6.0
+    t, w = tba._gauss_legendre(n, T)
+    x = t / T
+    prev, cur = np.zeros_like(x), np.ones_like(x)
+    worst = abs(float(np.sum(w)) - 2 * T)
+    for k in range(1, 2 * n):
+        prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+        worst = max(worst, abs(float(np.sum(w * cur))))
+    assert worst < 1e-12 * T
+
+
 def test_grid_is_computed_once_per_rule(monkeypatch, tmp_path):
     calls = []
     leggauss = np.polynomial.legendre.leggauss
