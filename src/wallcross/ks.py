@@ -22,7 +22,14 @@ exponent at a time, so no series is ever substituted into another.
 Each operator reads its pairing row off the pairing's columns once, and
 packs gamma and reads its degree and sigma once: each power
 (1 - sigma x_gamma)^k it needs is one integer recurrence on those three
-values, built once per k and shared by every x_mu.  The terms of
+values, built once per k and shared by every x_mu.  x_mu whose pairing
+columns are equal share their multiplier: an operator maps the term
+x^{mu+e} of x_mu G_mu to x^{mu+e} (1 - sigma x_gamma)^k with
+k = Omega <gamma, e_mu> + Omega <gamma, e>, and truncation reads e
+alone, so G_mu depends on mu only through column mu of the pairing.
+compose builds one multiplier per distinct column (two each for the
+four basis charges of nf2 and the five of nf3, whose flavour copies
+pair alike) and gives every x_mu its own copy.  The terms of
 exponent 0 pass through unmultiplied.  Effective degree is
 additive, so a series product never forms a term above the truncation,
 and the peeling builds each weak product only up to the degree it reads.
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
+from functools import cache, cmp_to_key
 from operator import mul
 
 from .lattice import MINUS, PLUS, Charge, Theory, cscale
@@ -54,9 +61,9 @@ Series = dict[Charge, int]
 Packed = dict[int, int]
 
 # largest truncation degree: the costliest run, `ks-oracle nf3 --N 24`
-# (inference only: nf3 has no complete weak table), takes 9.6-11.6 s on
-# a 2-vCPU machine, over twice its time at N = 20; the costliest
-# `--against-table` run, nf2 at N = 24, takes 2.4-3.0 s
+# (inference only: nf3 has no complete weak table), takes 4.1-8.6 s on
+# a busy 2-vCPU machine, over twice its time at N = 20; the costliest
+# `--against-table` run, nf2 at N = 24, takes 1.6-3.0 s
 MAX_N = 24
 # bits per field of a packed exponent key: no field exceeds N <= MAX_N
 WIDTH = MAX_N.bit_length()
@@ -126,7 +133,8 @@ def _check_degree(N: int) -> None:
 
 
 def _binomial(key: int, deg: int, sg: int, k: int, N: int) -> Packed:
-    """(1 - sg x)^k through effective degree N, for the monomial x of an
+    """(1 - sg x)^k through effective degree N, for any integer k
+    (generalised binomial coefficients when k < 0), the monomial x of an
     effective charge with packed key `key` and effective degree `deg`."""
     out: Packed = {0: 1}
     c = 1
@@ -139,16 +147,6 @@ def _binomial(key: int, deg: int, sg: int, k: int, N: int) -> Packed:
     return out
 
 
-def binomial_series(theory: Theory, gamma: Charge, k: int, N: int) -> Packed:
-    """(1 - sigma(gamma) x_gamma)^k through effective degree N, for any
-    integer k (generalised binomial coefficients when k < 0)."""
-    _check_degree(N)
-    if not theory.is_effective(gamma):
-        raise ValueError(f"{gamma} is not effective")
-    return _binomial(pack(theory, gamma), eff_degree(theory, gamma),
-                     theory.sigma_value(gamma), k, N)
-
-
 def compose(theory: Theory, states: Sequence[tuple[Charge, int]],
             N: int) -> tuple[Series, ...]:
     """Multipliers G_mu of T_1 ... T_k for states [(gamma_1, Omega_1), ...].
@@ -156,23 +154,33 @@ def compose(theory: Theory, states: Sequence[tuple[Charge, int]],
     T_k acts first: x_mu G_mu starts as x_mu, and each operator from T_k
     back to T_1 multiplies every current term x^{mu+e} by
     (1 - sigma x_gamma)^{Omega <gamma, mu+e>}.
+
+    That exponent reads mu only through <gamma, e_mu>, the pairing's
+    column mu against gamma, and the truncation reads e alone, so two x_mu
+    with equal columns go through equal terms under every operator: G_mu
+    is built once per distinct column and each x_mu gets an equal copy in
+    its own dict.  The effective sign and central charge of e_mu do not
+    enter.
     """
     _check_degree(N)
     for gamma, _ in states:
         if not theory.is_effective(gamma):
             raise ValueError(f"{gamma} is not effective")
-    mults: list[Packed] = [{0: 1} for _ in range(theory.rank)]
+    cols = list(zip(*theory.pairing))
+    # the first x_mu of each distinct pairing column builds the multiplier
+    # of every x_mu with that column
+    mults = {mu: {0: 1} for mu, col in enumerate(cols) if cols.index(col) == mu}
     # key -> exponent of every term met, to read its pairings
     exps = {0: theory.zero()}
     for gamma, omega in reversed(states):
         # p_j = Omega <gamma, e_j>, read off the pairing's columns
-        p = [omega * sum(map(mul, gamma, col)) for col in zip(*theory.pairing)]
+        p = [omega * sum(map(mul, gamma, col)) for col in cols]
         # key, degree and sigma of gamma, read once for every power below
         gkey, gdeg, sg = (pack(theory, gamma), eff_degree(theory, gamma),
                           theory.sigma_value(gamma))
         # k -> (1 - sigma x_gamma)^k, shared by every x_mu
         binomials: dict[int, Packed] = {}
-        for mu, g in enumerate(mults):
+        for mu, g in mults.items():
             groups: dict[int, Packed] = {}
             for key, c in g.items():
                 e = exps.get(key)
@@ -188,19 +196,24 @@ def compose(theory: Theory, states: Sequence[tuple[Charge, int]],
                 for key, c in series_mul(theory, terms, binomials[k], N).items():
                     out[key] = out.get(key, 0) + c
             mults[mu] = {key: c for key, c in out.items() if c}
-    return tuple({exps.get(key) or unpack(theory, key): c for key, c in g.items()}
-                 for g in mults)
+    return tuple({exps.get(key) or unpack(theory, key): c
+                  for key, c in mults[cols.index(col)].items()} for col in cols)
 
 
 def _operators(theory: Theory, entries: dict[Charge, int], region: str,
                N: int) -> tuple[tuple[Charge, int], ...]:
     """The (gamma, Omega) states of effective degree <= N among the entries,
-    in decreasing phase of Z_gamma in the region (exact).  The charges are
-    effective, so Im Z > 0 (see `Theory`)."""
-    charges = [g for g in entries
-               if theory.is_effective(g) and eff_degree(theory, g) <= N]
-    charges.sort(key=lambda g: (Fraction(*theory.z(region, g)), g))
-    return tuple((g, entries[g]) for g in charges)
+    in decreasing phase of Z_gamma in the region, ties by the charge.  The
+    charges are effective, so Im Z > 0 (see `Theory`) and Re Z / Im Z
+    orders them: a before b iff Re Z_a Im Z_b < Re Z_b Im Z_a, a cross
+    product that stays exact on integer and Fraction central charges."""
+    zs = {g: theory.z(region, g) for g in entries
+          if theory.is_effective(g) and eff_degree(theory, g) <= N}
+
+    def order(a: Charge, b: Charge) -> int:
+        (ra, ia), (rb, ib) = zs[a], zs[b]
+        return ra * ib - rb * ia or (a > b) - (a < b)
+    return tuple((g, entries[g]) for g in sorted(zs, key=cmp_to_key(order)))
 
 
 @cache

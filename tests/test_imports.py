@@ -88,7 +88,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PROGRAM = [p for d in ("src", "perfbench", "demos")
            for p in sorted((ROOT / d).rglob("*.py"))]
 # checked public entry points that the program itself never calls
-UNREFERENCED = {"ks.binomial_series"}
+UNREFERENCED: set[str] = set()
 
 
 def defined_functions(source: str, module: str) -> list[tuple[str, str]]:

@@ -7,8 +7,8 @@ import pytest
 
 from wallcross import ks
 from wallcross.cli import main
-from wallcross.ks import (binomial_series, compose, eff_degree,
-                          infer_weak_spectrum, series_mul, verify_wall_identity)
+from wallcross.ks import (compose, eff_degree, infer_weak_spectrum,
+                          series_mul, verify_wall_identity)
 from wallcross.js import js_wallcross
 from wallcross.lattice import CATALOG, PLUS, Theory, theory_by_name
 from wallcross.spectrum import (SpectrumTable, UnknownSpectrumError,
@@ -30,6 +30,13 @@ def unpacked(theory, s):
     return {ks.unpack(theory, key): c for key, c in s.items()}
 
 
+def binomial(theory, gamma, k, n):
+    """(1 - sigma(gamma) x_gamma)^k through effective degree n, from the
+    kernel that compose builds its powers with."""
+    return ks._binomial(ks.pack(theory, gamma), eff_degree(theory, gamma),
+                        theory.sigma_value(gamma), k, n)
+
+
 def test_series_arithmetic(nf0):
     a = packed(nf0, {(0, 0): 1, (1, 0): 2})
     sq = series_mul(nf0, a, a, N)
@@ -41,20 +48,18 @@ def test_series_arithmetic(nf0):
 
 def test_series_pow_truncates(nf0):
     # (1 - x_d)^5 through degree 3: sigma(d) = 1, coefficient of x_d^3 is -10
-    p = unpacked(nf0, binomial_series(nf0, (1, 0), 5, 3))
+    p = unpacked(nf0, binomial(nf0, (1, 0), 5, 3))
     assert p == {(0, 0): 1, (1, 0): -5, (2, 0): 10, (3, 0): -10}
     # (1 - x_g)^-3 with g of degree 2: C(-3, 2) = 6 at x_g^2 = degree 4
-    q = unpacked(nf0, binomial_series(nf0, (1, 1), -3, 5))
+    q = unpacked(nf0, binomial(nf0, (1, 1), -3, 5))
     assert q == {(0, 0): 1, (1, 1): 3, (2, 2): 6}
-    with pytest.raises(ValueError):
-        binomial_series(nf0, (1, -1), 1, 3)
 
 
 @pytest.mark.parametrize("k", range(-4, 5))
 def test_binomial_series_inverse(k, nf0, nf1):
     for theory, gamma in ((nf0, (1, 0)), (nf0, (1, 2)), (nf1, (1, 1, -1))):
-        a = binomial_series(theory, gamma, k, N)
-        b = binomial_series(theory, gamma, -k, N)
+        a = binomial(theory, gamma, k, N)
+        b = binomial(theory, gamma, -k, N)
         assert all(eff_degree(theory, e) <= N for e in unpacked(theory, a))
         assert all(type(c) is int for c in a.values())
         assert unpacked(theory, series_mul(theory, a, b, N)) == {
@@ -82,10 +87,6 @@ def test_truncation_degree_outside_0_to_max_n_is_refused(nf0):
     # a product truncated below degree 0 would send every x_mu to 0
     with pytest.raises(ValueError, match="at least 0, got -1"):
         compose(nf0, [((1, 0), 1), ((0, 1), 1)], -1)
-    with pytest.raises(ValueError, match="at least 0, got -2"):
-        binomial_series(nf0, (1, 0), 3, -2)
-    with pytest.raises(ValueError, match=f"at most {ks.MAX_N}, got"):
-        binomial_series(nf0, (1, 0), 3, ks.MAX_N + 1)
 
 
 @pytest.mark.parametrize("argv", [
@@ -236,14 +237,10 @@ def test_inferred_matches_catalog(name, n):
     assert got.entries == want
 
 
-def test_compose_builds_each_binomial_once_per_operator(monkeypatch, nf2):
-    """Each operator builds (1 - sigma x_gamma)^k once per k and shares it
-    across the x_mu: inferring nf2 at N = 5 builds 190 binomials and
-    makes 492 series_mul calls.  Every x_mu building its own would make
-    492 of each; before each peeling step was truncated at its own degree
-    and the strong product built once, the counts were 208 and 540.  The
-    series products pair 6,568 terms in all.  Each of the 58 operators
-    reads sigma(gamma) once for all its powers, not once per power."""
+def _count_inference_work(monkeypatch, theory, n):
+    """Infer the theory's weak spectrum through degree n, counting the
+    binomials and series products built, the term pairs those products
+    form, the operators composed, and sigma reads inside compose."""
     calls = {"_binomial": 0, "series_mul": 0}
     pairs = operators = sigmas = 0
     composing = False
@@ -271,10 +268,39 @@ def test_compose_builds_each_binomial_once_per_operator(monkeypatch, nf2):
         return _f(self, gamma)
     monkeypatch.setattr(ks, "compose", counted_compose)
     monkeypatch.setattr(Theory, "sigma_value", counted_sigma)
-    ks.infer_weak_spectrum(nf2, spectrum_table("nf2", "strong"), 5)
-    assert calls == {"_binomial": 190, "series_mul": 492}
-    assert pairs == 6568
+    ks.infer_weak_spectrum(theory, strong_table(theory), n)
+    return calls, pairs, operators, sigmas
+
+
+def test_compose_builds_each_binomial_once_per_operator(monkeypatch, nf2):
+    """Each operator builds (1 - sigma x_gamma)^k once per k and shares it
+    across the x_mu: inferring nf2 at N = 5 builds 190 binomials and
+    makes 246 series_mul calls, pairing 3,284 terms in all.  nf2's four
+    basis charges have two distinct pairing columns, e0 = e1 and e2 = e3
+    (the flavour copies), and compose builds one multiplier per distinct
+    column, so the series products are half of the 492 (6,568 pairs) that
+    one multiplier per x_mu made.  Every x_mu building its own binomials
+    would make 492 of those; before each peeling step was truncated at its
+    own degree and the strong product built once, the counts were 208 and
+    540.  Each of the 58 operators reads sigma(gamma) once for all its
+    powers, not once per power."""
+    calls, pairs, operators, sigmas = _count_inference_work(monkeypatch, nf2, 5)
+    assert calls == {"_binomial": 190, "series_mul": 246}
+    assert pairs == 3284
     assert (operators, sigmas) == (58, 58)
+
+
+def test_flavour_copies_share_one_multiplier(monkeypatch, nf3):
+    """nf3's five basis charges have two distinct pairing columns (e0 to
+    e3 are flavour copies), so inferring it at N = 5 builds the
+    multipliers of e0 and e4 only: 378 series_mul calls pairing 5,455
+    terms, against 801 and 11,434 with one multiplier per x_mu.  The
+    binomials, operators and sigma reads do not depend on how many x_mu
+    are built."""
+    calls, pairs, operators, sigmas = _count_inference_work(monkeypatch, nf3, 5)
+    assert calls == {"_binomial": 274, "series_mul": 378}
+    assert pairs == 5455
+    assert (operators, sigmas) == (77, 77)
 
 
 @pytest.mark.parametrize("name", ["pentagon", "nf0", "nf1", "nf2", "nf3"])
@@ -293,7 +319,7 @@ def test_operator_exponent_is_omega_times_pairing(name):
             for mu, g in enumerate(got):
                 k = omega * theory.pair(gamma, theory.unit(mu))
                 assert g == unpacked(
-                    theory, binomial_series(theory, gamma, k, 3)), (gamma, mu)
+                    theory, binomial(theory, gamma, k, 3)), (gamma, mu)
 
 
 def test_infer_builds_each_product_at_the_degree_it_reads(monkeypatch, nf0):

@@ -3,20 +3,45 @@ multipliers of the series-composition reference in ks_reference.py, its
 degree-pruned series product the reference product, its binomial kernel
 the reference power of 1 - sigma x_gamma, and the peeling at
 per-degree truncations the entries of the reference peeling at N."""
-from itertools import product
+import dataclasses
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ks_reference as ref
-from test_ks import packed, pentagon_theory, unpacked
+from test_ks import RADICAL_THEORY, packed, pentagon_theory, unpacked
 from wallcross import ks
 from wallcross.ks import compose, eff_degree
 from wallcross.lattice import MINUS, PLUS, theory_by_name
 from wallcross.spectrum import SpectrumTable, spectrum_table
 
 DEGREES = {"nf0": 10, "nf1": 5, "nf2": 5, "nf3": 5}
+
+
+def _mixed_copies():
+    """nf2 with its flavour copy e3 flipped: the pairing columns of e2 and
+    e3 stay equal while their effective signs are opposite (Z of e3 is
+    negated on both sides, so Im Z times the sign stays positive)."""
+    nf2 = theory_by_name("nf2")
+
+    def flip(zs):
+        return zs[:3] + (tuple(-x for x in zs[3]),)
+    return dataclasses.replace(nf2, name="nf2-mixed",
+                               effective_signs=(1, 1, 1, -1),
+                               z_plus=flip(nf2.z_plus),
+                               z_minus=flip(nf2.z_minus))
+
+
+def _theory(name):
+    if name == "pentagon":
+        return pentagon_theory()
+    if name == "radical":
+        return RADICAL_THEORY
+    if name == "mixed":
+        return _mixed_copies()
+    return theory_by_name(name)
 
 
 def _assert_same_product(theory, states, N):
@@ -26,6 +51,12 @@ def _assert_same_product(theory, states, N):
     for mu, (g, w) in enumerate(zip(got, want)):
         assert all(type(c) is int for c in g.values()), mu
         assert g == w, mu
+    # x_mu with equal pairing columns share one multiplier, each in its
+    # own dict, so a caller that edits one leaves the others alone
+    cols = list(zip(*theory.pairing))
+    for mu, nu in combinations(range(theory.rank), 2):
+        if cols[mu] == cols[nu]:
+            assert got[mu] == got[nu] and got[mu] is not got[nu], (mu, nu)
 
 
 @pytest.mark.parametrize("region", ["strong", "weak"])
@@ -106,7 +137,7 @@ def test_packed_keys_add_like_exponents(name):
     # a key round-trips, its top field is the degree, and while the sum's
     # degree is at most MAX_N the keys of two exponents add to the key of
     # their sum (every field, the degree's included, adds with no carry)
-    theory = pentagon_theory() if name == "pentagon" else theory_by_name(name)
+    theory = _theory(name)
     top, last = ks.MAX_N // theory.rank, theory.unit(theory.rank - 1)
     edge = tuple(theory.effective_signs[-1] * x for x in last)
     shift = theory.rank * ks.WIDTH
@@ -134,7 +165,7 @@ def test_binomial_kernel_matches_reference_power(name):
     # reference power of the series 1 - sigma x_gamma, term for term; at
     # N = MAX_N the key of every term is the key of its exponent, so the
     # packed fields of j gamma do not carry
-    theory = pentagon_theory() if name == "pentagon" else theory_by_name(name)
+    theory = _theory(name)
     signs = theory.effective_signs
     for e in product(range(4), repeat=theory.rank):
         gamma = tuple(s * x for s, x in zip(signs, e))
@@ -174,11 +205,14 @@ def effective_charge(theory, N):
         lambda g: theory.is_effective(g) and eff_degree(theory, g) <= N + 1)
 
 
-@pytest.mark.parametrize("name", ["pentagon", *sorted(DEGREES)])
+@pytest.mark.parametrize("name", ["pentagon", *sorted(DEGREES), "radical",
+                                  "mixed"])
 def test_random_products_match_reference(name):
     # Omega = 0 fixes every term, and a charge paired to zero with some
-    # x_mu (every charge with itself) leaves k = 0 terms next to k != 0 ones
-    theory = pentagon_theory() if name == "pentagon" else theory_by_name(name)
+    # x_mu (every charge with itself) leaves k = 0 terms next to k != 0 ones;
+    # on "radical" a whole column is zero, and on "mixed" two x_mu share a
+    # multiplier though their basis charges have opposite effective signs
+    theory = _theory(name)
     N = 3 if theory.rank > 3 else 4
 
     @given(st.lists(st.tuples(effective_charge(theory, N), st.integers(-2, 2)),
