@@ -77,11 +77,11 @@ class TraceResult:
         return [template.format(*args) for template, args in self.log]
 
     def bracket(self) -> Value:
-        """sum of signs + sum of signed singular symbols, as a value."""
-        v = Value.rational(Fraction(self.eps_sum))
+        """sum of signs + sum of signed singular symbols, summed in ints."""
+        terms = {None: self.eps_sum}
         for s in self.singular:
-            v = v + Value.symbol(s.symbol, s.coeff)
-        return v
+            terms[s.symbol] = terms.get(s.symbol, 0) + s.coeff
+        return Value(terms)
 
 
 @dataclass(slots=True)
@@ -96,7 +96,7 @@ class _State:
     sweep from `_sweep`.  `merge` leaves it, since every reader takes
     only its direction and a plus vertex that is folded into is pinned,
     its Z+ on its Z- ray.  A plus vertex keeps its diagram charge, so
-    `pinned` is read once per diagram vertex and shared by every branch.
+    `pinned` is read once per distinct charge and shared by every branch.
     """
     charges: list[Charge]
     ray: list[Charge]
@@ -109,9 +109,11 @@ class _State:
 
     @classmethod
     def initial(cls, theory: Theory, diag: RootedDiagram) -> "_State":
-        return cls(list(diag.charges), list(diag.charges),
-                   [theory.z(PLUS, c) for c in diag.charges], [_PLUS] * diag.n,
-                   list(diag.parent), [theory.pinned(c) for c in diag.charges])
+        charges = diag.charges
+        read = {c: (theory.z(PLUS, c), theory.pinned(c)) for c in set(charges)}
+        z, pinned = zip(*map(read.__getitem__, charges))
+        return cls(list(charges), list(charges), list(z), [_PLUS] * diag.n,
+                   list(diag.parent), list(pinned))
 
     def copy(self) -> "_State":
         return _State(list(self.charges), list(self.ray), list(self.z),
@@ -216,8 +218,11 @@ def run_decay(theory: Theory, diag: RootedDiagram) -> TraceResult:
     return result
 
 
-def _depths(parent: list[int | None], vertices: list[int]) -> dict[int, int]:
-    """Depth of each of the vertices below the branch's root."""
+def _shallowest(parent: list[int | None], vertices: list[int]) -> list[int]:
+    """The vertices, in order, that lie least deep below the branch's root;
+    depths are walked only when there is more than one vertex."""
+    if len(vertices) == 1:
+        return vertices
     depth = {}
     for k in vertices:
         d, v = 0, parent[k]
@@ -225,7 +230,8 @@ def _depths(parent: list[int | None], vertices: list[int]) -> dict[int, int]:
             v = parent[v]
             d += 1
         depth[k] = d
-    return depth
+    top = min(depth.values())
+    return [k for k in vertices if depth[k] == top]
 
 
 def _run(theory: Theory, stack: list[_State], result: TraceResult) -> None:
@@ -257,15 +263,12 @@ def _run(theory: Theory, stack: list[_State], result: TraceResult) -> None:
                     log.append(("terminal non-singleton ({} vertices), discarded",
                                 (len(alive),)))
                 continue
-            depth = _depths(st.parent, plus)
-            top = min(depth.values())
-            pending.extend(k for k in plus if depth[k] == top)
+            pending.extend(_shallowest(st.parent, plus))
         if pending:
             i = pending.pop(0)
             log.append(("promote {} {}", (i, st.charges[i])))
         else:
-            depth = _depths(st.parent, unbal)
-            i = min(unbal, key=lambda k: (depth[k], k))
+            i = _shallowest(st.parent, unbal)[0]
             log.append(("rebalance {} {} -> {}", (i, st.ray[i], st.charges[i])))
         _sweep(theory, st, i, alive, stack, result)
 
@@ -277,10 +280,10 @@ def gmn_contribution(theory: Theory, diag: RootedDiagram, w: Fraction,
     result."""
     if w == 0:
         return Value.zero()
-    p = diag.total()[theory.root_index]
     if trace is None:
         trace = run_decay(theory, diag)
-    return Value.rational(-w / p) * trace.bracket()
+    scale = -w / diag.total()[theory.root_index]
+    return Value({k: v * scale for k, v in trace.bracket().terms.items()})
 
 
 @dataclass

@@ -8,8 +8,10 @@ of the rooted decorated tree, which the enumeration keeps.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .lattice import Charge, Theory, cadd, content, czero, primitive
 from .spectrum import SpectrumTable
@@ -102,14 +104,26 @@ def weight_W(theory: Theory, table: SpectrumTable, diag: RootedDiagram) -> Fract
     sigma(gamma/n)^n = sigma(gamma) for each divisor n of content(gamma).
     So <gamma_p, f^c> = sigma(c) DT(c) <gamma_p, gamma_c>, f^root is
     sigma(root) DT(root) content(root) times the framing direction, and
-    prod sigma(gamma) = sign * sigma(total) by sigma_reduce: the weight is
-    (-1)^n sign content(root) prod DT(v) prod <gamma_p, gamma_c> / |Aut|.
+    prod sigma(gamma) = sign * sigma(total) with sign = (-1)^(sum_{i<j}
+    <gamma_i, gamma_j>): the weight is (-1)^n sign content(root) prod DT(v)
+    prod <gamma_p, gamma_c> / |Aut|, one integer ratio built from each
+    distinct charge's DT and each distinct pair's pairing.
     """
     charges = diag.charges
-    w = Fraction((-1) ** diag.n * theory.sigma_reduce(list(charges))[0]
-                 * content(charges[diag.root]), diag.aut)
+    mult = Counter(charges)
+    num, den, odd = (-1) ** diag.n, diag.aut, 0
+    pairs: dict[tuple[Charge, Charge], int] = {}
+    for i, (a, m) in enumerate(mult.items()):
+        dt = table.dt(a)
+        num *= dt.numerator ** m
+        den *= dt.denominator ** m
+        for b in islice(mult, i):
+            pairs[b, a] = p = theory.pair(b, a)
+            pairs[a, b] = -p
+            odd += mult[b] * m * p
     for c, p in zip(charges, diag.parent):
-        w *= table.dt(c)
         if p is not None:
-            w *= theory.pair(charges[p], c)
-    return w
+            num *= pairs.get((charges[p], c), 0)
+    if odd % 2:
+        num = -num
+    return Fraction(num * content(charges[diag.root]), den)

@@ -262,10 +262,10 @@ def _multiset_terms(theory: Theory, table: SpectrumTable, target: Charge,
     the sign times sigma(target)) is c U (n!)^2, and U (n!)^2 is an
     integer (see u_symbol).  c = sign prod DT (-1)^(n-1) / (2^(n-1) (n!)^2)
     is the same for every ordering of the multiset: the sign is
-    (-1)^(sum_{i<j} <alpha_i, alpha_j>) (Theory.sigma_reduce's fold, by
-    bilinearity), and swapping two parts negates one pairing, keeping the
-    parity.  DT is read once per distinct part and each ordered pair of
-    parts paired once per call."""
+    (-1)^(sum_{i<j} <alpha_i, alpha_j>) (sigma(a) sigma(b) =
+    (-1)^<a,b> sigma(a+b), by bilinearity), and swapping two parts negates
+    one pairing, keeping the parity.  DT is read once per distinct part and
+    each ordered pair of parts paired once per call."""
     groups: dict[tuple[Charge, ...], list] = {}
     for alphas in decompositions(theory, table, target, max_vertices):
         u = u_symbol(theory, list(alphas))

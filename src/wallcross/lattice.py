@@ -182,19 +182,6 @@ class Theory:
                 e += gamma[i] * gamma[j] * self.pairing[i][j]
         return -1 if e % 2 else 1
 
-    def sigma_reduce(self, charges: list[Charge]) -> tuple[int, Charge]:
-        """Fold sigma(a)sigma(b) = (-1)^<a,b> sigma(a+b) left-to-right.
-
-        Returns (sign, total) with prod_k sigma(c_k) = sign * sigma(total).
-        """
-        sign = 1
-        total = self.zero()
-        for c in charges:
-            if self.pair(total, c) % 2:
-                sign = -sign
-            total = cadd(total, c)
-        return sign, total
-
 
 def sweep_crossing(start: Vec2, end: Vec2, target: Vec2) -> int | None:
     """Does the ray moving from `start` to `end` cross the `target` ray?

@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Charge, Theory, cneg, cscale, content, primitive, theory_by_name
+from .lattice import Charge, Theory, cneg, cscale, content, theory_by_name
 
 STRONG = "strong"
 WEAK = "weak"
@@ -48,16 +48,13 @@ class SpectrumTable:
         return 0
 
     def dt(self, gamma: Charge) -> Fraction:
-        """Multi-cover formula DT(gamma) = sum_n Omega(gamma/n)/n^2."""
+        """DT(gamma) = sum_{n | d} Omega(gamma/n) (d/n)^2 / d^2, d the content."""
         d = content(gamma)
         if d == 0:
             raise ValueError("DT of the zero charge")
-        prim = primitive(gamma)
-        total = Fraction(0)
-        for n in range(1, d + 1):
-            if d % n == 0:
-                total += Fraction(self.omega(cscale(d // n, prim)), n * n)
-        return total
+        terms = (self.omega(tuple(x // n for x in gamma)) * (d // n) ** 2
+                 for n in range(1, d + 1) if d % n == 0)
+        return Fraction(sum(terms), d * d)
 
     def charges(self) -> list[Charge]:
         return sorted(self.entries)

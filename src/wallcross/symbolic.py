@@ -20,12 +20,9 @@ class Value:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict[str | None, Fraction] | None = None):
-        self.terms: dict[str | None, Fraction] = {}
-        if terms:
-            for k, v in terms.items():
-                v = _Q(v)
-                if v:
-                    self.terms[k] = v
+        # a Fraction is kept as it is; zeros are dropped
+        self.terms: dict[str | None, Fraction] = {
+            k: v if type(v) is _Q else _Q(v) for k, v in (terms or {}).items() if v}
 
     # -- constructors -------------------------------------------------
     @classmethod

@@ -7,7 +7,9 @@ live vertices, neighbours and depths are listed anew at each use, and
 each step is formatted as it is logged.  The library carries the active
 rays in each branch and reads each of these once; the differential
 tests check that both give the same signs, singular endpoints, jumps
-and step log.
+and step log.  `bracket` and `contribution` fold a trace into a Value
+one term at a time, where the library sums integer coefficients and
+scales them once.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from wallcross.gmn import RootedDiagram
 from wallcross.lattice import (CCW, MINUS, PLUS, Charge, RayCoincidenceError,
                                Theory, Vec2, cadd, cross, direction_key,
                                sweep_crossing)
+from wallcross.symbolic import Value
 from wallcross.trees import adjacency, charge_label, encode
 
 _PLUS = "+"
@@ -173,3 +176,19 @@ def _run(theory: Theory, stack: list[_State], result: Trace) -> None:
                     f"terminal non-singleton ({len(alive)} vertices), discarded")
             continue
         _sweep(theory, st, i, stack, result)
+
+
+def bracket(trace) -> Value:
+    """sum of signs + sum of signed singular symbols, one Value per term."""
+    v = Value.rational(Fraction(trace.eps_sum))
+    for s in trace.singular:
+        v = v + Value.symbol(s.symbol, s.coeff)
+    return v
+
+
+def contribution(theory: Theory, diag: RootedDiagram, w: Fraction,
+                 trace) -> Value:
+    """-(w / p) times the bracket, p the framing coordinate of the total."""
+    if w == 0:
+        return Value.zero()
+    return Value.rational(-w / diag.total()[theory.root_index]) * bracket(trace)

@@ -4,12 +4,27 @@ Each vertex carries its f-coefficient f^gamma = DT(gamma) content(gamma)
 times the primitive direction of gamma (in units of sigma(gamma)), each
 edge pairs the parent's charge with the child's f-direction, and the
 automorphism order is counted by brute force over vertex permutations
-instead of read off the canonical encoding.
+instead of read off the canonical encoding.  The refinement sign is the
+left-to-right fold of sigma over the vertices, pairing afresh.
 """
 from fractions import Fraction
 from itertools import permutations, product
 
-from wallcross.lattice import content, primitive
+from wallcross.lattice import cadd, content, primitive
+
+
+def sigma_reduce(theory, charges):
+    """Fold sigma(a)sigma(b) = (-1)^<a,b> sigma(a+b) left-to-right.
+
+    Returns (sign, total) with prod_k sigma(c_k) = sign * sigma(total).
+    """
+    sign = 1
+    total = theory.zero()
+    for c in charges:
+        if theory.pair(total, c) % 2:
+            sign = -sign
+        total = cadd(total, c)
+    return sign, total
 
 
 def f_coeff(table, gamma):
@@ -39,7 +54,7 @@ def weight(theory, table, diag):
     """(-1)^n / |Aut| * f^root * prod <gamma_parent, f^child>, as a
     coefficient of sigma of the diagram's total charge."""
     charges = diag.charges
-    w = Fraction((-1) ** diag.n * theory.sigma_reduce(list(charges))[0],
+    w = Fraction((-1) ** diag.n * sigma_reduce(theory, charges)[0],
                  aut_count(diag))
     for c, p in zip(charges, diag.parent):
         coeff, direction = f_coeff(table, c)

@@ -14,9 +14,10 @@ from wallcross.js import js_wallcross
 from wallcross.ks import infer_weak_spectrum
 from wallcross.lattice import cadd, cneg, content, theory_by_name
 from wallcross.spectrum import spectrum_table, strong_table
+from wallcross.symbolic import Value
 from wallcross.trees import enumerate_labelled_trees
 
-from gmn_reference import f_coeff
+from gmn_reference import f_coeff, sigma_reduce
 from test_conjecture_sweep import _kronecker
 from test_ks import pentagon_theory
 
@@ -64,7 +65,7 @@ def test_refinement_unit_is_independent_of_the_refinement(th):
             chi = (-1) ** sum(e * x for e, x in zip(eps, gamma))
             return chi * th.sigma_value(gamma)
 
-        sign, total = th.sigma_reduce(cs)
+        sign, total = sigma_reduce(th, cs)
         assert prod(sigma(c) for c in cs) == sign * sigma(total)
         gamma = cs[0]
         d = content(gamma)
@@ -187,3 +188,32 @@ def test_content_divides_all_coordinates(gs):
     d = content(total)
     if d:
         assert all(x % d == 0 for x in total)
+
+
+COEFFS = st.one_of(st.integers(-3, 3),
+                   st.fractions(min_value=-3, max_value=3, max_denominator=4))
+TERMS = st.dictionaries(st.sampled_from([None, "a", "b", "c"]), COEFFS,
+                        max_size=4)
+
+
+def _normalised(v):
+    return all(type(c) is Fraction and c != 0 for c in v.terms.values())
+
+
+@given(TERMS, TERMS, COEFFS,
+       st.dictionaries(st.sampled_from(["a", "b", "c"]), COEFFS))
+@settings(max_examples=200, deadline=None)
+def test_value_coefficients_are_nonzero_fractions(x, y, q, assignment):
+    # Value keeps a Fraction coefficient as it is and wraps any other, so
+    # int inputs are normalised and zeros dropped by every constructor
+    # and operation; equal values hash equal whichever way they were built
+    a, b, r = Value(x), Value(y), Value.rational(q)
+    for v in (a, b, r, Value.symbol("a", q), Value.zero(), a + b, a - b, -a,
+              q + a, q - a, a * r, q * b, a.substitute(assignment)):
+        assert _normalised(v), v
+    same = Value({k: Fraction(c) for k, c in reversed(x.items())})
+    for u, v in ((a, same), (a + b, b + a), ((a + b) - b, a),
+                 (a * r, a * Fraction(q))):
+        assert u == v and hash(u) == hash(v), (u, v)
+    if not list(a.symbols()):
+        assert hash(a) == hash(a.coeff())

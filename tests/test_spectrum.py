@@ -1,13 +1,15 @@
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from gmn_reference import f_coeff
 from wallcross.ks import infer_weak_spectrum
-from wallcross.spectrum import (MAX_K, UnknownSpectrumError, spectrum_table,
-                                strong_table)
+from wallcross.lattice import content, theory_by_name
+from wallcross.spectrum import (MAX_K, SpectrumTable, UnknownSpectrumError,
+                                spectrum_table, strong_table)
 
 Q = Fraction
 
@@ -94,3 +96,50 @@ def test_truncation_above_the_bound_is_rejected(name, region):
     # entry is built, so only K = MAX_K + 1 is ever tried
     with pytest.raises(ValueError, match=f"at most {MAX_K}, got {MAX_K + 1}$"):
         spectrum_table(name, region, MAX_K + 1)
+
+
+def _dt_by_divisors(table, gamma):
+    """DT(gamma) = sum_{n | d} Omega(gamma/n) / n^2 term by term, asking
+    Omega in the order of n = 1, 2, ..., d."""
+    d = content(gamma)
+    total = Q(0)
+    for n in range(1, d + 1):
+        if d % n == 0:
+            total += Q(table.omega(tuple(x // n for x in gamma)), n * n)
+    return total
+
+
+def _outcome(dt, table, gamma):
+    try:
+        return "value", dt(table, gamma)
+    except UnknownSpectrumError as exc:
+        return "raised", str(exc)
+
+
+def _effective_charges(theory, degree):
+    for coords in product(range(degree + 1), repeat=theory.rank):
+        if 0 < sum(coords) <= degree:
+            yield tuple(s * x for s, x in zip(theory.effective_signs, coords))
+
+
+@pytest.mark.parametrize("name,K,raised,covers", [
+    ("nf0", 10, 0, 28), ("nf1", 10, 0, 45), ("nf2", 10, 0, 65),
+    # covered to degree 3, 6 and 3: the larger charges raise
+    ("nf0", 1, 56, 4), ("nf1", 1, 202, 22), ("nf2", 1, 965, 8),
+    # hand-entered and incomplete: every untabulated charge raises
+    ("nf3", None, 2995, 0)])
+def test_dt_is_the_divisor_sum(name, K, raised, covers):
+    # every effective charge to degree 10, against the divisor sum term by
+    # term; `covers` counts the values that are not integers (multi-covers
+    # such as DT(2,2) = Omega(2,2) + Omega(1,1)/4 = -1/2 on nf0), and a
+    # charge that cannot be summed raises the error of the first Omega it
+    # cannot read
+    table = spectrum_table(name, "weak") if K is None else \
+        spectrum_table(name, "weak", K)
+    outcomes = [(_outcome(SpectrumTable.dt, table, g),
+                 _outcome(_dt_by_divisors, table, g))
+                for g in _effective_charges(theory_by_name(name), 10)]
+    assert [got for got, want in outcomes if got != want] == []
+    got = [outcome for outcome, _ in outcomes]
+    assert sum(kind == "raised" for kind, _ in got) == raised
+    assert sum(kind == "value" and v.denominator > 1 for kind, v in got) == covers
