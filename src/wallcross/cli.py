@@ -1,10 +1,12 @@
 """Command-line entry points and machine-readable reports.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 bad configuration or
-input, a library error (such as a size bound) or a file that cannot be
-written, reported in one line, or a reader that closed the output pipe
-(silently).  Reports are JSON with fixed field order; tabular outputs
-are CSV.
+Each subcommand builds its report, and `main` alone writes it and picks
+the exit code: 0 unless the report says "ok": false, which exits 1; 2 on
+bad configuration or input, a library error (such as a size bound) or a
+file that cannot be written, reported in one line, or a reader that
+closed the output pipe (silently).  Reports are JSON with fixed field
+order; a report bounded by --max-vertices names its bound.  Tabular
+outputs are CSV.
 """
 from __future__ import annotations
 
@@ -51,6 +53,24 @@ def _theory(name: str) -> Theory:
         raise ConfigError(f"unknown theory {name!r}")
 
 
+def _theory_and_target(args) -> tuple[Theory, tuple[int, ...]]:
+    theory = _theory(args.theory)
+    return theory, _parse_charge(theory, args.target)
+
+
+def _report(command: str, theory: Theory, target: tuple[int, ...] | None,
+            max_vertices: int | None) -> dict:
+    """A report's opening fields.  A bound, when given, is named: a bounded
+    run lists, indexes or compares only trees and diagrams of at most that
+    many vertices."""
+    report = {"command": command, "theory": theory.name}
+    if target is not None:
+        report["target"] = list(target)
+    if max_vertices is not None:
+        report["max_vertices"] = max_vertices
+    return report
+
+
 def _emit(report: dict, path: str | None) -> None:
     text = json.dumps(report, indent=1)
     if path:
@@ -64,7 +84,7 @@ def _emit(report: dict, path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> dict:
     theory = _theory(args.theory)
     table = spectrum_table(theory.name, args.region, K=args.K)
     rows = [(list(g), w) for g, w in sorted(table.entries.items())]
@@ -74,35 +94,28 @@ def cmd_spectrum(args) -> int:
             writer.writerow(list(theory.basis) + ["omega"])
             for g, w in rows:
                 writer.writerow(g + [w])
-    _emit(table.to_json(), args.output)
-    return PASS
+    return table.to_json()
 
 
-def cmd_js(args) -> int:
-    theory = _theory(args.theory)
-    target = _parse_charge(theory, args.target)
+def cmd_js(args) -> dict:
+    theory, target = _theory_and_target(args)
     table = strong_table(theory)
     trees = js_tree_values(theory, table, target,
                            max_vertices=args.max_vertices)
     # the tree totals are coefficients of sigma(target) summing to the
     # invariant; a vertex bound leaves out terms, so its sum is partial
     dt = sum(tv.total.coeff() for tv in trees.values())
-    report = {"command": "js", "theory": theory.name, "target": list(target)}
-    if args.max_vertices is None:
-        report["dt_weak"] = str(dt)
-    else:
-        report.update(max_vertices=args.max_vertices, partial_sum=str(dt))
+    report = _report("js", theory, target, args.max_vertices)
+    report["dt_weak" if args.max_vertices is None else "partial_sum"] = str(dt)
     report["trees"] = [{"charges": [list(c) for c in tv.charges],
                         "edges": [list(e) for e in tv.edges],
                         "total": repr(tv.total)}
                        for key, tv in sorted(trees.items())]
-    _emit(report, args.output)
-    return PASS
+    return report
 
 
-def cmd_gmn(args) -> int:
-    theory = _theory(args.theory)
-    target = _parse_charge(theory, args.target)
+def cmd_gmn(args) -> dict:
+    theory, target = _theory_and_target(args)
     table = strong_table(theory)
     diagrams = enumerate_diagrams(theory, table, target,
                                   max_vertices=args.max_vertices)
@@ -115,18 +128,12 @@ def cmd_gmn(args) -> int:
                     "weight": str(w),
                     "total": direction,
                     "contribution": repr(gmn_contribution(theory, diag, w))})
-    report = {"command": "gmn", "theory": theory.name, "target": list(target)}
-    if args.max_vertices is not None:
-        # only diagrams of at most this many vertices were listed
-        report["max_vertices"] = args.max_vertices
-    report["diagrams"] = out
-    _emit(report, args.output)
-    return PASS
+    return {**_report("gmn", theory, target, args.max_vertices),
+            "diagrams": out}
 
 
-def cmd_decay_trace(args) -> int:
-    theory = _theory(args.theory)
-    target = _parse_charge(theory, args.target)
+def cmd_decay_trace(args) -> dict:
+    theory, target = _theory_and_target(args)
     table = strong_table(theory)
     diagrams = enumerate_diagrams(theory, table, target,
                                   max_vertices=args.max_vertices)
@@ -137,11 +144,9 @@ def cmd_decay_trace(args) -> int:
                           f"(0..{len(diagrams) - 1})")
     diag = diagrams[args.index]
     trace = run_decay(theory, diag)
-    report = {"command": "decay-trace", "theory": theory.name}
-    if args.max_vertices is not None:
-        # the index counts only diagrams of at most this many vertices
-        report["max_vertices"] = args.max_vertices
-    report.update({
+    # the diagram's charges give the target, so the report names none
+    return {
+        **_report("decay-trace", theory, None, args.max_vertices),
         "diagram": diag.describe(),
         "eps_sum": str(trace.eps_sum),
         "bracket": repr(trace.bracket()),
@@ -150,21 +155,14 @@ def cmd_decay_trace(args) -> int:
         "jumps": {k: (None if v is None else str(v))
                   for k, v in sorted(trace.jumps.items())},
         "steps": trace.steps,
-    })
-    _emit(report, args.output)
-    return PASS
+    }
 
 
-def cmd_check_conjecture(args) -> int:
-    theory = _theory(args.theory)
-    target = _parse_charge(theory, args.target)
+def cmd_check_conjecture(args) -> dict:
+    theory, target = _theory_and_target(args)
     rep = conjecture_check(theory, target, max_vertices=args.max_vertices)
-    report = {"command": "check-conjecture", "theory": rep.theory,
-              "target": list(rep.target)}
-    if args.max_vertices is not None:
-        # only trees of at most this many vertices were compared
-        report["max_vertices"] = args.max_vertices
-    report.update({
+    return {
+        **_report("check-conjecture", theory, target, args.max_vertices),
         "ok": rep.ok,
         "ledger": {k: str(v) for k, v in sorted(rep.ledger.items())},
         "free_symbols": rep.free_symbols,
@@ -176,12 +174,10 @@ def cmd_check_conjecture(args) -> int:
                    "framings": len(tc.framings),
                    "ok": tc.ok}
                   for key, tc in sorted(rep.trees.items())],
-    })
-    _emit(report, args.output)
-    return PASS if rep.ok else FAIL
+    }
 
 
-def cmd_ks_oracle(args) -> int:
+def cmd_ks_oracle(args) -> dict:
     theory = _theory(args.theory)
     strong = strong_table(theory)
     if args.against_table:
@@ -198,7 +194,7 @@ def cmd_ks_oracle(args) -> int:
         ok_w, deg_w = verify_wall_identity(theory, strong, weak, args.N)
         checks["catalog_weak_table"] = {"ok": ok_w, "agree_through": deg_w}
         ok = ok and ok_w
-    report = {
+    return {
         "command": "ks-oracle",
         "theory": theory.name,
         "N": args.N,
@@ -206,8 +202,6 @@ def cmd_ks_oracle(args) -> int:
         "checks": checks,
         "inferred_weak": inferred.to_json(),
     }
-    _emit(report, args.output)
-    return PASS if ok else FAIL
 
 
 NUMERIC_CHECKS = ("residue_move", "scale_invariance", "decay_fit",
@@ -225,7 +219,7 @@ def _finite(check: str, x) -> float:
 
 
 @np.errstate(all="ignore")   # _finite reports an overflow in one line
-def cmd_numeric(args) -> int:
+def cmd_numeric(args) -> dict:
     spec = tba.QuadratureSpec(nodes=args.nodes, T=args.T, tol=args.tol)
     zeta = complex(args.zeta_re, args.zeta_im)
     if not 0 < abs(zeta) < math.inf:
@@ -271,11 +265,8 @@ def cmd_numeric(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["n", "R", "abs_G"])
             writer.writerows((n, args.R, g) for n, g in enumerate(mags, 1))
-    ok = all(c["ok"] for c in checks.values())
-    report = {"command": "numeric", "R": args.R, "nodes": args.nodes,
-              "ok": ok, "checks": checks}
-    _emit(report, args.output)
-    return PASS if ok else FAIL
+    return {"command": "numeric", "R": args.R, "nodes": args.nodes,
+            "ok": all(c["ok"] for c in checks.values()), "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -293,35 +284,27 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", help="write the JSON report here")
         return sp
 
+    def add_target(name, fn, **kw):
+        sp = add(name, fn, **kw)
+        sp.add_argument("theory")
+        sp.add_argument("target")
+        sp.add_argument("--max-vertices", type=int, default=None)
+        return sp
+
     sp = add("spectrum", cmd_spectrum, help="print a BPS index table")
     sp.add_argument("theory")
     sp.add_argument("region", choices=["strong", "weak"])
     sp.add_argument("--K", type=int, default=DEFAULT_K)
     sp.add_argument("--csv", help="also write the entries as CSV")
 
-    sp = add("js", cmd_js, help="combinatorial weak-side invariant")
-    sp.add_argument("theory")
-    sp.add_argument("target")
-    sp.add_argument("--max-vertices", type=int, default=None)
-
-    sp = add("gmn", cmd_gmn, help="framed diagrams, weights, contributions")
-    sp.add_argument("theory")
-    sp.add_argument("target")
-    sp.add_argument("--max-vertices", type=int, default=None)
-
-    sp = add("decay-trace", cmd_decay_trace,
-             help="step log of the decay process for one diagram")
-    sp.add_argument("theory")
-    sp.add_argument("target")
+    add_target("js", cmd_js, help="combinatorial weak-side invariant")
+    add_target("gmn", cmd_gmn, help="framed diagrams, weights, contributions")
+    sp = add_target("decay-trace", cmd_decay_trace,
+                    help="step log of the decay process for one diagram")
     sp.add_argument("--index", type=int, default=0,
                     help="diagram index in enumeration order")
-    sp.add_argument("--max-vertices", type=int, default=None)
-
-    sp = add("check-conjecture", cmd_check_conjecture,
-             help="compare both wall-crossing computations tree by tree")
-    sp.add_argument("theory")
-    sp.add_argument("target")
-    sp.add_argument("--max-vertices", type=int, default=None)
+    add_target("check-conjecture", cmd_check_conjecture,
+               help="compare both wall-crossing computations tree by tree")
 
     sp = add("ks-oracle", cmd_ks_oracle,
              help="verify spectra against the ordered-product identity")
@@ -382,7 +365,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             _apply_config(parser, args)
-        return args.fn(args)
+        report = args.fn(args)
+        _emit(report, args.output)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return CONFIG_ERROR
@@ -393,6 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, UnknownSpectrumError, FactorizationError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return CONFIG_ERROR
+    return FAIL if report.get("ok") is False else PASS
 
 
 if __name__ == "__main__":

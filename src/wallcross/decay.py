@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import (CCW, MINUS, PLUS, Charge, RayCoincidenceError,
-                      Theory, Vec2, cadd, cross, direction_key, sweep_crossing)
+from .lattice import (CCW, ENDS_ON, MINUS, PLUS, Charge, Theory, Vec2, cadd,
+                      cross, direction_key, sweep_crossing)
 from .gmn import RootedDiagram, enumerate_diagrams, weight_W
 from .js import js_tree_values
 from .spectrum import strong_table
@@ -154,10 +154,11 @@ def _sweep(theory: Theory, st: _State, i: int, alive: list[int],
     """Push vertex i's ray from its active ray to the weak-side ray of its
     accumulated charge; `alive` lists the branch's live vertices.
 
-    Each strict crossing of a neighbour's active ray appends a residue
-    branch to `out`.  Then, unless the sweep is singular (ends on an
-    active ray), `st` itself follows them with vertex i balanced on its
-    weak-side ray.
+    `sweep_crossing` gives a verdict per neighbour.  A strict crossing of
+    the neighbour's active ray appends a residue branch to `out`; a sweep
+    that ends on it records a singular endpoint and its jump.  Then,
+    unless some sweep is singular, `st` itself follows the residue
+    branches with vertex i balanced on its weak-side ray.
     """
     start = st.z[i]
     end = theory.z(MINUS, st.charges[i])
@@ -173,9 +174,8 @@ def _sweep(theory: Theory, st: _State, i: int, alive: list[int],
             # interact unless it is pinned (same position on both sides)
             continue
         rel = 1 if up == j else -1
-        try:
-            sense = sweep_crossing(start, end, st.z[j])
-        except RayCoincidenceError:
+        sense = sweep_crossing(start, end, st.z[j])
+        if sense == ENDS_ON:
             # the sweep ends on the target ray: its rotation sense is the side
             side = BELOW if cross(start, end) > 0 else ABOVE
             key = st.frozen_key(alive, i, end)
@@ -194,8 +194,7 @@ def _sweep(theory: Theory, st: _State, i: int, alive: list[int],
             result.log.append(("singular: vertex {} onto ray of {} ({}), coeff={}",
                                (i, j, side, st.sign)))
             singular = True
-            continue
-        if sense is not None:
+        elif sense is not None:
             crossings.append((j, sense * rel))
     for j, eps in crossings:
         branch = st.copy()

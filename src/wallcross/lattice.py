@@ -2,8 +2,10 @@
 
 Charges are integer coordinate tuples in a fixed basis of vanishing
 cycles.  The antisymmetric pairing, the central-charge models on the two
-sides of the wall, and the quadratic refinement sign all live here.  All
-phase comparisons are exact (2d cross products of rational vectors; the
+sides of the wall, the quadratic refinement sign and the crossing test of
+a sweeping ray all live here.  The crossing test returns each outcome as
+a verdict, a sweep that ends on the target ray included.  All phase
+comparisons are exact (2d cross products of rational vectors; the
 catalog's central charges are integer vectors).
 """
 from __future__ import annotations
@@ -18,12 +20,10 @@ Vec2 = tuple[Fraction, Fraction]  # central charge value (re, im), int or Fracti
 PLUS = "+"    # strong-coupling side of the wall
 MINUS = "-"   # weak-coupling side
 
+# the verdicts of `sweep_crossing` other than None (a miss)
 CCW = 1
 CW = -1
-
-
-class RayCoincidenceError(Exception):
-    """A moved ray landed exactly on another active ray."""
+ENDS_ON = 0
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +187,14 @@ def sweep_crossing(start: Vec2, end: Vec2, target: Vec2) -> int | None:
     """Does the ray moving from `start` to `end` cross the `target` ray?
 
     All vectors are ray directions within one open half-plane (see
-    `Theory`).  Returns CCW / CW for a strict crossing, None if not crossed
-    (including when target coincides with start), and raises
-    RayCoincidenceError when target coincides with the endpoint.
+    `Theory`).  Returns CCW / CW for a strict crossing, ENDS_ON when the
+    sweep ends on the target ray (a zero-length sweep onto it included),
+    and None when it misses the target (a target on the start ray
+    included).
     """
-    if same_ray(start, end):
-        if same_ray(target, end):
-            raise RayCoincidenceError("zero-length sweep onto target ray")
-        return None
     if same_ray(target, end):
-        raise RayCoincidenceError("sweep ends on target ray")
-    if same_ray(target, start):
+        return ENDS_ON
+    if same_ray(start, end) or same_ray(target, start):
         return None
     orient = CCW if cross(start, end) > 0 else CW
     if orient == CCW:

@@ -4,10 +4,13 @@ Every branch re-derives what it needs from the lattice: a vertex's
 active ray is Z+ or Z- of its ray label, read afresh from its status at
 each use, whether a plus neighbour is pinned is asked at each sweep, the
 live vertices, neighbours and depths are listed anew at each use, and
-each step is formatted as it is logged.  The library carries the active
-rays in each branch and reads each of these once; the differential
-tests check that both give the same signs, singular endpoints, jumps
-and step log.  `bracket` and `contribution` fold a trace into a Value
+each step is formatted as it is logged.  Its crossing test is its own,
+as first written: a sweep that ends on the target ray raises, and the
+push step catches that.  The library carries the active rays in each
+branch, reads each of these once and takes every outcome of
+`lattice.sweep_crossing` as a returned verdict; the differential tests
+check that both give the same signs, singular endpoints, jumps and step
+log.  `bracket` and `contribution` fold a trace into a Value
 one term at a time, where the library sums integer coefficients and
 scales them once.
 """
@@ -18,9 +21,8 @@ from fractions import Fraction
 
 from wallcross.decay import ABOVE, BELOW, SingularEndpoint
 from wallcross.gmn import RootedDiagram
-from wallcross.lattice import (CCW, MINUS, PLUS, Charge, RayCoincidenceError,
-                               Theory, Vec2, cadd, cross, direction_key,
-                               sweep_crossing)
+from wallcross.lattice import (CCW, CW, MINUS, PLUS, Charge, Theory, Vec2,
+                               cadd, cross, direction_key, same_ray)
 from wallcross.symbolic import Value
 from wallcross.trees import adjacency, charge_label, encode
 
@@ -28,6 +30,34 @@ _PLUS = "+"
 _MINUS = "-"
 _UNBAL = "*"
 _DEAD = "."
+
+
+class RayCoincidenceError(Exception):
+    """A moved ray landed exactly on another active ray."""
+
+
+def sweep_crossing(start: Vec2, end: Vec2, target: Vec2) -> int | None:
+    """Does the ray moving from `start` to `end` cross the `target` ray?
+
+    All vectors are ray directions within one open half-plane (see
+    `Theory`).  Returns CCW / CW for a strict crossing, None if not crossed
+    (including when target coincides with start), and raises
+    RayCoincidenceError when target coincides with the endpoint.
+    """
+    if same_ray(start, end):
+        if same_ray(target, end):
+            raise RayCoincidenceError("zero-length sweep onto target ray")
+        return None
+    if same_ray(target, end):
+        raise RayCoincidenceError("sweep ends on target ray")
+    if same_ray(target, start):
+        return None
+    orient = CCW if cross(start, end) > 0 else CW
+    if orient == CCW:
+        inside = cross(start, target) > 0 and cross(target, end) > 0
+    else:
+        inside = cross(start, target) < 0 and cross(target, end) < 0
+    return orient if inside else None
 
 
 @dataclass

@@ -65,6 +65,18 @@ def test_check_conjecture(tmp_path):
     assert rep["ok"] is True
 
 
+def test_check_conjecture_failure_exits_1(tmp_path, capsys):
+    # four star trees, g1 with -g3 leaves pinned on one ray, read gmn 0
+    # against nonzero js: the report says "ok": false and main exits 1,
+    # whether the report goes to a file or to stdout
+    code, rep = run(tmp_path, "check-conjecture", "nf1", "1,0,-4")
+    assert code == 1 and rep["ok"] is False
+    assert sum(not t["ok"] for t in rep["trees"]) == 4
+    code = main(["check-conjecture", "nf1", "1,0,-4"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == "" and json.loads(out)["ok"] is False
+
+
 def test_ks_oracle(tmp_path):
     code, rep = run(tmp_path, "ks-oracle", "nf0", "--N", "6")
     assert code == 0

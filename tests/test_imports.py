@@ -110,11 +110,17 @@ def defined_functions(source: str, module: str) -> list[tuple[str, str]]:
 
 def referenced_names(source: str) -> set[str]:
     """Every name read, attribute taken or name imported, and every
-    dotted identifier in a string constant, leaving out a function's
-    references to itself from its own body.  Strings count because the
-    benchmark's tracer wraps functions by name ("Theory.z",
-    "canon_oriented"), and a function it names must stay."""
+    dotted identifier in a string constant other than a docstring,
+    leaving out a function's references to itself from its own body.
+    Strings count because the benchmark's tracer wraps functions by name
+    ("Theory.z", "canon_oriented"), and a function it names must stay;
+    a docstring is prose, and a function only prose mentions is unused."""
     found = set()
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
 
     def walk(node, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -126,24 +132,29 @@ def referenced_names(source: str) -> set[str]:
             names = [node.attr]
         elif isinstance(node, ast.alias):
             names = [node.name.split(".")[-1]]
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
             names = [part for part in node.value.split(".") if part.isidentifier()]
         found.update(n for n in names if n not in inside)
         for child in ast.iter_child_nodes(node):
             walk(child, inside)
 
-    walk(ast.parse(source), frozenset())
+    walk(tree, frozenset())
     return found
 
 
 def test_unreferenced_functions_are_found():
-    source = ("def f():\n    return f()\n\ndef g():\n    return 1\n\n"
-              "class C:\n    def __init__(self):\n        self.m = g\n"
+    # m3 is named in a string, h only in the module's and C's docstrings
+    source = ('"""x.h"""\n'
+              "def f():\n    return f()\n\ndef g():\n    return 1\n\n"
+              "def h():\n    pass\n\n"
+              "class C:\n    'C.h'\n    def __init__(self):\n        self.m = g\n"
               "    def m2(self):\n        return 'C.m3'\n    def m3(self):\n"
               "        pass\n")
     defined = defined_functions(source, "x")
     used = referenced_names(source)
-    assert [q for q, name in defined if name not in used] == ["x.f", "x.C.m2"]
+    assert [q for q, name in defined if name not in used] == [
+        "x.f", "x.h", "x.C.m2"]
 
 
 def test_every_function_is_referenced_by_the_program():

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from wallcross.lattice import (CATALOG, CCW, MINUS, PLUS, cadd, cneg, content,
-                               cross, direction_key, primitive, same_ray,
-                               sweep_crossing, theory_by_name)
+from wallcross.lattice import (CATALOG, CCW, CW, ENDS_ON, MINUS, PLUS, cadd,
+                               cneg, content, cross, direction_key, primitive,
+                               same_ray, sweep_crossing, theory_by_name)
 
 from gmn_reference import sigma_reduce
 
@@ -123,6 +123,31 @@ def test_sweep_crossing_orientation():
     assert sweep_crossing(right, left, up) == 1      # counterclockwise
     assert sweep_crossing(left, right, up) == -1     # clockwise
     assert sweep_crossing(right, left, (Q(-1), Q(-1))) is None
+
+
+UP, LEFT, RIGHT = (Q(0), Q(1)), (Q(-1), Q(1)), (Q(1), Q(1))
+# (start, end, target) -> verdict; a ray often appears as another vector
+# on it, since the test is of rays
+VERDICTS = {
+    "strict-ccw": (RIGHT, LEFT, UP, CCW),
+    "strict-cw": (LEFT, RIGHT, (Q(0), Q(3)), CW),
+    "miss-beyond-end": (RIGHT, UP, LEFT, None),
+    "miss-before-start": (UP, LEFT, RIGHT, None),
+    "miss-cw-beyond-end": (LEFT, UP, RIGHT, None),
+    "target-on-start": (RIGHT, LEFT, (Q(2), Q(2)), None),
+    "zero-length-miss": (UP, (Q(0), Q(5)), LEFT, None),
+    "ends-on-ccw": (RIGHT, LEFT, (Q(-3), Q(3)), ENDS_ON),
+    "ends-on-cw": (LEFT, RIGHT, RIGHT, ENDS_ON),
+    "zero-length-onto": (UP, (Q(0), Q(2)), (Q(0), Q(7)), ENDS_ON),
+}
+
+
+@pytest.mark.parametrize("case", VERDICTS)
+def test_sweep_crossing_verdicts(case):
+    # every outcome is returned, the end-on-target one included, and only
+    # the strict crossings carry a rotation sense
+    start, end, target, verdict = VERDICTS[case]
+    assert sweep_crossing(start, end, target) == verdict
 
 
 def test_sweep_crossing_on_central_charges(nf0):
