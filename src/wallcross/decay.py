@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import (CCW, ENDS_ON, MINUS, PLUS, Charge, Theory, Vec2, cadd,
-                      cross, direction_key, sweep_crossing)
+                      cross, direction_key, same_ray, sweep_crossing)
 from .gmn import RootedDiagram, enumerate_diagrams, weight_W
 from .js import js_tree_values
 from .spectrum import strong_table
@@ -96,7 +96,7 @@ class _State:
     sweep from `_sweep`.  `merge` leaves it, since every reader takes
     only its direction and a plus vertex that is folded into is pinned,
     its Z+ on its Z- ray.  A plus vertex keeps its diagram charge, so
-    `pinned` is read once per distinct charge and shared by every branch.
+    `pinned` is read once per diagram and shared by every branch.
     """
     charges: list[Charge]
     ray: list[Charge]
@@ -110,10 +110,11 @@ class _State:
     @classmethod
     def initial(cls, theory: Theory, diag: RootedDiagram) -> "_State":
         charges = diag.charges
-        read = {c: (theory.z(PLUS, c), theory.pinned(c)) for c in set(charges)}
-        z, pinned = zip(*map(read.__getitem__, charges))
-        return cls(list(charges), list(charges), list(z), [_PLUS] * diag.n,
-                   list(diag.parent), list(pinned))
+        z = [theory.z(PLUS, c) for c in charges]
+        # Theory.pinned, on the Z+ just read
+        pinned = [same_ray(zp, theory.z(MINUS, c)) for zp, c in zip(z, charges)]
+        return cls(list(charges), list(charges), z, [_PLUS] * diag.n,
+                   list(diag.parent), pinned)
 
     def copy(self) -> "_State":
         return _State(list(self.charges), list(self.ray), list(self.z),

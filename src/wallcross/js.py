@@ -15,8 +15,7 @@ from itertools import combinations
 from math import comb, factorial, inf, prod
 from typing import Iterator
 
-from .lattice import (MINUS, PLUS, Charge, Theory, Vec2, cross, cscale,
-                      same_ray)
+from .lattice import MINUS, PLUS, Charge, Theory, Vec2, cross, cscale
 from .spectrum import SpectrumTable
 from .symbolic import Value
 from .trees import canon_unoriented, enumerate_labelled_trees
@@ -118,36 +117,49 @@ def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
     over its optional cuts.  The nested sum is then a DP over the chunk
     cuts, f[b][l] = sum_a f[a][l-1] G(a, b), run in integers as
     F[b][l] = b! f[b][l] = sum_a F[a][l-1] C(b, a) (b - a)! G(a, b),
-    and U = sum_l (-1)^(l-1)/l F[n][l] / n! is the one Fraction.
-    Central charges are read once per part.
+    and U = sum_l (-1)^(l-1)/l F[n][l] / n! is the one Fraction; a row
+    F[a] that stays zero starts no chunk.  Central charges are read once
+    per distinct part.
     """
     n = len(alphas)
     if n == 0:
         raise ValueError("empty decomposition")
-    strong = [theory.z(PLUS, a) for a in alphas]
+    read = {a: (theory.z(PLUS, a), theory.z(MINUS, a)) for a in set(alphas)}
+    strong = []
     prefix = [(0, 0)]
+    x = y = 0
     for a in alphas:
-        re, im = theory.z(MINUS, a)
-        prefix.append((prefix[-1][0] + re, prefix[-1][1] + im))
-    w_total = prefix[n]
-    # same_ray is an equivalence, so a block lies on one strong ray iff
-    # each of its adjacent pairs does
-    joinable = [False] + [same_ray(strong[k - 1], strong[k]) for k in range(1, n)]
+        zp, (re, im) = read[a]
+        strong.append(zp)
+        x += re
+        y += im
+        prefix.append((x, y))
+    tx, ty = prefix[n]  # the total's weak central charge
+    # same_ray inline: zero cross and positive dot product.  It is an
+    # equivalence, so a block lies on one strong ray iff each of its
+    # adjacent pairs does
+    joinable = [False] + [p0 * q1 == p1 * q0 and p0 * q0 + p1 * q1 > 0
+                          for (p0, p1), (q0, q1) in zip(strong, strong[1:])]
     F = [[0] * (n + 1) for _ in range(n + 1)]
     F[0][0] = 1
+    live = [0]          # the rows F[a] with a nonzero entry, a < b
     for b in range(1, n + 1):
-        for a in range(b):
-            if not any(F[a]):
-                continue
-            chunk = (prefix[b][0] - prefix[a][0], prefix[b][1] - prefix[a][1])
-            if not same_ray(chunk, w_total):
+        xb, yb = prefix[b]
+        row = F[b]
+        for a in live:
+            # does the chunk's weak central charge lie on the total's ray?
+            cx, cy = xb - prefix[a][0], yb - prefix[a][1]
+            if cx * ty != cy * tx or cx * tx + cy * ty <= 0:
                 continue
             g = _chunk_weight(theory, alphas, prefix, joinable, a, b)
             if g:
                 g *= comb(b, a)
-                for l in range(1, b + 1):
-                    if F[a][l - 1]:
-                        F[b][l] += F[a][l - 1] * g
+                # F[a][l] is zero for l > a: a parts make at most a chunks
+                for l, f in enumerate(F[a][:a + 1]):
+                    if f:
+                        row[l + 1] += f * g
+        if any(row):
+            live.append(b)
     # n! is a multiple of every l <= n
     scale = factorial(n)
     return Fraction(sum((-1) ** (l - 1) * F[n][l] * (scale // l)
@@ -178,18 +190,23 @@ def strong_parts(theory: Theory, table: SpectrumTable, target: Charge) -> list[C
 
 def _multisets(parts: list[Charge], target: Charge, signs,
                max_parts: int | None = None) -> list[tuple[Charge, ...]]:
-    """The multisets of parts summing to the target, of at most max_parts."""
+    """The multisets of parts summing to the target, of at most max_parts.
+
+    A depth-first walk on an explicit stack, since it goes one level down
+    per part: state (i, remaining, chosen) has chosen its copies of
+    parts[:i], and its children take 0, 1, 2, ... copies of parts[i]."""
     out: list[tuple[Charge, ...]] = []
     cap = inf if max_parts is None else max_parts
-
-    def rec(i: int, remaining: Charge, chosen: list[Charge]):
+    stack = [(0, target, ())]
+    while stack:
+        i, remaining, chosen = stack.pop()
         if all(x == 0 for x in remaining):
             if chosen:
-                out.append(tuple(chosen))
-            return
+                out.append(chosen)
+            continue
         if i == len(parts) or len(chosen) == cap:
-            return
-        rec(i + 1, remaining, chosen)
+            continue
+        children = [(i + 1, remaining, chosen)]
         p = parts[i]
         rem = remaining
         k = 0
@@ -198,9 +215,9 @@ def _multisets(parts: list[Charge], target: Charge, signs,
             if any(s * x < 0 for s, x in zip(signs, rem)):
                 break
             k += 1
-            rec(i + 1, rem, chosen + [p] * k)
-
-    rec(0, target, [])
+            children.append((i + 1, rem, chosen + (p,) * k))
+        # popped in the order 0, 1, 2, ... copies
+        stack.extend(reversed(children))
     return out
 
 

@@ -473,6 +473,13 @@ def test_js_vertex_bound_limits_the_orderings(tmp_path):
     assert rep["trees"] and all(len(t["charges"]) <= 3 for t in rep["trees"])
 
 
+def test_js_on_a_thousand_strong_parts(tmp_path):
+    # nf0 500,500 has 1,000 strong parts; no single one is the target
+    code, rep = run(tmp_path, "js", "nf0", "500,500", "--max-vertices", "1")
+    assert code == 0
+    assert rep["partial_sum"] == "0" and rep["trees"] == []
+
+
 def test_js_vertex_bound_reports_a_partial_sum(tmp_path):
     # a bound leaves out the larger multisets: nf0 3,3 summed up to 3
     # vertices gives 34/9, but its weak DT is -2/9, so a bounded report

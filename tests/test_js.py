@@ -71,6 +71,12 @@ def test_multisets_stop_each_branch_at_the_bound(nf0, nf0_strong):
     assert elapsed < 0.5
 
 
+def test_multisets_walk_a_thousand_parts(nf0, nf0_strong):
+    # 500,500 has 1,000 strong parts, one walk level each: deeper than
+    # Python's recursion limit, however small the bound
+    assert multisets(nf0, nf0_strong, (500, 500), max_vertices=1) == []
+
+
 @pytest.mark.parametrize("entry", [multisets, decompositions, js_tree_values,
                                    js_wallcross, enumerate_diagrams])
 @pytest.mark.parametrize("target,bound,message", [

@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross import ks
 from wallcross.lattice import (CATALOG, CCW, CW, ENDS_ON, MINUS, PLUS, cadd,
                                cneg, content, cross, direction_key, primitive,
                                same_ray, sweep_crossing, theory_by_name)
+from wallcross.spectrum import strong_table
 
 from gmn_reference import sigma_reduce
+from test_rank3_sweep import rank3_theory
+from test_spectrum import _effective_charges
 
 Q = Fraction
 
@@ -158,3 +162,42 @@ def test_sweep_crossing_on_central_charges(nf0):
     start, end = nf0.z(PLUS, m), nf0.z(MINUS, m)
     assert sweep_crossing(start, end, nf0.z(MINUS, d)) == CCW
     assert sweep_crossing(start, end, nf0.z(PLUS, d)) is None
+
+
+def test_z_memo_stays_with_its_instance():
+    nf0, g = CATALOG["nf0"], (2, 3)
+    assert (nf0.z(PLUS, g), nf0.z(MINUS, g)) == ((2, 100), (-1, 100))
+    # a variant built by replace reads its own central charges, not the
+    # memo of the theory it was built from
+    moved = dataclasses.replace(nf0, z_plus=((-3, 20), (2, 20)),
+                                z_minus=((1, 21), (-1, 20)))
+    assert (moved.z(PLUS, g), moved.z(MINUS, g)) == ((0, 100), (-1, 102))
+    assert nf0.z(PLUS, g) == (2, 100)
+    # the memo is not part of the value: a filled theory equals, hashes
+    # and prints like a fresh equal one, and shares its KS product
+    fresh = dataclasses.replace(nf0)
+    assert fresh == nf0 and hash(fresh) == hash(nf0)
+    assert repr(fresh) == repr(nf0)
+    strong = strong_table(nf0)
+    built = ks.spectrum_auto(nf0, strong, PLUS, 3)
+    assert ks.spectrum_auto(fresh, strong, PLUS, 3) is built
+    assert ks._product.cache_info().currsize == 1
+    # a list charge reads the Z of its tuple, first read or memo hit
+    assert fresh.z(MINUS, [3, 1]) == fresh.z(MINUS, (3, 1)) == (2, 80)
+    assert fresh.z(PLUS, [2, 3]) == (2, 100)
+
+
+@pytest.mark.parametrize("theory", [*CATALOG.values(),
+                                    rank3_theory("triangle", "g1")],
+                         ids=lambda th: th.name)
+def test_memoised_z_is_the_linear_sum(theory):
+    # a copy starts with an empty memo: the first read computes, and the
+    # second returns the memo's value
+    theory = dataclasses.replace(theory)
+    for gamma in _effective_charges(theory, 6):
+        for region, zs in ((PLUS, theory.z_plus), (MINUS, theory.z_minus)):
+            want = tuple(sum((n * z[k] for n, z in zip(gamma, zs)),
+                             Fraction(0)) for k in range(2))
+            first = theory.z(region, gamma)
+            assert first == want, (region, gamma)
+            assert theory.z(region, gamma) is first

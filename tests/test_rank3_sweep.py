@@ -11,6 +11,12 @@ KNOWN_FAILURES is a strict list: a target on it that starts to pass
 fails the test as surely as a new failure does, so the list can only
 shrink.  js is checked against the KS inference on the same theories,
 as far as the pairing's radical lets the inference go.
+
+The g4 cases are formal checks of js = gmn on a given table, not of the
+physical claim: Reineke's recursion (arXiv:math/0204059) finds a
+(0,1,1) bound state on g4's strong side, which the basis-only strong
+table used here leaves out, so that table is not a stability chamber
+of these quivers.
 """
 import re
 from fractions import Fraction
