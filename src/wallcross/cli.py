@@ -104,12 +104,12 @@ def cmd_js(args) -> dict:
                            max_vertices=args.max_vertices)
     # the tree totals are coefficients of sigma(target) summing to the
     # invariant; a vertex bound leaves out terms, so its sum is partial
-    dt = sum(tv.total.coeff() for tv in trees.values())
+    dt = sum(tv.total for tv in trees.values())
     report = _report("js", theory, target, args.max_vertices)
     report["dt_weak" if args.max_vertices is None else "partial_sum"] = str(dt)
     report["trees"] = [{"charges": [list(c) for c in tv.charges],
                         "edges": [list(e) for e in tv.edges],
-                        "total": repr(tv.total)}
+                        "total": str(tv.total)}
                        for key, tv in sorted(trees.items())]
     return report
 
@@ -169,8 +169,8 @@ def cmd_check_conjecture(args) -> dict:
         "constraints": [list(c) for c in rep.constraints],
         "trees": [{"charges": [list(c) for c in tc.charges],
                    "edges": [list(e) for e in tc.edges],
-                   "js": repr(tc.js_total),
-                   "gmn": repr(tc.resolved_gmn),
+                   "js": str(tc.js_total),
+                   "gmn": str(tc.resolved_gmn),
                    "framings": len(tc.framings),
                    "ok": tc.ok}
                   for key, tc in sorted(rep.trees.items())],

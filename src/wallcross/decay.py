@@ -290,10 +290,10 @@ def gmn_contribution(theory: Theory, diag: RootedDiagram, w: Fraction,
 class TreeCheck:
     charges: tuple[Charge, ...]
     edges: tuple[tuple[int, int], ...]
-    js_total: Value = field(default_factory=Value.zero)
+    js_total: Fraction = Fraction(0)
     gmn_total: Value = field(default_factory=Value.zero)  # may carry symbols
     framings: list[tuple[RootedDiagram, Value]] = field(default_factory=list)
-    resolved_gmn: Value | None = None
+    resolved_gmn: Fraction | None = None    # gmn_total at the ledger
     ok: bool | None = None
 
 
@@ -363,7 +363,7 @@ def conjecture_check(theory: Theory, target: Charge,
     ledger = {**dict.fromkeys(free, Fraction(0)), **solved}
 
     for tc in trees.values():
-        tc.resolved_gmn = tc.gmn_total.substitute(ledger)
+        tc.resolved_gmn = tc.gmn_total.evaluate(ledger)
         tc.ok = tc.resolved_gmn == tc.js_total
     return ConjectureReport(theory=theory.name, target=target, trees=trees,
                             ledger=ledger, constraints=constraints, free_symbols=free,

@@ -17,7 +17,6 @@ from typing import Iterator
 
 from .lattice import MINUS, PLUS, Charge, Theory, Vec2, cross, cscale
 from .spectrum import SpectrumTable
-from .symbolic import Value
 from .trees import canon_unoriented, enumerate_labelled_trees
 
 
@@ -194,15 +193,22 @@ def _multisets(parts: list[Charge], target: Charge, signs,
 
     A depth-first walk on an explicit stack, since it goes one level down
     per part: state (i, remaining, chosen) has chosen its copies of
-    parts[:i], and its children take 0, 1, 2, ... copies of parts[i]."""
+    parts[:i], and its children take 0, 1, 2, ... copies of parts[i].  A
+    state one part short of the bound can only end as its remainder, if
+    that is one of parts[i:], so it looks the remainder up."""
     out: list[tuple[Charge, ...]] = []
     cap = inf if max_parts is None else max_parts
-    stack = [(0, target, ())]
+    index = {p: j for j, p in enumerate(parts)}
+    stack = [(0, tuple(target), ())]
     while stack:
         i, remaining, chosen = stack.pop()
         if all(x == 0 for x in remaining):
             if chosen:
                 out.append(chosen)
+            continue
+        if len(chosen) == cap - 1:
+            if index.get(remaining, -1) >= i:
+                out.append(chosen + (remaining,))
             continue
         if i == len(parts) or len(chosen) == cap:
             continue
@@ -333,7 +339,7 @@ def _supported_trees(weights: list[list[int]]):
 class TreeValue:
     charges: list[Charge]
     edges: list[tuple[int, int]]
-    total: Value
+    total: Fraction
 
 
 def _slots(alphas: tuple[Charge, ...]) -> list[int]:
@@ -383,7 +389,7 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
     each with the charges and edges of the first labelled tree seen; trees
     with a zero total are left out.
 
-    The values are coefficients of sigma(target), as are the
+    The totals are Fractions, coefficients of sigma(target), as are the
     decay-calculus contributions they are compared with.
 
     Every ordering of one multiset puts its trees on the same vertex set,
@@ -412,7 +418,7 @@ def js_tree_values(theory: Theory, table: SpectrumTable, target: Charge,
             w = sum(u * _slot_sum(rows, inv) for u, inv in terms)
             if w:
                 trees[key][2] += c * w
-    return {key: TreeValue(list(charges), edges, Value.rational(total))
+    return {key: TreeValue(list(charges), edges, total)
             for key, (charges, edges, total) in trees.items() if total}
 
 

@@ -1,12 +1,14 @@
-"""Exact symbolic values: rationals and named unknowns ("singular
-symbols") entering linearly.
+"""Exact symbolic values of the decay calculus and its fit: rationals and
+named unknowns ("singular symbols") entering linearly.
 
 A Value is a Q-linear combination of monomials, each a symbol name or
 None for the rational part.  Every exact value of the package is a
 coefficient of the quadratic refinement sigma(target) of its target
-charge, so no refinement unit appears here.  Products of two named
-symbols are not needed anywhere and raise.  The exact solver runs the
-Gauss-Jordan elimination on sparse rows, with the dense one's pivots.
+charge, so no refinement unit appears here; one that can carry no
+symbol (a js tree total, a gmn total at the fitted ledger) is a
+Fraction.  Products of two named symbols are not needed anywhere and
+raise.  The exact solver runs the Gauss-Jordan elimination on sparse
+rows, with the dense one's pivots.
 """
 from __future__ import annotations
 
@@ -93,13 +95,10 @@ class Value:
             if n is not None:
                 yield n
 
-    def substitute(self, assignment: dict[str, Fraction]) -> "Value":
-        out: dict[str | None, Fraction] = {}
-        for n, v in self.terms.items():
-            if n in assignment:
-                n, v = None, v * assignment[n]
-            out[n] = out.get(n, _Q(0)) + v
-        return Value(out)
+    def evaluate(self, assignment: dict[str, Fraction]) -> Fraction:
+        """The value at an assignment of every symbol (else KeyError)."""
+        return sum((v if n is None else v * assignment[n]
+                    for n, v in self.terms.items()), _Q(0))
 
     def __repr__(self) -> str:
         if not self.terms:

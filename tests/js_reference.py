@@ -29,7 +29,6 @@ from wallcross.lattice import (MINUS, PLUS, Charge, Theory, cadd, cross,
                                czero, same_ray)
 from wallcross.js import TreeValue, strong_parts
 from wallcross.spectrum import SpectrumTable
-from wallcross.symbolic import Value
 from wallcross.trees import canon_unoriented
 
 
@@ -250,5 +249,5 @@ def tree_values(theory: Theory, table: SpectrumTable, target: Charge,
             if key not in trees:
                 trees[key] = [charges, list(edges), Fraction(0)]
             trees[key][2] += base * w
-    return {key: TreeValue(list(charges), edges, Value.rational(total))
+    return {key: TreeValue(list(charges), edges, total)
             for key, (charges, edges, total) in trees.items() if total}

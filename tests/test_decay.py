@@ -113,7 +113,7 @@ def test_conjecture_underdetermined_is_reported(nf0):
 def test_conjecture_per_tree_totals(nf0):
     rep = conjecture_check(nf0, (1, 2))
     assert rep.ok
-    assert sorted(repr(tc.js_total) for tc in rep.trees.values()) == ["-1", "2"]
+    assert sorted(tc.js_total for tc in rep.trees.values()) == [-1, 2]
     for tc in rep.trees.values():
         assert tc.resolved_gmn == tc.js_total
 

@@ -1,6 +1,10 @@
 """Each module of the package imports at module level only, uses every name
-it imports, and only the entry points resolve a theory name."""
+it imports, loads no layer it does not need, and only the entry points
+resolve a theory name."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -163,3 +167,30 @@ def test_every_function_is_referenced_by_the_program():
                     for qual, name in defined_functions(path.read_text(), path.stem)
                     if name not in used}
     assert unreferenced == UNREFERENCED
+
+
+# what importing a layer must leave unloaded: the js sum needs no symbols,
+# decay, oracle, quadrature or CLI, and the KS oracle neither numpy nor
+# symbols, so a process that runs only one of them compiles only its own
+LAYERS = {"wallcross.js": {"wallcross.symbolic", "wallcross.decay",
+                           "wallcross.ks", "wallcross.tba", "wallcross.cli"},
+          "wallcross.ks": {"numpy", "wallcross.symbolic"}}
+
+
+def loaded_modules(module: str) -> set[str]:
+    """The modules a fresh interpreter holds after importing `module`."""
+    code = f"import sys, {module}; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return set(run.stdout.split())
+
+
+def test_loaded_modules_are_found():
+    assert {"wallcross.symbolic", "wallcross.js"} <= loaded_modules(
+        "wallcross.decay")
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_layers_load_only_what_they_use(module):
+    assert loaded_modules(module) & LAYERS[module] == set()

@@ -58,17 +58,20 @@ def test_multisets_are_the_sorted_decompositions(nf0, nf0_strong):
 def test_multisets_stop_each_branch_at_the_bound(nf0, nf0_strong):
     # the strong parts at 12,12 are the pure multiples of delta and
     # gamma_m, so a 3-part multiset splits one side in two; walking all
-    # 5,929 multisets of 12,12 before applying the bound takes seconds
-    t0 = time.perf_counter()
-    got = multisets(nf0, nf0_strong, (12, 12), 3)
-    elapsed = time.perf_counter() - t0
-    want = [((0, 12), (12, 0))]
-    for a in range(1, 7):
-        want += [((0, a), (0, 12 - a), (12, 0)),
-                 ((0, 12), (a, 0), (12 - a, 0))]
-    assert got == sorted(tuple(sorted(ms)) for ms in want)
-    assert len(got) == 13
-    assert elapsed < 0.5
+    # 5,929 multisets of 12,12 before applying the bound takes seconds.
+    # At 200,200 a branch that walks every part level below its second
+    # part takes half a minute: it must look its last part up
+    for side, count, seconds in ((12, 13, 0.5), (200, 201, 2.0)):
+        t0 = time.perf_counter()
+        got = multisets(nf0, nf0_strong, (side, side), 3)
+        elapsed = time.perf_counter() - t0
+        want = [((0, side), (side, 0))]
+        for a in range(1, side // 2 + 1):
+            want += [((0, a), (0, side - a), (side, 0)),
+                     ((0, side), (a, 0), (side - a, 0))]
+        assert got == sorted(tuple(sorted(ms)) for ms in want)
+        assert len(got) == count
+        assert elapsed < seconds, side
 
 
 def test_multisets_walk_a_thousand_parts(nf0, nf0_strong):
@@ -135,8 +138,8 @@ def test_twisted_trees_nf1():
     th = theory_by_name("nf1")
     table = spectrum_table("nf1", "strong")
     groups = js_tree_values(th, table, (1, 1, -1))
-    totals = sorted(repr(tv.total) for tv in groups.values())
-    assert totals == ["-1", "-1/2", "-1/2"]
+    totals = sorted(tv.total for tv in groups.values())
+    assert totals == [-1, Fraction(-1, 2), Fraction(-1, 2)]
     # the tree totals are coefficients of sigma(target) and sum to the
     # weak invariant
     total = sum((tv.total for tv in groups.values()), Value.zero())

@@ -17,7 +17,6 @@ from wallcross.js import (_edge_weights, _inversions, _slot_sum, _slot_trees,
                           decompositions, s_symbol, strong_parts, u_symbol)
 from wallcross.lattice import PLUS, MINUS, direction_key, theory_by_name
 from wallcross.spectrum import SpectrumTable, spectrum_table
-from wallcross.symbolic import Value
 
 # catalog and benchmark targets
 TARGETS = {
@@ -62,7 +61,9 @@ def test_multisets_match_reference(name, target):
     # multiplicity the library's walk skips shows up as a difference
     theory, table = theory_by_name(name), spectrum_table(name, "strong")
     want = sorted(ref.multisets(theory, table, target))
-    assert js.multisets(theory, table, target) == want
+    for bound in (None, 1, 2, 3, 5):
+        assert js.multisets(theory, table, target, bound) == [
+            ms for ms in want if bound is None or len(ms) <= bound], bound
 
 
 def test_u_and_s_match_reference(theory_decomps):
@@ -149,7 +150,7 @@ def _tree_value_targets():
 
 
 def _tree_value_rows(trees):
-    return [(key, t.charges, t.edges, t.total.terms)
+    return [(key, t.charges, t.edges, t.total)
             for key, t in trees.items()]
 
 
@@ -163,9 +164,8 @@ def test_tree_values_match_reference():
         # the key order too: conjecture_check takes its symbol order from it
         assert _tree_value_rows(got) == _tree_value_rows(want), (name, target)
         # the grouped loop and the invariant's loop sum to one number
-        assert sum((t.total for t in got.values()), Value.zero()) == \
-            Value.rational(js.js_wallcross(theory, table, target,
-                                           max_vertices)), (name, target)
+        assert sum(t.total for t in got.values()) == \
+            js.js_wallcross(theory, table, target, max_vertices), (name, target)
 
 
 def _parity_sign(weights):

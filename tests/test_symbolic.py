@@ -31,12 +31,13 @@ def test_symbols_are_linear():
         _ = x * Value.symbol("y")
 
 
-def test_substitute():
+def test_evaluate():
     v = Value.symbol("x") * 2 + Value.rational(1)
-    assert v.substitute({"x": Q(1, 2)}) == Value.rational(2)
-    # unknown symbols survive
-    w = v.substitute({"y": Q(5)})
-    assert w == v
+    got = v.evaluate({"x": Q(1, 2)})
+    assert got == 2 and type(got) is Fraction
+    # a symbol the assignment leaves out raises
+    with pytest.raises(KeyError):
+        v.evaluate({"y": Q(5)})
 
 
 def test_rational_and_symbol_parts():
