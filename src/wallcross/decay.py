@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import (CCW, ENDS_ON, MINUS, PLUS, Charge, Theory, Vec2, cadd,
-                      cross, direction_key, same_ray, sweep_crossing)
+                      cross, direction_key, sweep_crossing)
 from .gmn import RootedDiagram, enumerate_diagrams, weight_W
 from .js import js_tree_values
 from .spectrum import strong_table
@@ -96,7 +96,7 @@ class _State:
     sweep from `_sweep`.  `merge` leaves it, since every reader takes
     only its direction and a plus vertex that is folded into is pinned,
     its Z+ on its Z- ray.  A plus vertex keeps its diagram charge, so
-    `pinned` is read once per diagram and shared by every branch.
+    `Theory.pinned` is asked once per diagram vertex, for every branch.
     """
     charges: list[Charge]
     ray: list[Charge]
@@ -111,8 +111,7 @@ class _State:
     def initial(cls, theory: Theory, diag: RootedDiagram) -> "_State":
         charges = diag.charges
         z = [theory.z(PLUS, c) for c in charges]
-        # Theory.pinned, on the Z+ just read
-        pinned = [same_ray(zp, theory.z(MINUS, c)) for zp, c in zip(z, charges)]
+        pinned = [theory.pinned(c) for c in charges]
         return cls(list(charges), list(charges), z, [_PLUS] * diag.n,
                    list(diag.parent), pinned)
 

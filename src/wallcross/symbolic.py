@@ -6,9 +6,10 @@ None for the rational part.  Every exact value of the package is a
 coefficient of the quadratic refinement sigma(target) of its target
 charge, so no refinement unit appears here; one that can carry no
 symbol (a js tree total, a gmn total at the fitted ledger) is a
-Fraction.  Products of two named symbols are not needed anywhere and
-raise.  The exact solver runs the Gauss-Jordan elimination on sparse
-rows, with the dense one's pivots.
+Fraction.  A Value is a linear form: it adds, subtracts and compares,
+and is built from a term dict; nothing multiplies or hashes one.  The
+exact solver runs the Gauss-Jordan elimination on sparse rows, with the
+dense one's pivots.
 """
 from __future__ import annotations
 
@@ -35,14 +36,10 @@ class Value:
     sign_unit = rational
 
     @classmethod
-    def symbol(cls, name: str, coeff=1) -> "Value":
-        return cls({name: _Q(coeff)})
-
-    @classmethod
     def zero(cls) -> "Value":
         return cls()
 
-    # -- ring operations ----------------------------------------------
+    # -- linear operations --------------------------------------------
     def __add__(self, other) -> "Value":
         other = _coerce(other)
         out = dict(self.terms)
@@ -61,27 +58,8 @@ class Value:
     def __rsub__(self, other) -> "Value":
         return _coerce(other) + (-self)
 
-    def __mul__(self, other) -> "Value":
-        other = _coerce(other)
-        out: dict[str | None, Fraction] = {}
-        for n1, v1 in self.terms.items():
-            for n2, v2 in other.terms.items():
-                if n1 is not None and n2 is not None:
-                    raise ValueError("product of two singular symbols")
-                key = n1 if n1 is not None else n2
-                out[key] = out.get(key, _Q(0)) + v1 * v2
-        return Value(out)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other) -> bool:
         return self.terms == _coerce(other).terms
-
-    def __hash__(self):
-        # a purely rational value equals its Fraction, so it hashes like it
-        if self.terms.keys() <= {None}:
-            return hash(self.coeff())
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -142,7 +142,6 @@ class QuadratureSpec:
         return _gauss_legendre(self.nodes, self.T)[:2]
 
 
-DEFAULT_SPEC = QuadratureSpec()
 INSTANTON_TERMS = 30   # |k| bound of the sum in ov_instanton_magnetic
 FD_STEP = 1e-5         # central-difference step of scale_invariance_check
 KERNEL_ROWS = 64       # rows of the rho kernel built at a time
@@ -193,7 +192,7 @@ class ZContext:
 # ---------------------------------------------------------------------------
 # propagators
 
-def propagator(zctx: ZContext, tree, zeta, spec: QuadratureSpec = DEFAULT_SPEC,
+def propagator(zctx: ZContext, tree, zeta, spec: QuadratureSpec,
                ray_z: complex | None = None):
     """G value of a rooted decorated tree (gamma, [subtrees]), recursively.
 
@@ -285,7 +284,7 @@ def chain_tree(charges: list[tuple[int, ...]]):
 
 
 def chain_magnitudes(zctx: ZContext, charges: list[tuple[int, ...]], zeta,
-                     spec: QuadratureSpec = DEFAULT_SPEC) -> list[float]:
+                     spec: QuadratureSpec) -> list[float]:
     """|G_n| of the chain prefixes charges[:n], n = 1..len(charges)."""
     return [float(abs(propagator(zctx, chain_tree(charges[:n]), zeta, spec)))
             for n in range(1, len(charges) + 1)]
@@ -302,7 +301,7 @@ def log_slope(magnitudes: list[float]) -> float:
 
 
 def decay_slope(zctx: ZContext, charges: list[tuple[int, ...]], zeta,
-                spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                spec: QuadratureSpec) -> float:
     """Least-squares slope of log|G_n| against n for chain prefixes."""
     return log_slope(chain_magnitudes(zctx, charges, zeta, spec))
 
@@ -313,7 +312,7 @@ def decay_slope(zctx: ZContext, charges: list[tuple[int, ...]], zeta,
 def residue_move_check(zctx: ZContext, delta: tuple[int, ...],
                        gm: tuple[int, ...], ray_plus: complex,
                        ray_minus: complex, zeta,
-                       spec: QuadratureSpec = DEFAULT_SPEC):
+                       spec: QuadratureSpec):
     """Moving the inner ray across the outer one picks up a residue.
 
     lhs: the double integral over (ell_delta, inner ray) evaluated with the
@@ -371,7 +370,7 @@ class OVModel:
                         thetas=(self.theta_e, self.theta_m), R=self.R)
 
 
-def ov_magnetic(model: OVModel, zeta, spec: QuadratureSpec = DEFAULT_SPEC):
+def ov_magnetic(model: OVModel, zeta, spec: QuadratureSpec):
     """Corrected magnetic coordinate via the two log-kernel quadratures."""
     zctx = model.context()
     q = model.q
@@ -387,7 +386,7 @@ def ov_magnetic(model: OVModel, zeta, spec: QuadratureSpec = DEFAULT_SPEC):
 
 
 def ov_instanton_magnetic(model: OVModel, zeta,
-                          spec: QuadratureSpec = DEFAULT_SPEC):
+                          spec: QuadratureSpec):
     """Magnetic coordinate from the single-vertex propagator sum.
 
     Sums (q/4 pi i) G_{k q gamma_e} / k over 0 < |k| <= INSTANTON_TERMS,
@@ -412,7 +411,7 @@ def ov_instanton_magnetic(model: OVModel, zeta,
 
 
 def ov_fixed_point_residual(model: OVModel, zeta,
-                            spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                            spec: QuadratureSpec) -> float:
     """|x_m - RHS(x_m)| for the quadrature fixed point (x_e needs no update).
 
     x_m is built from the instanton sum, the right side from the log-kernel
@@ -427,7 +426,7 @@ def ov_fixed_point_residual(model: OVModel, zeta,
 # finite-difference identity check
 
 def scale_invariance_check(model: OVModel, zeta: complex,
-                           spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+                           spec: QuadratureSpec) -> float:
     """Relative error of zeta d/dzeta X = (-L dL + Lb dLb - a da + ab dab) X.
 
     Central differences; the anti-holomorphic derivatives act through the

@@ -11,8 +11,9 @@ branch, reads each of these once and takes every outcome of
 `lattice.sweep_crossing` as a returned verdict; the differential tests
 check that both give the same signs, singular endpoints, jumps and step
 log.  `bracket` and `contribution` fold a trace into a Value
-one term at a time, where the library sums integer coefficients and
-scales them once.
+one endpoint at a time, `contribution` scaling each term as it goes;
+the library sums integer coefficients into the bracket and scales it
+once.
 """
 from __future__ import annotations
 
@@ -212,13 +213,18 @@ def bracket(trace) -> Value:
     """sum of signs + sum of signed singular symbols, one Value per term."""
     v = Value.rational(Fraction(trace.eps_sum))
     for s in trace.singular:
-        v = v + Value.symbol(s.symbol, s.coeff)
+        v = v + Value({s.symbol: s.coeff})
     return v
 
 
 def contribution(theory: Theory, diag: RootedDiagram, w: Fraction,
                  trace) -> Value:
-    """-(w / p) times the bracket, p the framing coordinate of the total."""
+    """-(w / p) times the bracket, p the framing coordinate of the total:
+    each term is scaled as it is folded in, one Value per endpoint."""
     if w == 0:
         return Value.zero()
-    return Value.rational(-w / diag.total()[theory.root_index]) * bracket(trace)
+    q = -w / diag.total()[theory.root_index]
+    v = Value.rational(q * trace.eps_sum)
+    for s in trace.singular:
+        v = v + Value({s.symbol: q * s.coeff})
+    return v

@@ -89,7 +89,7 @@ def test_contributions_of_cancelling_endpoints_match_the_value_fold():
             ("c", BELOW, -1)]
     trace = TraceResult(singular=[SingularEndpoint(*e) for e in ends])
     assert trace.bracket() == ref.bracket(trace) == \
-        Value.symbol("a|below") + Value.symbol("b|above", -2)
+        Value({"a|below": 1, "b|above": -2})
     for w in (Fraction(3, 2), Fraction(0)):
         assert gmn_contribution(theory, diag, w, trace) == \
             ref.contribution(theory, diag, w, trace)

@@ -170,11 +170,17 @@ def test_every_function_is_referenced_by_the_program():
 
 
 # what importing a layer must leave unloaded: the js sum needs no symbols,
-# decay, oracle, quadrature or CLI, and the KS oracle neither numpy nor
-# symbols, so a process that runs only one of them compiles only its own
+# decay, oracle, quadrature or CLI; the decay and its fit need neither
+# numpy nor the oracles nor the CLI; the KS oracle needs neither numpy nor
+# symbols, and the quadrature oracle no other module of the package.  A
+# process that runs only one of them compiles only its own
 LAYERS = {"wallcross.js": {"wallcross.symbolic", "wallcross.decay",
                            "wallcross.ks", "wallcross.tba", "wallcross.cli"},
-          "wallcross.ks": {"numpy", "wallcross.symbolic"}}
+          "wallcross.decay": {"numpy", "wallcross.ks", "wallcross.tba",
+                              "wallcross.cli"},
+          "wallcross.ks": {"numpy", "wallcross.symbolic"},
+          "wallcross.tba": {f"wallcross.{p.stem}" for p in MODULES
+                            if p.stem not in ("__init__", "tba")}}
 
 
 def loaded_modules(module: str) -> set[str]:

@@ -17,22 +17,24 @@ def test_rational_arithmetic():
     a = Value.rational(Q(1, 2))
     b = Value.rational(3)
     assert (a + b).coeff() == Q(7, 2)
-    assert (a * b).coeff() == Q(3, 2)
+    assert (a - b).coeff() == Q(-5, 2)
     assert (a - a) == Value.zero()
     assert not Value.zero()
 
 
 def test_symbols_are_linear():
-    x = Value.symbol("x")
-    v = Value.rational(2) + x * 3
+    # a Value is a linear form: it is built from terms, never multiplied
+    x = Value({"x": 1})
+    v = Value.rational(2) + Value({"x": 3})
     assert v.coeff(name="x") == 3
     assert sorted(v.symbols()) == ["x"]
-    with pytest.raises(ValueError):
-        _ = x * Value.symbol("y")
+    for product in (lambda: x * 3, lambda: 3 * x, lambda: x * Value({"y": 1})):
+        with pytest.raises(TypeError):
+            product()
 
 
 def test_evaluate():
-    v = Value.symbol("x") * 2 + Value.rational(1)
+    v = Value({"x": 2}) + Value.rational(1)
     got = v.evaluate({"x": Q(1, 2)})
     assert got == 2 and type(got) is Fraction
     # a symbol the assignment leaves out raises
@@ -41,7 +43,7 @@ def test_evaluate():
 
 
 def test_rational_and_symbol_parts():
-    v = Value.rational(1) + Value.symbol("x") + Value.rational(2)
+    v = Value.rational(1) + Value({"x": 1}) + Value.rational(2)
     assert v.coeff() == 3
     assert v.coeff("x") == 1
     assert repr(v) == "3 + x"
@@ -69,13 +71,12 @@ def test_solve_linear_underdetermined():
     assert free_unknowns(sol, ["x", "y"]) == ["y"]
 
 
-def test_rational_value_hashes_like_its_fraction():
-    assert Value.rational(3) == 3 and hash(Value.rational(3)) == hash(3)
+def test_values_compare_with_rationals_but_do_not_hash():
+    assert Value.rational(3) == 3
     assert Value.rational(Q(1, 2)) == Q(1, 2)
-    assert hash(Value.rational(Q(1, 2))) == hash(Q(1, 2))
-    assert hash(Value.zero()) == hash(0)
-    assert len({Value.rational(3), 3, Value.zero(), 0}) == 2
-    assert len({Value.symbol("x"), Value.symbol("x") + 0}) == 1
+    assert Value.zero() == 0
+    with pytest.raises(TypeError):
+        hash(Value.rational(3))
 
 
 def _sparse_rows(draw, entry):
