@@ -67,41 +67,42 @@ def _chunk_weight(theory: Theory, alphas: list[Charge],
     of parts k-1 and k, its weak head and tail the sums of alphas[a:k] and
     alphas[k:b] (prefix holds the weak prefix sums).  The forced cuts split
     the chunk into runs, its maximal joinable stretches, and their factors
-    multiply to S(run sums), one s_symbol call.  At an optional cut both
-    parts lie on one strong ray, so its factor g_k is -1 if the weak head
-    lies above the tail and 0 otherwise.  What is left is a DP over the
-    last cut before each position j of the chunk, scaled by j! to stay in
-    integers: rho_0 = 1 and rho_j = sum_i rho_i g_i C(j, i) over the cuts
-    i < j with no forced cut between them, with g = 1 at the start of the
-    chunk and at a forced cut.  Per run this is (b - a)! / prod m! times
-    prod rho_m over the run lengths m.
+    multiply to S(run sums), one s_symbol call; a one-part run is passed
+    as the part itself.  With every cut forced that is all: the weight is
+    S (b - a)!.  At an optional cut both parts lie on one strong ray, so
+    its factor g_k is -1 if the weak head lies above the tail and 0
+    otherwise.  What is left is a DP over the last cut before each
+    position j of the chunk, scaled by j! to stay in integers: rho_0 = 1
+    and rho_j = sum_i rho_i g_i C(j, i) over the cuts i < j with no
+    forced cut between them, with g = 1 at the start of the chunk and at
+    a forced cut.  It keeps only the terms rho_i g_i that are nonzero.
     """
     runs: list[Charge] = []
     start = a
     for k in range(a + 1, b + 1):
         if k == b or not joinable[k]:
-            runs.append(tuple(map(sum, zip(*alphas[start:k]))))
+            runs.append(alphas[start] if k == start + 1 else
+                        tuple(map(sum, zip(*alphas[start:k]))))
             start = k
     sign = s_symbol(theory, runs)
-    if not sign:
-        return 0
+    if not sign or len(runs) == b - a:
+        return sign * factorial(b - a)
     (x0, y0), (x1, y1) = prefix[a], prefix[b]
-    rho = [1] + [0] * (b - a)
-    g = [1] * (b - a)
-    run = 0             # the last forced cut (or the start), chunk-relative
+    terms = [(0, 1)]    # (i, rho_i g_i), nonzero, since the last forced cut
     for j in range(1, b - a + 1):
-        rho[j] = sum(rho[i] * g[i] * comb(j, i) for i in range(run, j)
-                     if rho[i] and g[i])
+        rho = sum(w * comb(j, i) for i, w in terms)
         k = a + j
         if k == b:
-            break
-        if joinable[k]:
+            return sign * rho
+        if not joinable[k]:
+            if not rho:
+                return 0
+            terms = [(j, rho)]
+        elif rho:
             x, y = prefix[k]
-            head, tail = (x - x0, y - y0), (x1 - x, y1 - y)
-            g[j] = -1 if _slope_cmp(head, tail) > 0 else 0
-        else:
-            run = j
-    return sign * rho[-1]
+            # the weak head lies above the tail: g_k = -1
+            if (x - x0) * (y1 - y) < (y - y0) * (x1 - x):
+                terms.append((j, -rho))
 
 
 def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
@@ -112,13 +113,15 @@ def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
     whose weak central charge lies on the ray of the total, each weighted
     by its S symbol; a term with l chunks carries (-1)^(l-1)/l.  A chunk
     is a range alphas[a:b] with weight G(a, b), and _chunk_weight gives
-    (b - a)! G(a, b) as an integer: S of its run sums times an integer DP
-    over its optional cuts.  The nested sum is then a DP over the chunk
-    cuts, f[b][l] = sum_a f[a][l-1] G(a, b), run in integers as
+    (b - a)! G(a, b) as an integer.  The nested sum is then a DP over the
+    chunk cuts, f[b][l] = sum_a f[a][l-1] G(a, b), run in integers as
     F[b][l] = b! f[b][l] = sum_a F[a][l-1] C(b, a) (b - a)! G(a, b),
-    and U = sum_l (-1)^(l-1)/l F[n][l] / n! is the one Fraction; a row
-    F[a] that stays zero starts no chunk.  Central charges are read once
-    per distinct part.
+    and U = sum_l (-1)^(l-1)/l F[n][l] / n! is the one Fraction.  Only
+    the live rows are kept, each as {l: F[b][l]}: a row that stays zero
+    starts no chunk.  A live row is reached by chunks on the total's ray,
+    so its weak prefix sum lies on the total's line, and a chunk can end
+    only at a b whose prefix sum does.  Central charges are read once per
+    distinct part.
     """
     n = len(alphas)
     if n == 0:
@@ -126,43 +129,40 @@ def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
     read = {a: (theory.z(PLUS, a), theory.z(MINUS, a)) for a in set(alphas)}
     strong = []
     prefix = [(0, 0)]
-    x = y = 0
+    tx = ty = 0         # ends as the total's weak central charge
     for a in alphas:
         zp, (re, im) = read[a]
         strong.append(zp)
-        x += re
-        y += im
-        prefix.append((x, y))
-    tx, ty = prefix[n]  # the total's weak central charge
+        tx += re
+        ty += im
+        prefix.append((tx, ty))
     # same_ray inline: zero cross and positive dot product.  It is an
     # equivalence, so a block lies on one strong ray iff each of its
     # adjacent pairs does
     joinable = [False] + [p0 * q1 == p1 * q0 and p0 * q0 + p1 * q1 > 0
                           for (p0, p1), (q0, q1) in zip(strong, strong[1:])]
-    F = [[0] * (n + 1) for _ in range(n + 1)]
-    F[0][0] = 1
-    live = [0]          # the rows F[a] with a nonzero entry, a < b
+    rows = {0: {0: 1}}
     for b in range(1, n + 1):
         xb, yb = prefix[b]
-        row = F[b]
-        for a in live:
-            # does the chunk's weak central charge lie on the total's ray?
-            cx, cy = xb - prefix[a][0], yb - prefix[a][1]
-            if cx * ty != cy * tx or cx * tx + cy * ty <= 0:
+        if xb * ty != yb * tx:
+            continue
+        row: dict[int, int] = {}
+        for a, fa in rows.items():
+            # the chunk lies on the total's line: is it on the ray?
+            xa, ya = prefix[a]
+            if (xb - xa) * tx + (yb - ya) * ty <= 0:
                 continue
             g = _chunk_weight(theory, alphas, prefix, joinable, a, b)
             if g:
                 g *= comb(b, a)
-                # F[a][l] is zero for l > a: a parts make at most a chunks
-                for l, f in enumerate(F[a][:a + 1]):
-                    if f:
-                        row[l + 1] += f * g
-        if any(row):
-            live.append(b)
+                for l, f in fa.items():
+                    row[l + 1] = row.get(l + 1, 0) + f * g
+        if any(row.values()):
+            rows[b] = row
     # n! is a multiple of every l <= n
     scale = factorial(n)
-    return Fraction(sum((-1) ** (l - 1) * F[n][l] * (scale // l)
-                        for l in range(1, n + 1)), scale * scale)
+    return Fraction(sum((-1) ** (l - 1) * f * (scale // l)
+                        for l, f in rows.get(n, {}).items()), scale * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +195,23 @@ def _multisets(parts: list[Charge], target: Charge, signs,
     per part: state (i, remaining, chosen) has chosen its copies of
     parts[:i], and its children take 0, 1, 2, ... copies of parts[i].  A
     state one part short of the bound can only end as its remainder, if
-    that is one of parts[i:], so it looks the remainder up."""
+    that is one of parts[i:], so it looks the remainder up.  A remainder
+    that is nonzero where no part of parts[i:] is cannot end, so a child
+    is dropped when it is nonzero on a coordinate of lost[i], those on
+    which parts[i] is the last nonzero part."""
     out: list[tuple[Charge, ...]] = []
     cap = inf if max_parts is None else max_parts
     index = {p: j for j, p in enumerate(parts)}
+    lost: list[list[int]] = []
+    reach: set[int] = set()
+    for p in reversed(parts):
+        lost.append([k for k, x in enumerate(p) if x and k not in reach])
+        reach.update(lost[-1])
+    lost.reverse()
     stack = [(0, tuple(target), ())]
     while stack:
         i, remaining, chosen = stack.pop()
-        if all(x == 0 for x in remaining):
+        if not any(remaining):
             if chosen:
                 out.append(chosen)
             continue
@@ -222,6 +231,9 @@ def _multisets(parts: list[Charge], target: Charge, signs,
                 break
             k += 1
             children.append((i + 1, rem, chosen + (p,) * k))
+        if lost[i]:
+            children = [c for c in children
+                        if not any(c[1][g] for g in lost[i])]
         # popped in the order 0, 1, 2, ... copies
         stack.extend(reversed(children))
     return out
@@ -366,15 +378,18 @@ def _slot_trees(alphas: tuple[Charge, ...], weights: list[list[int]]
     """The supported trees of an ordering as slot trees, in their order:
     (edges, slot mask, P) with P the slot weight product, the tree's
     weight product with the sign of the slot pairs the ordering inverts
-    undone."""
+    undone.  Each edge (i, j) gets its slot pair bit, and its weight with
+    that sign undone, once, so a tree's mask and P are a sum and a
+    product over its edges."""
     n, slot, inv = len(alphas), _slots(alphas), _inversions(alphas)
-    rows = []
-    for edges in _supported_trees(weights):
-        mask = sum(1 << (min(slot[i], slot[j]) * n + max(slot[i], slot[j]))
-                   for i, j in edges)
-        w = prod(weights[i][j] for i, j in edges)
-        rows.append((edges, mask, -w if (mask & inv).bit_count() & 1 else w))
-    return rows
+    bit, weight = {}, {}
+    for i, j in combinations(range(n), 2):
+        s, t = sorted((slot[i], slot[j]))
+        bit[i, j] = m = 1 << (s * n + t)
+        weight[i, j] = -weights[i][j] if m & inv else weights[i][j]
+    return [(edges, sum(map(bit.__getitem__, edges)),
+             prod(map(weight.__getitem__, edges)))
+            for edges in _supported_trees(weights)]
 
 
 def _slot_sum(rows: list, inv: int) -> int:

@@ -74,6 +74,41 @@ def test_multisets_stop_each_branch_at_the_bound(nf0, nf0_strong):
         assert elapsed < seconds, side
 
 
+def _partitions(total, most, largest=None):
+    """The partitions of total into at most most parts, largest first."""
+    largest = total if largest is None else largest
+    if total == 0:
+        yield ()
+        return
+    if most == 0:
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, most - 1, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("side,bound,count,seconds", [
+    (100, 4, 4267, 1.5), (12, None, 5929, 0.8)])
+def test_multisets_drop_branches_no_later_part_can_finish(
+        nf0, nf0_strong, side, bound, count, seconds):
+    # the strong parts at side,side are the pure multiples of gamma_m,
+    # sorted first, and of delta, so a multiset is a partition of each
+    # side.  A branch that enters the delta parts with gamma_m left over
+    # can never end; walking each such branch through every delta part
+    # took about 4 s at 100,100 with bound 4 and 1.4 s at 12,12 unbounded
+    t0 = time.perf_counter()
+    got = multisets(nf0, nf0_strong, (side, side), bound)
+    elapsed = time.perf_counter() - t0
+    most = side if bound is None else bound - 1
+    want = sorted(
+        tuple(sorted([(0, m) for m in ms] + [(d, 0) for d in ds]))
+        for ms in _partitions(side, most)
+        for ds in _partitions(side, most if bound is None else bound - len(ms)))
+    assert got == want
+    assert len(got) == count
+    assert elapsed < seconds, side
+
+
 def test_multisets_walk_a_thousand_parts(nf0, nf0_strong):
     # 500,500 has 1,000 strong parts, one walk level each: deeper than
     # Python's recursion limit, however small the bound

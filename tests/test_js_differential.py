@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 import js_reference as ref
 from gmn_reference import sigma_reduce
 from test_conjecture_sweep import MAX_DEGREE, _targets
+from test_rank3_sweep import PAIRINGS, TARGETS as RANK3_TARGETS, rank3_theory
 from wallcross import js
 from wallcross.js import (_edge_weights, _inversions, _slot_sum, _slot_trees,
                           decompositions, s_symbol, strong_parts, u_symbol)
 from wallcross.lattice import PLUS, MINUS, direction_key, theory_by_name
-from wallcross.spectrum import SpectrumTable, spectrum_table
+from wallcross.spectrum import SpectrumTable, spectrum_table, strong_table
+from wallcross.trees import MAX_TREE_VERTICES
 
 # catalog and benchmark targets
 TARGETS = {
@@ -54,16 +56,34 @@ def test_decompositions_match_reference(target):
             a for a in want if len(a) <= bound]
 
 
-@pytest.mark.parametrize("name,target", [
-    (name, target) for name in sorted(TARGETS) for target in TARGETS[name]])
-def test_multisets_match_reference(name, target):
+def _check_multisets(theory, table, target):
     # the reference tries every vector of part multiplicities, so a
-    # multiplicity the library's walk skips shows up as a difference
-    theory, table = theory_by_name(name), spectrum_table(name, "strong")
+    # multiplicity the library's walk skips, or a branch it drops that
+    # could still end, shows up as a difference
     want = sorted(ref.multisets(theory, table, target))
     for bound in (None, 1, 2, 3, 5):
         assert js.multisets(theory, table, target, bound) == [
             ms for ms in want if bound is None or len(ms) <= bound], bound
+
+
+@pytest.mark.parametrize("name,target", [
+    (name, target) for name in sorted(TARGETS) for target in TARGETS[name]])
+def test_multisets_match_reference(name, target):
+    # nf0 parts sort as the gamma_m multiples, then the delta ones, and
+    # nf1 parts as the -g3 multiples first, so a coordinate stops being
+    # reachable after the first block of parts
+    _check_multisets(theory_by_name(name), spectrum_table(name, "strong"),
+                     target)
+
+
+@pytest.mark.parametrize("pairing", sorted(PAIRINGS))
+def test_multisets_match_reference_on_rank3(pairing):
+    # three blocks of basis multiples, e2 then e1 then e0: the e2 and then
+    # the e1 coordinate stop being reachable
+    theory = rank3_theory(pairing, "g0")
+    table = strong_table(theory)
+    for target in RANK3_TARGETS:
+        _check_multisets(theory, table, target)
 
 
 def test_u_and_s_match_reference(theory_decomps):
@@ -90,17 +110,19 @@ RAYS = {name: _rays(name) for name in sorted(TARGETS)}
 
 @st.composite
 def part_sequences(draw):
-    """1-6 parts of one theory in any order, drawn as up to three runs of
-    parts on one strong ray each, so that a sequence may be no sorted
-    decomposition of anything and may hold long runs on one ray: nf0
-    multiples, the nf2/nf3 D-type parts, the nf1 pinned -g3 ray."""
+    """1-7 parts of one theory in any order (7 is the most a tree sum
+    takes), drawn as up to three runs of parts on one strong ray each, so
+    that a sequence may be no sorted decomposition of anything and may
+    hold long runs on one ray: nf0 multiples, the nf2/nf3 D-type parts,
+    the nf1 pinned -g3 ray."""
     name = draw(st.sampled_from(sorted(RAYS)))
     theory, rays = RAYS[name]
     alphas = []
     for _ in range(draw(st.integers(1, 3))):
         ray = draw(st.sampled_from(rays))
-        alphas += draw(st.lists(st.sampled_from(ray), min_size=1, max_size=6))
-    return theory, alphas[:6]
+        alphas += draw(st.lists(st.sampled_from(ray), min_size=1,
+                                max_size=MAX_TREE_VERTICES))
+    return theory, alphas[:MAX_TREE_VERTICES]
 
 
 @given(part_sequences())
@@ -255,6 +277,25 @@ def test_slot_tree_sign_is_the_inversion_parity(case):
         moved = [tuple(sorted((pos[s], pos[t]))) for s, t in edges]
         assert (p * (-1) ** (mask & inv).bit_count()
                 == prod(weights[i][j] for i, j in moved)), alphas
+
+
+@given(part_sequences())
+@settings(max_examples=200, deadline=None)
+def test_slot_trees_match_the_per_tree_formula(case):
+    # _slot_trees reads each edge's slot bit and signed weight from tables
+    # built once per ordering; the rows are recomputed here tree by tree
+    # and edge by edge from _slots and _inversions
+    theory, alphas = case
+    alphas = tuple(alphas)
+    n, weights = len(alphas), _edge_weights(theory, alphas, {})
+    slot, inv = js._slots(alphas), _inversions(alphas)
+    want = []
+    for edges in js._supported_trees(weights):
+        mask = sum(1 << (min(slot[i], slot[j]) * n + max(slot[i], slot[j]))
+                   for i, j in edges)
+        w = prod(weights[i][j] for i, j in edges)
+        want.append((edges, mask, -w if (mask & inv).bit_count() & 1 else w))
+    assert _slot_trees(alphas, weights) == want, alphas
 
 
 @pytest.mark.parametrize("target, unoriented", [((3, 3), 114), ((2, 3), 20)])

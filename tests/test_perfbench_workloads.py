@@ -31,12 +31,14 @@ CONJECTURE_COUNTS = {
     "decay.jumps": 147, "symbolic.equations": 62, "symbolic.unknowns": 81,
     "symbolic.free_symbols": 36, "js.u_calls": 472, "js.s_calls": 798,
     "trees.canon_calls": 410}
-# the same for one traced invariant pass: the decompositions summed and
-# the symbols and pairings they need, whatever walks their trees (only the
-# first ordering of each multiset needs its parts paired)
+# the same for one traced invariant pass: the decompositions summed, the
+# symbols and pairings they need, and the supported trees of each
+# multiset's first ordering, whatever walks them (only that ordering needs
+# its parts paired and its trees listed)
 INVARIANT_COUNTS = {
     "js.decompositions": 533, "js.u_calls": 533, "js.s_calls": 703,
-    "lattice.pair_calls": 57}
+    "lattice.pair_calls": 57, "trees.labelled_calls": 43,
+    "trees.labelled_trees": 791}
 
 
 @pytest.fixture(scope="module")
