@@ -49,7 +49,7 @@ def _parse_charge(theory: Theory, text: str) -> tuple[int, ...]:
 def _theory(name: str) -> Theory:
     try:
         return theory_by_name(name)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"unknown theory {name!r}")
 
 
@@ -275,7 +275,8 @@ def cmd_numeric(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wallcross",
                                 description=__doc__.splitlines()[0])
-    p.add_argument("--config", help="JSON file with default argument values")
+    p.add_argument("--config", help="JSON file of option values, which "
+                   "override the command line")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kw):

@@ -37,7 +37,9 @@ A table that is incomplete, or covers fewer degrees than N, is refused
 by the wall identity check instead of reported as a failed identity.
 
 `spectrum_auto` caches each product it builds on its content: the
-theory, the phase-ordered (gamma, Omega) operators through N, and N.
+theory, the side, the phase-ordered (gamma, Omega) operators through N,
+and N.  Before it builds one it refuses two operators on one ray that do
+not commute: their order would be the tie-break's, not the physics'.
 The cache lives as long as the process, with no size bound, so an
 inference's strong and final weak products are the ones that
 `verify_wall_identity` of the same tables reads, and a catalog table
@@ -54,7 +56,7 @@ from fractions import Fraction
 from functools import cache, cmp_to_key
 from operator import mul
 
-from .lattice import MINUS, PLUS, Charge, Theory, cscale
+from .lattice import MINUS, PLUS, Charge, Theory, cross, cscale
 from .spectrum import WEAK, SpectrumTable, UnknownSpectrumError
 
 Series = dict[Charge, int]
@@ -216,11 +218,42 @@ def _operators(theory: Theory, entries: dict[Charge, int], region: str,
     return tuple((g, entries[g]) for g in sorted(zs, key=cmp_to_key(order)))
 
 
+def _check_ties(theory: Theory, region: str,
+                states: Sequence[tuple[Charge, int]]) -> None:
+    """Raise FactorizationError if two of the phase-ordered states lie on
+    one ray of the region and pair to nonzero.  `_operators` orders such a
+    tie by the charge, a free choice only for operators that commute; two
+    that do not put the region on a wall of marginal stability, where the
+    product depends on that choice."""
+    # the charges met so far on the current ray, and its central charge
+    tied, ray = [], None
+    for gamma, _ in states:
+        z = theory.z(region, gamma)
+        if ray is None or cross(ray, z) != 0:
+            tied, ray = [], z
+        else:
+            # <other, gamma> = other . (pairing gamma): the pairing times
+            # gamma once, then one dot product per charge tied with it
+            column = [sum(map(mul, row, gamma)) for row in theory.pairing]
+            for other in tied:
+                p = sum(map(mul, other, column))
+                if p:
+                    raise FactorizationError(
+                        f"{theory.name}: Z{region} puts {other} and {gamma} "
+                        f"on one ray, but they pair to {p}, so the region "
+                        f"lies on a wall of marginal stability and the KS "
+                        f"product depends on their order")
+        tied.append(gamma)
+
+
 @cache
-def _product(theory: Theory, states: tuple[tuple[Charge, int], ...],
+def _product(theory: Theory, region: str,
+             states: tuple[tuple[Charge, int], ...],
              N: int) -> tuple[Series, ...]:
-    """compose(theory, states, N), built once per process for each content
-    and shared by every caller, who only reads it."""
+    """compose(theory, states, N) for the phase-ordered states of one region,
+    checked by `_check_ties`, built once per process for each content and
+    shared by every caller, who only reads it."""
+    _check_ties(theory, region, states)
     return compose(theory, states, N)
 
 
@@ -236,9 +269,12 @@ def spectrum_auto(theory: Theory, table: SpectrumTable, region: str,
                   N: int) -> tuple[Series, ...]:
     """Multipliers of the ordered product of one spectrum table's KS
     operators through degree N, 1 <= N <= MAX_N.  The product is cached on
-    its operators (see `_product`), so the result must not be modified."""
+    its operators (see `_product`), so the result must not be modified.
+    Raises FactorizationError when two operators that do not commute share
+    a ray, so the region lies on a wall (see `_check_ties`)."""
     _check_truncation(N)
-    return _product(theory, _operators(theory, table.entries, region, N), N)
+    return _product(theory, region,
+                    _operators(theory, table.entries, region, N), N)
 
 
 def agreement_degree(theory: Theory, a: tuple[Series, ...],

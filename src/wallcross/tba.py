@@ -14,10 +14,10 @@ and 25 ms at 1600 on one core of a 2-vCPU x86 machine), exact to about
 read-only by every ray: ray_points only scales those by the ray's unit.
 
 A nested propagator evaluates each child at every node of its parent's
-ray.  A child's values there depend only on (context, subtree, parent ray
-direction, spec), so they are memoised per ray as read-only vectors and
-shared by every tree that contains the subtree on that ray (the prefixes
-of a chain, say).
+ray.  A child's values there depend only on (context, subtree with any
+moved contours, parent ray direction, spec), so they are memoised per ray
+as read-only vectors and shared by every tree that contains the subtree
+on that ray (the prefixes of a chain, say).
 
 The rho kernel splits into partial fractions,
 
@@ -161,7 +161,10 @@ def ray_points(direction: complex, spec: QuadratureSpec) -> tuple[np.ndarray, np
 
 
 def rho(sigma: complex | np.ndarray, tau: complex | np.ndarray):
-    """Kernel (1/tau)(tau+sigma)/(tau-sigma); residue at tau=sigma is 2."""
+    """Kernel (1/tau)(tau+sigma)/(tau-sigma); residue at tau=sigma is 2.
+
+    The Ooguri-Vafa checks apply it densely, so that they stay independent
+    of the split kernel of `_apply_kernel` that the propagators use."""
     return (tau + sigma) / (tau * (tau - sigma))
 
 
@@ -192,21 +195,20 @@ class ZContext:
 # ---------------------------------------------------------------------------
 # propagators
 
-def propagator(zctx: ZContext, tree, zeta, spec: QuadratureSpec,
-               ray_z: complex | None = None):
-    """G value of a rooted decorated tree (gamma, [subtrees]), recursively.
+def propagator(zctx: ZContext, tree, zeta, spec: QuadratureSpec):
+    """G value of a rooted decorated tree, recursively.
 
+    A vertex is (gamma, [subtrees]), integrated along the BPS ray of
+    Z_gamma, or (gamma, [subtrees], ray_z), integrated along the ray of
+    -ray_z instead (a moved contour); the integrand still uses the true Z.
     zeta is a scalar or an array, and the result has its shape.  Each
-    child is evaluated at every node of the root's ray, so the ray
+    child is evaluated at every node of its parent's ray, so the ray
     factor x_sf * dzeta' * prod(children) is one vector and the integral
-    is the rho kernel applied to it.
-
-    ray_z overrides the integration-ray direction of the root (used when
-    probing contour moves); the integrand still uses the true Z.  A point
-    of zeta on a node of the root's ray raises ValueError.
+    is the rho kernel applied to it.  A point of zeta on a node of the
+    root's ray raises ValueError.
     """
     zeta = np.asarray(zeta)
-    pts, f = _ray_integrand(zctx, _frozen(tree), spec, ray_z)
+    pts, f = _ray_integrand(zctx, _frozen(tree), spec)
     # the Cauchy kernel 1 / (tau - sigma) is singular on the root's nodes;
     # |tau| increases along the ray, so each zeta meets one candidate node
     near = np.searchsorted(np.abs(pts), np.abs(zeta))
@@ -219,16 +221,16 @@ def propagator(zctx: ZContext, tree, zeta, spec: QuadratureSpec,
 
 
 def _frozen(tree):
-    """The tree with every charge and child list a tuple, to key the memo."""
-    gamma, children = tree
-    return tuple(gamma), tuple(_frozen(ch) for ch in children)
+    """The tree with every charge and child list a tuple, to key the memo;
+    a vertex keeps its ray, so a moved subtree is kept apart."""
+    gamma, children, *ray = tree
+    return tuple(gamma), tuple(_frozen(ch) for ch in children), *ray
 
 
-def _ray_integrand(zctx: ZContext, tree, spec: QuadratureSpec,
-                   ray_z: complex | None):
+def _ray_integrand(zctx: ZContext, tree, spec: QuadratureSpec):
     """Nodes of the root's ray and x_sf * dzeta' * prod(children) on them."""
-    gamma, children = tree
-    direction = ray_z if ray_z is not None else zctx.z(gamma)
+    gamma, children, *ray = tree
+    direction = ray[0] if ray else zctx.z(gamma)
     pts, dz = ray_points(direction, spec)
     f = zctx.x_sf(gamma, pts) * dz
     for ch in children:
@@ -241,7 +243,7 @@ def _subtree_values(zctx: ZContext, subtree, direction: complex,
                     spec: QuadratureSpec) -> np.ndarray:
     """G of a frozen subtree at every node of the ray of -direction;
     read-only, since every tree holding the subtree on that ray shares it."""
-    pts, f = _ray_integrand(zctx, subtree, spec, None)
+    pts, f = _ray_integrand(zctx, subtree, spec)
     out = _apply_kernel(ray_points(direction, spec)[0], pts, f)
     out.flags.writeable = False
     return out
@@ -315,24 +317,18 @@ def residue_move_check(zctx: ZContext, delta: tuple[int, ...],
                        spec: QuadratureSpec):
     """Moving the inner ray across the outer one picks up a residue.
 
-    lhs: the double integral over (ell_delta, inner ray) evaluated with the
-    inner contour on either side of ell_delta, then subtracted.  rhs: the
-    single integral of x_sf of the sum along ell_delta.  ray_plus and
+    lhs: 2 G of the tree delta <- gm with the gm contour moved to either
+    side of ell_delta, then subtracted.  rhs: 2 G of the single vertex
+    delta + gm with its contour moved onto ell_delta.  ray_plus and
     ray_minus are Z-values whose rays straddle ell_delta, ray_plus
     counterclockwise of it (the two near-wall positions of the gm-ray).
     Returns (lhs, rhs, |lhs-rhs|); raises ValueError when rhs underflows
     to 0, where the relative residual is undefined.
     """
-    p1, d1 = ray_points(zctx.z(delta), spec)
-
-    def double(ray_z):
-        inner = propagator(zctx, (gm, []), p1, spec, ray_z=ray_z)
-        integrand = rho(zeta, p1) * zctx.x_sf(delta, p1) * inner
-        return np.sum(integrand * d1) * 2 / (4j * math.pi)
-
-    lhs = double(ray_plus) - double(ray_minus)
+    lhs = 2 * (propagator(zctx, (delta, [(gm, [], ray_plus)]), zeta, spec)
+               - propagator(zctx, (delta, [(gm, [], ray_minus)]), zeta, spec))
     total = tuple(a + b for a, b in zip(delta, gm))
-    rhs = np.sum(rho(zeta, p1) * zctx.x_sf(total, p1) * d1) * 2 / (4j * math.pi)
+    rhs = 2 * propagator(zctx, (total, [], zctx.z(delta)), zeta, spec)
     if rhs == 0:
         raise ValueError(f"at R = {zctx.R} x_sf underflows to 0 on the ray of "
                          f"{delta}, so the residue move's relative residual "

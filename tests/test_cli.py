@@ -176,6 +176,20 @@ def test_config_file_overrides(tmp_path):
     assert json.loads(out.read_text())["dt_weak"] == "-2"
 
 
+def test_config_help_says_the_file_overrides():
+    # the help states what test_config_file_overrides shows
+    config = next(a for a in cli.build_parser()._actions
+                  if a.dest == "config")
+    assert "override the command line" in config.help
+
+
+def test_unknown_theory_is_a_config_error(capsys):
+    # theory_by_name refuses a name with ValueError, which main reports
+    # as bad configuration
+    assert main(["js", "nf9", "1,1"]) == 2
+    assert capsys.readouterr().err == "config error: unknown theory 'nf9'\n"
+
+
 def test_config_file_invalid(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")
@@ -207,17 +221,17 @@ def test_numeric_rejects_zero_zeta(tmp_path, capsys, check):
     assert capsys.readouterr().err.startswith("config error: zeta")
 
 
-def _decay_fit_node():
-    # a node of the ray of Z_(1,0) that the decay_fit chain integrates over
-    # at --nodes 40
+def _ray_node():
+    # a node of the ray of Z_(1,0) that residue_move and the decay_fit chain
+    # integrate over at --nodes 40
     spec = tba.QuadratureSpec(nodes=40)
     zc = tba.near_wall_context(R=3.0, scale=0.1)
     return complex(tba.ray_points(zc.z((1, 0)), spec)[0][20])
 
 
-def _on_a_decay_fit_node():
+def _on_a_ray_node():
     # --zeta-re/--zeta-im exactly on that node
-    p = _decay_fit_node()
+    p = _ray_node()
     return ("--nodes", "40", "--zeta-re", repr(p.real),
             "--zeta-im", repr(p.imag))
 
@@ -226,19 +240,23 @@ def _on_a_decay_fit_node():
     (("--R", "1e10"), "at R = 10000000000.0 x_sf underflows to 0 on the ray "
                       "of (1, 0), so the residue move's relative residual "
                       "|lhs - rhs| / |rhs| is 0/0"),
-    (("decay_fit", *_on_a_decay_fit_node()),
-     f"zeta = {_decay_fit_node()} lies on a quadrature node of the "
+    (("decay_fit", *_on_a_ray_node()),
+     f"zeta = {_ray_node()} lies on a quadrature node of the "
      "integration ray of (1, 0), where the rho kernel is singular"),
     (("--T", "800"), f"T must be at most {tba.MAX_T}, got 800.0"),
     (("--T", "500"), f"T must be at most {tba.MAX_T}, got 500.0"),
     (("decay_fit", "--T", "500"), f"T must be at most {tba.MAX_T}, got 500.0"),
     (("--R", "60"), "at R = 60.0 x_sf underflows to 0 on the ray of (1, 0), "
                     "so the residue move's relative residual |lhs - rhs| / "
-                    "|rhs| is 0/0")])
+                    "|rhs| is 0/0"),
+    # residue_move runs first and integrates over the same ray
+    (_on_a_ray_node(),
+     f"zeta = {_ray_node()} lies on a quadrature node of the "
+     "integration ray of (1, 0), where the rho kernel is singular")])
 def test_numeric_overflow_is_bad_input(tmp_path, capsys, argv, message):
     # From R = 60 x_sf underflows to 0 on every node, so residue_move's
-    # relative residual would be 0/0.  With zeta on a ray node the Cauchy
-    # kernel would divide by zero.  T above tba.MAX_T is refused before any check runs:
+    # relative residual would be 0/0.  With zeta on a node of the ray of
+    # Z_(1,0) the Cauchy kernel would divide by zero.  T above tba.MAX_T is refused before any check runs:
     # from T = 354 the dense rho overflows to nan, and at T = 800 exp(-T)
     # puts ray nodes on zeta' = 0.  None is a failed check, and none may
     # print a warning, a traceback, NaN in a report or CSV rows

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -10,7 +11,7 @@ from wallcross.cli import main
 from wallcross.ks import (compose, eff_degree, infer_weak_spectrum,
                           series_mul, verify_wall_identity)
 from wallcross.js import js_wallcross
-from wallcross.lattice import CATALOG, PLUS, Theory, theory_by_name
+from wallcross.lattice import CATALOG, MINUS, PLUS, Theory, theory_by_name
 from wallcross.spectrum import (SpectrumTable, UnknownSpectrumError,
                                 spectrum_table, strong_table)
 
@@ -235,6 +236,56 @@ def test_inferred_matches_catalog(name, n):
     want = {g: w for g, w in weak.entries.items()
             if eff_degree(th, g) <= n}
     assert got.entries == want
+
+
+# one nf2 basis copy moved to Z+ (-3, 20), Z- (2, 20): either weak side
+# then puts charges that pair to +-1 on one ray, so it lies on a wall.
+# The tie-break by charge used to pick the answer: the g1_1 move lost
+# (1,1,1,2) and (1,1,2,1), the g2_1 move gave the catalog table, though
+# swapping the two copies maps one move onto the other
+@pytest.mark.parametrize("i,a,b,p", [(0, (0, 1, 0, 1), (1, 0, 1, 1), 1),
+                                     (1, (0, 1, 1, 1), (1, 0, 0, 1), -1)],
+                         ids=["g1_1", "g2_1"])
+def test_infer_refuses_a_weak_side_on_a_wall(nf2, i, a, b, p):
+    zp, zm = list(nf2.z_plus), list(nf2.z_minus)
+    zp[i], zm[i] = (-3, 20), (2, 20)
+    moved = dataclasses.replace(nf2, z_plus=tuple(zp), z_minus=tuple(zm))
+    with pytest.raises(ks.FactorizationError, match=re.escape(
+            f"nf2: Z- puts {a} and {b} on one ray, but they pair to {p}, "
+            f"so the region lies on a wall of marginal stability")):
+        infer_weak_spectrum(moved, spectrum_table("nf2", "strong"), 5)
+
+
+def test_product_refuses_non_commuting_operators_on_one_ray(nf0, nf2):
+    # nf0's d and m on one strong-side ray pair to 2: no order of theirs
+    # is the physical one.  nf2's flavour copies share a ray on both sides
+    # and pair to 0, so their order is free and the products are built
+    on_wall = dataclasses.replace(nf0, z_plus=((0, 20), (0, 20)))
+    with pytest.raises(ks.FactorizationError, match=re.escape(
+            "nf0: Z+ puts (0, 1) and (1, 0) on one ray, but they pair to "
+            "-2")):
+        ks.spectrum_auto(on_wall, strong_table(nf0), PLUS, 3)
+    for table, side in ((spectrum_table("nf2", "strong"), PLUS),
+                        (spectrum_table("nf2", "weak"), MINUS)):
+        ks.spectrum_auto(nf2, table, side, 3)
+
+
+def test_ties_are_checked_once_per_product(monkeypatch, nf0):
+    # where the cache builds a product, not on every _operators call: an
+    # inference checks its strong and final weak product, and a wall
+    # check of the same tables reads both from the cache
+    checked = []
+    check_ties = ks._check_ties
+
+    def counted(theory, region, states):
+        checked.append(region)
+        return check_ties(theory, region, states)
+
+    monkeypatch.setattr(ks, "_check_ties", counted)
+    strong = spectrum_table("nf0", "strong")
+    weak = infer_weak_spectrum(nf0, strong, 6)
+    assert verify_wall_identity(nf0, strong, weak, 6) == (True, 6)
+    assert checked == [PLUS, MINUS]
 
 
 def _count_inference_work(monkeypatch, theory, n):

@@ -106,11 +106,27 @@ def _js_matches_ks(theory: Theory, N: int) -> int:
     return len(charges)
 
 
+# g4's weak side puts (0,1,2) and (1,1,0) on one ray (Z- = (0, 60) and
+# (0, 40)), and on the triangle they pair to -5: that side lies on a wall,
+# so KS refuses every degree from 3 on, and js = KS is checked below it
+TRIANGLE_WALLS = {"g4": ((0, 1, 2), (1, 1, 0), -5)}
+
+
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_rank3_js_matches_ks_on_the_triangle(geometry):
     # (1,1,1) is the one pairing with no effective charge of degree <= 4
-    # in its radical, so KS determines every Omega there
-    assert _js_matches_ks(rank3_theory("triangle", geometry), MAX_DEGREE) == 34
+    # in its radical, so KS determines every Omega there off a wall
+    theory = rank3_theory("triangle", geometry)
+    if geometry not in TRIANGLE_WALLS:
+        assert _js_matches_ks(theory, MAX_DEGREE) == 34
+        return
+    a, b, p = TRIANGLE_WALLS[geometry]
+    for N in range(sum(a), MAX_DEGREE + 1):
+        with pytest.raises(FactorizationError, match=re.escape(
+                f"{theory.name}: Z- puts {a} and {b} on one ray, but they "
+                f"pair to {p}")):
+            infer_weak_spectrum(theory, strong_table(theory), N)
+    assert _js_matches_ks(theory, sum(a) - 1) == 9
 
 
 # the lowest-degree effective charge in the radical of the pairing, and

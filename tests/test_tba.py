@@ -129,42 +129,61 @@ def test_propagator_leaf_is_instanton_integral():
     assert abs(g) > 0
 
 
-def _loop_chain(zc, charges, zeta, spec, ray_z=None):
-    """G of the chain rooted at charges[0], one node at a time: the child
-    chain is evaluated at every node of its parent's ray, which runs along
-    ray_z instead of Z(charges[0]) when given."""
-    pts, dz = tba.ray_points(zc.z(charges[0]) if ray_z is None else ray_z,
-                             spec)
+def _ray(zc, vertex):
+    """The direction a vertex integrates along: its own ray_z when it
+    carries one, else its Z."""
+    gamma, _, *ray = vertex
+    return ray[0] if ray else zc.z(gamma)
+
+
+def _moved(tree, path, ray_z):
+    """tree with the vertex at path (child indices from the root) on the
+    ray of -ray_z."""
+    gamma, children = tree[:2]
+    if not path:
+        return gamma, children, ray_z
+    i = path[0]
+    return (gamma, [*children[:i], _moved(children[i], path[1:], ray_z),
+                    *children[i + 1:]], *tree[2:])
+
+
+def _loop_chain(zc, tree, zeta, spec):
+    """G of a tree, one node at a time: each child is evaluated at every
+    node of its parent's ray, which runs along the parent's ray_z when it
+    carries one."""
+    gamma, children = tree[:2]
+    pts, dz = tba.ray_points(_ray(zc, tree), spec)
     total = 0j
     for p, d in zip(pts, dz):
-        term = tba.rho(zeta, p) * zc.x_sf(charges[0], p) * d
-        if len(charges) > 1:
-            term *= _loop_chain(zc, charges[1:], p, spec)
+        term = tba.rho(zeta, p) * zc.x_sf(gamma, p) * d
+        for ch in children:
+            term *= _loop_chain(zc, ch, p, spec)
         total += term
     return total / (4j * math.pi)
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_nested_propagator_matches_node_loops(n):
-    # the children of an overridden root sit on the overridden ray, so the
-    # subtree memo must key them by that ray, not by the root's own Z,
-    # which the call without an override has put in the memo first
+    # the children of a moved vertex sit on the moved ray, so the subtree
+    # memo must key them by that ray, not by the vertex's own Z, which the
+    # tree without a move has put in the memo first; a moved child is a
+    # subtree of its own, kept apart from the unmoved one
     zc = tba.near_wall_context(scale=0.1)
     spec = tba.QuadratureSpec(nodes=40)
-    charges = [(1, 0), (0, 1), (1, 0)][:n]
-    for ray_z in (None, 1 + 9j):
-        want = _loop_chain(zc, charges, ZETA, spec, ray_z)
-        got = tba.propagator(zc, tba.chain_tree(charges), ZETA, spec,
-                             ray_z=ray_z)
+    chain = tba.chain_tree([(1, 0), (0, 1), (1, 0)][:n])
+    for tree in (chain, _moved(chain, [], 1 + 9j),
+                 _moved(chain, [0], 1 + 9j)):
+        want = _loop_chain(zc, tree, ZETA, spec)
+        got = tba.propagator(zc, tree, ZETA, spec)
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def _dense_propagator(zc, tree, zeta, spec, ray_z=None):
+def _dense_propagator(zc, tree, zeta, spec):
     """The propagator as one dense rho matrix per tree edge, with nothing
     reused: every child is evaluated afresh at every node of its parent's
     ray and the whole nodes x nodes kernel is built for it."""
-    gamma, children = tree
-    pts, dz = tba.ray_points(zc.z(gamma) if ray_z is None else ray_z, spec)
+    gamma, children = tree[:2]
+    pts, dz = tba.ray_points(_ray(zc, tree), spec)
     f = zc.x_sf(gamma, pts) * dz
     for ch in children:
         f = f * _dense_propagator(zc, ch, pts, spec)
@@ -190,6 +209,32 @@ def test_branching_tree_matches_dense_recursion():
                   _dense_propagator(zc, tree, ZETA, SPEC))
 
 
+def test_branching_tree_with_a_moved_grandchild_matches_dense_recursion():
+    # a contour ray on a vertex two levels down: its values on its
+    # parent's ray come from its own ray's nodes
+    zc = tba.near_wall_context(scale=0.1)
+    tree = _moved(((1, 0), [((0, 1), []), ((1, 1), [((0, 1), [])])]),
+                  [1, 0], 1 + 9j)
+    assert tree[1][1][1][0] == ((0, 1), [], 1 + 9j)
+    assert _close(tba.propagator(zc, tree, ZETA, SPEC),
+                  _dense_propagator(zc, tree, ZETA, SPEC))
+
+
+def test_memo_keeps_a_moved_subtree_apart():
+    # a subtree with a ray of its own and the same subtree without one are
+    # two memo entries, whichever is met first
+    zc = tba.near_wall_context(scale=0.1)
+    plain = ((1, 0), [((0, 1), [])])
+    moved = _moved(plain, [0], 1 + 9j)
+    for first, second in ((plain, moved), (moved, plain)):
+        tba._subtree_values.cache_clear()
+        for tree in (first, second):
+            assert _close(tba.propagator(zc, tree, ZETA, SPEC),
+                          _dense_propagator(zc, tree, ZETA, SPEC))
+        assert tba._subtree_values.cache_info().currsize == 2
+    assert tba._frozen(moved) == ((1, 0), (((0, 1), (), 1 + 9j),))
+
+
 @pytest.mark.parametrize("ray_z", [1 + 10j, -0.5 + 10j])
 def test_residue_move_inner_propagator_matches_dense_recursion(monkeypatch,
                                                                 ray_z):
@@ -206,12 +251,13 @@ def test_residue_move_inner_propagator_matches_dense_recursion(monkeypatch,
         return out
 
     monkeypatch.setattr(tba, "_cauchy_rows", recorded)
-    got = tba.propagator(zc, ((0, 1), []), p1, SPEC, ray_z=ray_z)
+    leaf = ((0, 1), [], ray_z)
+    got = tba.propagator(zc, leaf, p1, SPEC)
     monkeypatch.undo()
     assert sum(s[0] for s in shapes) == SPEC.nodes
     assert max(s[0] for s in shapes) == tba.KERNEL_ROWS
     assert got.shape == p1.shape
-    assert _close(got, _dense_propagator(zc, ((0, 1), []), p1, SPEC, ray_z))
+    assert _close(got, _dense_propagator(zc, leaf, p1, SPEC))
 
 
 def test_kernel_takes_zeta_of_any_shape_in_row_blocks(monkeypatch):
@@ -251,7 +297,8 @@ def test_cauchy_kernel_matches_dense_rho(zeta, ray_z):
     # 2 / (tau - sigma) - 1 / tau against rho itself, for |sigma| from e^-6
     # to e^6 on a parent ray, a grid, a scalar and an overridden ray
     zc = tba.near_wall_context(scale=0.1)
-    pts, f = tba._ray_integrand(zc, ((0, 1), ()), FINE, ray_z)
+    leaf = ((0, 1), ()) if ray_z is None else ((0, 1), (), ray_z)
+    pts, f = tba._ray_integrand(zc, leaf, FINE)
     want = tba.rho(zeta[..., None], pts) @ f / (4j * math.pi)
     got = tba._apply_kernel(zeta, pts, f)
     assert np.shape(got) == zeta.shape
@@ -262,7 +309,7 @@ def test_kernel_blocks_share_one_buffer(monkeypatch):
     # every block of a call overwrites one buffer of at most KERNEL_ROWS
     # rows, so no block allocates its own
     zc = tba.near_wall_context(scale=0.1)
-    pts, f = tba._ray_integrand(zc, ((0, 1), ()), SPEC, None)
+    pts, f = tba._ray_integrand(zc, ((0, 1), ()), SPEC)
     outs = []
     cauchy_rows = tba._cauchy_rows
 
@@ -394,6 +441,36 @@ def test_residue_move_identity():
     lhs, rhs, err = tba.residue_move_check(zc, (1, 0), (0, 1),
                                            1 + 10j, -0.5 + 10j, ZETA, SPEC)
     assert err < 1e-8
+
+
+def _residue_move_by_hand(zc, delta, gm, ray_plus, ray_minus, zeta, spec):
+    """lhs and rhs of the residue move as explicit sums over the nodes of
+    ell_delta with the dense rho: the inner gm integral on each moved ray
+    at every node, then the outer one; rhs the single integral of x_sf of
+    delta + gm along ell_delta."""
+    p1, d1 = tba.ray_points(zc.z(delta), spec)
+
+    def double(ray_z):
+        inner = _dense_propagator(zc, (gm, [], ray_z), p1, spec)
+        integrand = tba.rho(zeta, p1) * zc.x_sf(delta, p1) * inner
+        return np.sum(integrand * d1) * 2 / (4j * math.pi)
+
+    total = tuple(a + b for a, b in zip(delta, gm))
+    rhs = np.sum(tba.rho(zeta, p1) * zc.x_sf(total, p1) * d1) \
+        * 2 / (4j * math.pi)
+    return double(ray_plus) - double(ray_minus), rhs
+
+
+@pytest.mark.parametrize("spec", [SPEC, FINE], ids=["default", "800 nodes"])
+def test_residue_move_matches_the_sums_by_hand(spec):
+    # the check's three propagators against the nested sums it replaced
+    zc = tba.near_wall_context(R=3.0, scale=0.1, side="mid")
+    args = (zc, (1, 0), (0, 1), 1 + 10j, -0.5 + 10j, ZETA, spec)
+    lhs, rhs, err = tba.residue_move_check(*args)
+    want_lhs, want_rhs = _residue_move_by_hand(*args)
+    assert abs(lhs - want_lhs) <= 1e-12 * abs(want_lhs)
+    assert abs(rhs - want_rhs) <= 1e-12 * abs(want_rhs)
+    assert err == abs(lhs - rhs)
 
 
 def test_ov_model_validation():
