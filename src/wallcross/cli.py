@@ -127,7 +127,8 @@ def cmd_gmn(args) -> dict:
         out.append({"diagram": diag.describe(),
                     "weight": str(w),
                     "total": direction,
-                    "contribution": repr(gmn_contribution(theory, diag, w))})
+                    "contribution": repr(gmn_contribution(
+                        theory, diag, w, run_decay(theory, diag)))})
     return {**_report("gmn", theory, target, args.max_vertices),
             "diagrams": out}
 

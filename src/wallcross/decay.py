@@ -273,14 +273,11 @@ def _run(theory: Theory, stack: list[_State], result: TraceResult) -> None:
 
 
 def gmn_contribution(theory: Theory, diag: RootedDiagram, w: Fraction,
-                     trace: TraceResult | None = None) -> Value:
+                     trace: TraceResult) -> Value:
     """Contribution of one framed diagram of weight w = weight_W(diag) to
-    the weak-side invariant; the decay runs unless `trace` holds its
-    result."""
+    the weak-side invariant, from `trace`, the diagram's decay."""
     if w == 0:
         return Value.zero()
-    if trace is None:
-        trace = run_decay(theory, diag)
     scale = -w / diag.total()[theory.root_index]
     return Value({k: v * scale for k, v in trace.bracket().terms.items()})
 

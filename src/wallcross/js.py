@@ -27,18 +27,17 @@ def _slope_cmp(za, zb) -> int:
     return -1 if c > 0 else (1 if c < 0 else 0)
 
 
-def s_symbol(theory: Theory, alphas: list[Charge]) -> int:
-    """S in {0, +-1}: sign of the ordered decomposition.
+def s_symbol(strong: list[Vec2], weak: list[Vec2]) -> int:
+    """S in {0, +-1}: sign of the ordered decomposition whose parts have
+    central charges strong (Z+) and weak (Z-).
 
     For each adjacent pair, either s does not decrease and the head slope
     w strictly dominates the tail (counted with a sign), or s strictly
     decreases and the head slope does not dominate; otherwise S = 0.
     """
-    n = len(alphas)
+    n = len(strong)
     if n == 0:
         raise ValueError("empty decomposition")
-    strong = [theory.z(PLUS, a) for a in alphas]
-    weak = [theory.z(MINUS, a) for a in alphas]
     head = weak[0]
     tail = (sum(w[0] for w in weak[1:]), sum(w[1] for w in weak[1:]))
     sign = 1
@@ -55,37 +54,33 @@ def s_symbol(theory: Theory, alphas: list[Charge]) -> int:
     return sign
 
 
-def _chunk_weight(theory: Theory, alphas: list[Charge],
-                  prefix: list[Vec2], joinable: list[bool],
-                  a: int, b: int) -> int:
-    """(b - a)! times the sum over the block cuts of alphas[a:b] of
-    S(block sums) / prod size!.
+def _chunk_weight(strong: list[Vec2], prefix: list[Vec2],
+                  joinable: list[bool], a: int, b: int) -> int:
+    """(b - a)! times the sum over the block cuts of parts a..b-1 of
+    S(block sums) / prod size!, from the parts' Z+ and weak prefix sums.
 
     Gap k (between parts k-1 and k) is a forced cut unless joinable[k],
     when it is optional.  A block lies on one strong ray, so the factor S
     takes at a cut depends on that cut alone: its strong slopes are those
-    of parts k-1 and k, its weak head and tail the sums of alphas[a:k] and
-    alphas[k:b] (prefix holds the weak prefix sums).  The forced cuts split
-    the chunk into runs, its maximal joinable stretches, and their factors
-    multiply to S(run sums), one s_symbol call; a one-part run is passed
-    as the part itself.  With every cut forced that is all: the weight is
-    S (b - a)!.  At an optional cut both parts lie on one strong ray, so
-    its factor g_k is -1 if the weak head lies above the tail and 0
-    otherwise.  What is left is a DP over the last cut before each
-    position j of the chunk, scaled by j! to stay in integers: rho_0 = 1
-    and rho_j = sum_i rho_i g_i C(j, i) over the cuts i < j with no
-    forced cut between them, with g = 1 at the start of the chunk and at
-    a forced cut.  It keeps only the terms rho_i g_i that are nonzero.
+    of parts k-1 and k, its weak head and tail the sums of parts a..k-1
+    and k..b-1.  The forced cuts split the chunk into runs, its maximal
+    joinable stretches, and their factors multiply to S(run sums), one
+    s_symbol call given each run's first Z+ and its weak sum.  With every
+    cut forced that is all: the weight is S (b - a)!.  At an optional
+    cut both parts lie on one strong ray, so its factor g_k is -1 if the
+    weak head lies above the tail and 0 otherwise.  What is left is a DP
+    over the last cut before each position j of the chunk, scaled by j!
+    to stay in integers: rho_0 = 1 and rho_j = sum_i rho_i g_i C(j, i)
+    over the cuts i < j with no forced cut between them, with g = 1 at
+    the start of the chunk and at a forced cut.  It keeps only the terms
+    rho_i g_i that are nonzero.
     """
-    runs: list[Charge] = []
-    start = a
-    for k in range(a + 1, b + 1):
-        if k == b or not joinable[k]:
-            runs.append(alphas[start] if k == start + 1 else
-                        tuple(map(sum, zip(*alphas[start:k]))))
-            start = k
-    sign = s_symbol(theory, runs)
-    if not sign or len(runs) == b - a:
+    cuts = [a, *(k for k in range(a + 1, b) if not joinable[k]), b]
+    ends = [prefix[k] for k in cuts]
+    sign = s_symbol([strong[k] for k in cuts[:-1]],
+                    [(x1 - x0, y1 - y0)
+                     for (x0, y0), (x1, y1) in zip(ends, ends[1:])])
+    if not sign or len(cuts) == b - a + 1:
         return sign * factorial(b - a)
     (x0, y0), (x1, y1) = prefix[a], prefix[b]
     terms = [(0, 1)]    # (i, rho_i g_i), nonzero, since the last forced cut
@@ -105,41 +100,37 @@ def _chunk_weight(theory: Theory, alphas: list[Charge],
                 terms.append((j, -rho))
 
 
-def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
-    """U: nested sum over slope-compatible coarsenings weighting S symbols.
+def u_symbol(strong: list[Vec2], weak: list[Vec2]) -> Fraction:
+    """U, from the parts' central charges strong (Z+) and weak (Z-): a
+    nested sum over slope-compatible coarsenings weighting S symbols.
 
     The parts are merged into consecutive blocks on one strong ray (weight
     1/size! each), and the block sums are split into consecutive chunks
     whose weak central charge lies on the ray of the total, each weighted
     by its S symbol; a term with l chunks carries (-1)^(l-1)/l.  A chunk
-    is a range alphas[a:b] with weight G(a, b), and _chunk_weight gives
-    (b - a)! G(a, b) as an integer.  The nested sum is then a DP over the
-    chunk cuts, f[b][l] = sum_a f[a][l-1] G(a, b), run in integers as
-    F[b][l] = b! f[b][l] = sum_a F[a][l-1] C(b, a) (b - a)! G(a, b),
-    and U = sum_l (-1)^(l-1)/l F[n][l] / n! is the one Fraction.  Only
-    the live rows are kept, each as {l: F[b][l]}: a row that stays zero
-    starts no chunk.  A live row is reached by chunks on the total's ray,
-    so its weak prefix sum lies on the total's line, and a chunk can end
-    only at a b whose prefix sum does.  Central charges are read once per
-    distinct part.
+    is a range of parts a..b-1 with weight G(a, b), and _chunk_weight
+    gives (b - a)! G(a, b) as an integer.  The nested sum is then a DP
+    over the chunk cuts, f[b][l] = sum_a f[a][l-1] G(a, b), run in
+    integers as F[b][l] = b! f[b][l] = sum_a F[a][l-1] C(b, a) (b - a)!
+    G(a, b), and U = sum_l (-1)^(l-1)/l F[n][l] / n! is the one Fraction.
+    Only the live rows are kept, each as {l: F[b][l]}: a row that stays
+    zero starts no chunk.  A chunk ends only where the weak prefix sum
+    lies on the total's line.  Every Z lies in the open upper half-plane
+    (see `Theory`), so such a chunk lies on the total's ray, and parts
+    whose Z+ have a zero cross product lie on one strong ray.
     """
-    n = len(alphas)
+    n = len(strong)
     if n == 0:
         raise ValueError("empty decomposition")
-    read = {a: (theory.z(PLUS, a), theory.z(MINUS, a)) for a in set(alphas)}
-    strong = []
     prefix = [(0, 0)]
     tx = ty = 0         # ends as the total's weak central charge
-    for a in alphas:
-        zp, (re, im) = read[a]
-        strong.append(zp)
+    for re, im in weak:
         tx += re
         ty += im
         prefix.append((tx, ty))
-    # same_ray inline: zero cross and positive dot product.  It is an
-    # equivalence, so a block lies on one strong ray iff each of its
-    # adjacent pairs does
-    joinable = [False] + [p0 * q1 == p1 * q0 and p0 * q0 + p1 * q1 > 0
+    # one strong ray is an equivalence, so a block lies on one iff each of
+    # its adjacent pairs does
+    joinable = [False] + [p0 * q1 == p1 * q0
                           for (p0, p1), (q0, q1) in zip(strong, strong[1:])]
     rows = {0: {0: 1}}
     for b in range(1, n + 1):
@@ -148,11 +139,7 @@ def u_symbol(theory: Theory, alphas: list[Charge]) -> Fraction:
             continue
         row: dict[int, int] = {}
         for a, fa in rows.items():
-            # the chunk lies on the total's line: is it on the ray?
-            xa, ya = prefix[a]
-            if (xb - xa) * tx + (yb - ya) * ty <= 0:
-                continue
-            g = _chunk_weight(theory, alphas, prefix, joinable, a, b)
+            g = _chunk_weight(strong, prefix, joinable, a, b)
             if g:
                 g *= comb(b, a)
                 for l, f in fa.items():
@@ -299,11 +286,15 @@ def _multiset_terms(theory: Theory, table: SpectrumTable, target: Charge,
     is the same for every ordering of the multiset: the sign is
     (-1)^(sum_{i<j} <alpha_i, alpha_j>) (sigma(a) sigma(b) =
     (-1)^<a,b> sigma(a+b), by bilinearity), and swapping two parts negates
-    one pairing, keeping the parity.  DT is read once per distinct part and
-    each ordered pair of parts paired once per call."""
+    one pairing, keeping the parity.  DT and Z+- are read once per distinct
+    part and each ordered pair of parts paired once per call."""
+    z: dict[Charge, tuple[Vec2, Vec2]] = {}
     groups: dict[tuple[Charge, ...], list] = {}
     for alphas in decompositions(theory, table, target, max_vertices):
-        u = u_symbol(theory, list(alphas))
+        for a in alphas:
+            if a not in z:
+                z[a] = theory.z(PLUS, a), theory.z(MINUS, a)
+        u = u_symbol([z[a][0] for a in alphas], [z[a][1] for a in alphas])
         if u:
             groups.setdefault(tuple(sorted(alphas)), []).append((alphas, u))
     dt: dict[Charge, Fraction] = {}

@@ -4,7 +4,7 @@ import pytest
 
 from wallcross import ks
 from wallcross.gmn import enumerate_diagrams
-from wallcross.lattice import theory_by_name
+from wallcross.lattice import MINUS, PLUS, theory_by_name
 from wallcross.spectrum import spectrum_table
 from wallcross.trees import adjacency, charge_label, encode
 
@@ -55,6 +55,13 @@ def diagram_by_describe(theory, table, target, text, max_vertices=None):
         if d.describe() == text:
             return d
     raise AssertionError(f"no diagram {text!r} for {theory.name} {target}")
+
+
+def central_charges(theory, alphas):
+    """The parts' Z+ and Z- lists, the arguments of js.u_symbol and
+    js.s_symbol."""
+    return ([theory.z(PLUS, a) for a in alphas],
+            [theory.z(MINUS, a) for a in alphas])
 
 
 def encode_rooted(charges, parent):

@@ -20,7 +20,7 @@ from wallcross.spectrum import SpectrumTable, spectrum_table
 from wallcross.symbolic import Value
 from wallcross.trees import enumerate_labelled_trees
 
-from conftest import diagram_by_describe
+from conftest import central_charges, diagram_by_describe
 
 Q = Fraction
 
@@ -81,11 +81,11 @@ def test_acceptance_2_ordering_symbols():
     ok = True
     for name, alphas, want in U_TABLE:
         th = theory_by_name(name)
-        got = u_symbol(th, alphas)
+        got = u_symbol(*central_charges(th, alphas))
         ok = ok and got == want
     for name, alphas, want in S_TABLE:
         th = theory_by_name(name)
-        got = s_symbol(th, alphas)
+        got = s_symbol(*central_charges(th, alphas))
         ok = ok and got == want
     report(f"all {len(U_TABLE)} U and {len(S_TABLE)} S ordering symbols "
            "take their catalogued values", ok)
@@ -127,12 +127,14 @@ def test_acceptance_4_decay_contributions(nf0, nf0_strong):
     chain = diagram_by_describe(nf0, nf0_strong, (2, 3),
                                 "(1+0)[(0+1)[(1+0)[(0+2)]]]")
     ok = ok and gmn_contribution(
-        nf0, chain, weight_W(nf0, nf0_strong, chain)) == Value.zero()
+        nf0, chain, weight_W(nf0, nf0_strong, chain),
+        run_decay(nf0, chain)) == Value.zero()
     # the two framings that first split off 2gamma_m contribute -4 each
     for text in ["(1+0)[(0+1),(0+2)[(1+0)]]", "(1+0)[(0+2)[(1+0)[(0+1)]]]"]:
         d = diagram_by_describe(nf0, nf0_strong, (2, 3), text)
         ok = ok and gmn_contribution(
-            nf0, d, weight_W(nf0, nf0_strong, d)) == Value.rational(-4)
+            nf0, d, weight_W(nf0, nf0_strong, d),
+            run_decay(nf0, d)) == Value.rational(-4)
     # the worked star's two surviving singletons cancel: +1 - 1 = 0
     star = diagram_by_describe(nf0, nf0_strong, (2, 3),
                                "(1+0)[(0+1)[(1+0)[(0+1),(0+1)]]]")

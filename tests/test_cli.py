@@ -425,6 +425,43 @@ def test_config_file_checks_choices(tmp_path, capsys):
     assert code == 0 and rep["region"] == "weak"
 
 
+def test_unparsable_charge_is_a_config_error(capsys):
+    assert main(["js", "nf0", "1,x"]) == 2
+    assert capsys.readouterr().err == "config error: cannot parse charge '1,x'\n"
+
+
+def test_decay_trace_index_out_of_range(capsys):
+    assert main(["decay-trace", "nf0", "2,3", "--index", "99"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: diagram index 99 out of range (0..10)\n"
+
+
+def test_config_file_sets_a_flag_and_a_list(tmp_path):
+    # a flag takes a JSON boolean and a list option a list of strings
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"against_table": True, "N": 3}))
+    code, rep = run(tmp_path, "--config", str(cfg), "ks-oracle", "nf0")
+    assert code == 0
+    assert rep["checks"]["catalog_weak_table"] == {"ok": True,
+                                                   "agree_through": 3}
+    cfg.write_text(json.dumps({"checks": ["decay_fit"]}))
+    code, rep = run(tmp_path, "--config", str(cfg), "numeric")
+    assert code == 0 and list(rep["checks"]) == ["decay_fit"]
+
+
+@pytest.mark.parametrize("argv,overrides,message", [
+    (["ks-oracle", "nf0"], {"against_table": "yes"},
+     "'against_table' cannot be 'yes'"),
+    (["numeric"], {"checks": "decay_fit"}, "'checks' cannot be 'decay_fit'"),
+])
+def test_config_file_checks_flag_and_list_values(tmp_path, capsys, argv,
+                                                 overrides, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    assert main(["--config", str(cfg), *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_config_file_typed_values(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max-vertices": 2}))

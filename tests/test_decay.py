@@ -24,7 +24,7 @@ def test_single_interaction_chain(nf0, nf0_strong):
     assert trace.eps_sum == 1
     assert not trace.singular
     w = weight_W(nf0, nf0_strong, d)
-    assert gmn_contribution(nf0, d, w) == Value.rational(-2)
+    assert gmn_contribution(nf0, d, w, trace) == Value.rational(-2)
 
 
 def test_star_two_photons(nf0, nf0_strong):
@@ -32,7 +32,7 @@ def test_star_two_photons(nf0, nf0_strong):
     trace = run_decay(nf0, d)
     assert trace.eps_sum == 1
     w = weight_W(nf0, nf0_strong, d)
-    assert gmn_contribution(nf0, d, w) == Value.rational(2)
+    assert gmn_contribution(nf0, d, w, trace) == Value.rational(2)
 
 
 def test_worked_vanishing_chain(nf0, nf0_strong):
@@ -42,7 +42,7 @@ def test_worked_vanishing_chain(nf0, nf0_strong):
     trace = run_decay(nf0, d)
     assert trace.eps_sum == 0
     w = weight_W(nf0, nf0_strong, d)
-    assert gmn_contribution(nf0, d, w) == Value.zero()
+    assert gmn_contribution(nf0, d, w, trace) == Value.zero()
 
 
 def test_worked_star_cancellation(nf0, nf0_strong):
@@ -58,7 +58,8 @@ def test_minus_four_contributions(nf0, nf0_strong):
                  "(1+0)[(0+2)[(1+0)[(0+1)]]]"]:
         d = diagram_by_describe(nf0, nf0_strong, (2, 3), text)
         w = weight_W(nf0, nf0_strong, d)
-        assert gmn_contribution(nf0, d, w) == Value.rational(-4)
+        assert gmn_contribution(nf0, d, w, run_decay(nf0, d)) == \
+            Value.rational(-4)
 
 
 def test_trace_log_is_populated(nf0, nf0_strong):

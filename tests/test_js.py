@@ -1,15 +1,19 @@
+import inspect
 import time
 from fractions import Fraction
 
 import pytest
 
 import js_reference as ref
+from wallcross import js
 from wallcross.gmn import enumerate_diagrams
 from wallcross.js import (decompositions, js_tree_values, js_wallcross,
                           multisets, s_symbol, strong_parts, u_symbol)
 from wallcross.symbolic import Value
 from wallcross.spectrum import spectrum_table
-from wallcross.lattice import theory_by_name
+from wallcross.lattice import MINUS, PLUS, Theory, theory_by_name
+
+from conftest import central_charges
 
 Q = Fraction
 
@@ -17,23 +21,48 @@ D, M = (1, 0), (0, 1)
 
 
 def test_s_symbol_single(nf0):
-    assert s_symbol(nf0, [D]) == 1
+    assert s_symbol(*central_charges(nf0, [D])) == 1
 
 
 def test_u_symbol_single(nf0):
-    assert u_symbol(nf0, [D]) == 1
+    assert u_symbol(*central_charges(nf0, [D])) == 1
 
 
 @pytest.mark.parametrize("symbol", [s_symbol, u_symbol])
-def test_empty_decomposition_raises(nf0, symbol):
+def test_empty_decomposition_raises(symbol):
     with pytest.raises(ValueError, match="empty decomposition"):
-        symbol(nf0, [])
+        symbol([], [])
 
 
 def test_u_symbol_order_sums_to_zero(nf0):
     # summing U over all orderings of a fixed multiset gives zero when
     # the slope order changes across the wall
-    assert u_symbol(nf0, [D, M]) + u_symbol(nf0, [M, D]) == 0
+    assert u_symbol(*central_charges(nf0, [D, M])) + \
+        u_symbol(*central_charges(nf0, [M, D])) == 0
+
+
+def test_symbols_take_central_charges_not_the_theory():
+    # U and S see a decomposition only through its parts' Z+ and Z-
+    for fn in (u_symbol, s_symbol, js._chunk_weight):
+        assert "theory" not in inspect.signature(fn).parameters, fn
+
+
+def test_js_reads_each_part_central_charge_once(nf0, nf0_strong, monkeypatch):
+    # nf0 3,4 has seven distinct parts, (1,0) to (3,0) and (0,1) to (0,4),
+    # and each is read once on each side of the wall
+    calls = []
+    z = Theory.z
+
+    def counted(self, region, gamma):
+        calls.append((region, gamma))
+        return z(self, region, gamma)
+
+    monkeypatch.setattr(Theory, "z", counted)
+    js_wallcross(nf0, nf0_strong, (3, 4))
+    assert len(calls) == 14
+    assert sorted(calls) == sorted((side, part) for side in (PLUS, MINUS)
+                                   for part in strong_parts(nf0, nf0_strong,
+                                                            (3, 4)))
 
 
 def test_strong_parts(nf0, nf0_strong):

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import js_reference as ref
+from conftest import central_charges
 from gmn_reference import sigma_reduce
 from test_conjecture_sweep import MAX_DEGREE, _targets
 from test_rank3_sweep import PAIRINGS, TARGETS as RANK3_TARGETS, rank3_theory
@@ -91,8 +92,9 @@ def test_u_and_s_match_reference(theory_decomps):
     assert decomps
     for alphas in decomps:
         alphas = list(alphas)
-        assert u_symbol(theory, alphas) == ref.u_symbol(theory, alphas), alphas
-        assert s_symbol(theory, alphas) == ref.s_symbol(theory, alphas), alphas
+        zs = central_charges(theory, alphas)
+        assert u_symbol(*zs) == ref.u_symbol(theory, alphas), alphas
+        assert s_symbol(*zs) == ref.s_symbol(theory, alphas), alphas
 
 
 def _rays(name):
@@ -131,7 +133,8 @@ def test_u_matches_reference_on_any_part_sequence(case):
     # every cut factor of U, forced or optional, is checked beyond the
     # orders the catalog decompositions happen to reach
     theory, alphas = case
-    assert u_symbol(theory, alphas) == ref.u_symbol(theory, alphas), alphas
+    assert u_symbol(*central_charges(theory, alphas)) == \
+        ref.u_symbol(theory, alphas), alphas
 
 
 def test_tree_weight_matches_reference(theory_decomps):
@@ -205,7 +208,7 @@ def test_weighted_decompositions_read_sigma_off_the_weight_table():
         theory, table = theory_by_name(name), spectrum_table(name, "strong")
         orders_of = {}
         for alphas in decompositions(theory, table, target, max_vertices):
-            u = u_symbol(theory, list(alphas))
+            u = u_symbol(*central_charges(theory, alphas))
             if u:
                 orders_of.setdefault(tuple(sorted(alphas)), []).append(
                     (alphas, u))
@@ -238,7 +241,8 @@ def test_multiset_factor_is_ordering_invariant(case, data):
         perm = data.draw(st.permutations(alphas))
         assert _parity_sign(_edge_weights(theory, tuple(perm), {})) == \
             sigma_reduce(theory, perm)[0] == sign, perm
-        assert (u_symbol(theory, perm) * factorial(n) ** 2).denominator == 1
+        u = u_symbol(*central_charges(theory, perm))
+        assert (u * factorial(n) ** 2).denominator == 1
 
 
 @given(part_sequences())

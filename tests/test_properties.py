@@ -1,5 +1,6 @@
 """Structural invariants checked over generated inputs."""
 import dataclasses
+import random
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from wallcross.decay import run_decay
 from wallcross.gmn import enumerate_diagrams
 from wallcross.js import js_wallcross
-from wallcross.ks import infer_weak_spectrum
-from wallcross.lattice import cadd, cneg, content, theory_by_name
+from wallcross.ks import FactorizationError, infer_weak_spectrum
+from wallcross.lattice import Theory, cadd, cneg, content, theory_by_name
 from wallcross.spectrum import spectrum_table, strong_table
 from wallcross.symbolic import Value
 from wallcross.trees import enumerate_labelled_trees
@@ -175,6 +176,56 @@ def test_js_matches_ks_inferred_spectrum(label, th, table, N):
         if got != want:
             wrong.append((gamma, got, want))
     assert checked == JS_KS_CHARGES[label]
+    assert wrong == []
+
+
+def _random_theory(rng: random.Random) -> Theory:
+    """Rank 2 or 3, pairing entries in [-3, 3], effective signs +-1, and
+    each basis Z on either side (randint(-9, 9), s randint(1, 9)), so that
+    `Theory` accepts it."""
+    rank = rng.choice((2, 3))
+    pairing = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            pairing[i][j] = rng.randint(-3, 3)
+            pairing[j][i] = -pairing[i][j]
+    signs = tuple(rng.choice((1, -1)) for _ in range(rank))
+
+    def zs():
+        return tuple((rng.randint(-9, 9), s * rng.randint(1, 9))
+                     for s in signs)
+
+    return Theory(f"random{rank}", tuple(f"e{i}" for i in range(rank)),
+                  tuple(map(tuple, pairing)), zs(), zs(), signs, 0)
+
+
+# the two refusals a random theory may meet: a charge in the radical of
+# the pairing, or two non-commuting basis states on one ray of a side
+REFUSALS = ("pairs to zero with every basis charge",
+            "on one ray, but they pair to")
+
+
+def test_js_matches_ks_on_random_theories():
+    # js at every effective charge of degree <= 4 is the weak DT of the
+    # spectrum KS infers, on 300 seeded random theories that KS does not
+    # refuse; most are not refused, so the check is not vacuous
+    rng, N = random.Random(7), 4
+    inferred, wrong = 0, []
+    for _ in range(300):
+        th = _random_theory(rng)
+        strong = strong_table(th)
+        try:
+            weak = infer_weak_spectrum(th, strong, N)
+        except FactorizationError as e:
+            assert any(r in str(e) for r in REFUSALS), str(e)
+            continue
+        inferred += 1
+        for coords in product(range(N + 1), repeat=th.rank):
+            if 1 <= sum(coords) <= N:
+                gamma = tuple(s * x for s, x in zip(th.effective_signs, coords))
+                if js_wallcross(th, strong, gamma) != weak.dt(gamma):
+                    wrong.append((th, gamma))
+    assert inferred >= 200
     assert wrong == []
 
 
