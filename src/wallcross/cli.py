@@ -22,8 +22,8 @@ import numpy as np
 from .decay import conjecture_check, gmn_contribution, run_decay
 from .gmn import enumerate_diagrams, root_direction, weight_W
 from .js import js_tree_values
-from .ks import (FactorizationError, check_coverage, infer_weak_spectrum,
-                 verify_wall_identity)
+from .ks import (FactorizationError, check_coverage, check_truncation,
+                 infer_weak_spectrum, verify_wall_identity)
 from .lattice import Theory, theory_by_name
 from .spectrum import DEFAULT_K, UnknownSpectrumError, spectrum_table, strong_table
 from . import tba
@@ -183,7 +183,10 @@ def cmd_ks_oracle(args) -> dict:
     strong = strong_table(theory)
     if args.against_table:
         # with K >= N every complete catalog rule covers degree N; a table
-        # that does not is refused before any product is built
+        # that does not is refused before any product is built.  N is
+        # checked first, so an N out of range reads as it does without
+        # the flag, not as a bound on the table's K
+        check_truncation(args.N)
         weak = spectrum_table(theory.name, "weak", K=max(DEFAULT_K, args.N))
         check_coverage(weak, args.N)
     # the inference raises unless its weak product agrees with the strong

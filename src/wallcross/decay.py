@@ -11,9 +11,10 @@ signs; sweeps that end exactly on a neighbouring ray contribute named
 singular symbols.  The total for a diagram is
 -(1/p) * W * (sum of signs + sum of signed symbols), with p the framing
 coordinate of the total charge.  Each branch carries the central charge
-on every vertex's active ray, so a ray is read from the lattice only when
-it is pushed, and the step log keeps templates and arguments, formatted
-when TraceResult.steps is read.
+on every vertex's active ray and Z- of every vertex's charge, adding the
+latter on each merge as Z is linear, so the lattice is read only at
+set-up, and the step log keeps templates and arguments, formatted when
+TraceResult.steps is read.
 
 A conjecture checker compares, per unoriented decorated tree, the sum of
 these diagram totals over framings against the tree's total in the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import (CCW, ENDS_ON, MINUS, PLUS, Charge, Theory, Vec2, cadd,
-                      cross, direction_key, sweep_crossing)
+                      cross, direction_key, same_ray, sweep_crossing)
 from .gmn import RootedDiagram, enumerate_diagrams, weight_W
 from .js import js_tree_values
 from .spectrum import strong_table
@@ -95,12 +96,16 @@ class _State:
     ray: Z+ of its charge from `initial`, the weak-side end of its last
     sweep from `_sweep`.  `merge` leaves it, since every reader takes
     only its direction and a plus vertex that is folded into is pinned,
-    its Z+ on its Z- ray.  A plus vertex keeps its diagram charge, so
-    `Theory.pinned` is asked once per diagram vertex, for every branch.
+    its Z+ on its Z- ray.  `zm` is Z- of each vertex's charge, the end of
+    its next sweep: `merge` adds it with the charges, as Z is linear.
+    Only `initial` reads the lattice, Z+ and Z- once per diagram vertex,
+    and `pinned` compares those two reads: a plus vertex keeps its
+    diagram charge, so that holds for every branch.
     """
     charges: list[Charge]
     ray: list[Charge]
     z: list[Vec2]
+    zm: list[Vec2]
     status: list[str]
     parent: list[int | None]
     pinned: list[bool]
@@ -111,20 +116,22 @@ class _State:
     def initial(cls, theory: Theory, diag: RootedDiagram) -> "_State":
         charges = diag.charges
         z = [theory.z(PLUS, c) for c in charges]
-        pinned = [theory.pinned(c) for c in charges]
-        return cls(list(charges), list(charges), z, [_PLUS] * diag.n,
+        zm = [theory.z(MINUS, c) for c in charges]
+        pinned = [same_ray(p, m) for p, m in zip(z, zm)]
+        return cls(list(charges), list(charges), z, zm, [_PLUS] * diag.n,
                    list(diag.parent), pinned)
 
     def copy(self) -> "_State":
         return _State(list(self.charges), list(self.ray), list(self.z),
-                      list(self.status), list(self.parent), self.pinned,
-                      self.sign, list(self.pending))
+                      list(self.zm), list(self.status), list(self.parent),
+                      self.pinned, self.sign, list(self.pending))
 
     def merge(self, moved: int, static: int) -> None:
         """Fold the moved vertex into the crossed neighbour, which keeps
         its ray label and becomes unbalanced.  A pending vertex that dies
         or stops being plus here is dropped from `pending` by `_run`."""
         self.charges[static] = cadd(self.charges[static], self.charges[moved])
+        self.zm[static] = cadd(self.zm[static], self.zm[moved])
         self.status[static] = _UNBAL
         parent = self.parent
         for j, s in enumerate(self.status):
@@ -149,8 +156,8 @@ class _State:
         return encode(root, -1, adjacency(len(self.charges), edges), labels)[0]
 
 
-def _sweep(theory: Theory, st: _State, i: int, alive: list[int],
-           out: list[_State], result: TraceResult) -> None:
+def _sweep(st: _State, i: int, alive: list[int], out: list[_State],
+           result: TraceResult) -> None:
     """Push vertex i's ray from its active ray to the weak-side ray of its
     accumulated charge; `alive` lists the branch's live vertices.
 
@@ -160,8 +167,7 @@ def _sweep(theory: Theory, st: _State, i: int, alive: list[int],
     unless some sweep is singular, `st` itself follows the residue
     branches with vertex i balanced on its weak-side ray.
     """
-    start = st.z[i]
-    end = theory.z(MINUS, st.charges[i])
+    start, end = st.z[i], st.zm[i]
     status, parent, up = st.status, st.parent, st.parent[i]
     neighbours = [j for j in alive if parent[j] == i]
     if up is not None:
@@ -188,7 +194,7 @@ def _sweep(theory: Theory, st: _State, i: int, alive: list[int],
                 merged.sign = 1
                 merged.merge(i, j)
                 sub = TraceResult()
-                _run(theory, [merged], sub)
+                _run([merged], sub)
                 result.jumps[key] = (CCW * rel * sub.eps_sum
                                      if not sub.singular else None)
             result.log.append(("singular: vertex {} onto ray of {} ({}), coeff={}",
@@ -213,7 +219,7 @@ def _sweep(theory: Theory, st: _State, i: int, alive: list[int],
 def run_decay(theory: Theory, diag: RootedDiagram) -> TraceResult:
     """Run the decay process to termination over all branches."""
     result = TraceResult()
-    _run(theory, [_State.initial(theory, diag)], result)
+    _run([_State.initial(theory, diag)], result)
     return result
 
 
@@ -233,7 +239,7 @@ def _shallowest(parent: list[int | None], vertices: list[int]) -> list[int]:
     return [k for k in vertices if depth[k] == top]
 
 
-def _run(theory: Theory, stack: list[_State], result: TraceResult) -> None:
+def _run(stack: list[_State], result: TraceResult) -> None:
     """Drive every branch on the stack to its end, logging each step.
 
     Each pass pops a branch and pushes one ray with `_sweep`: the next
@@ -269,7 +275,7 @@ def _run(theory: Theory, stack: list[_State], result: TraceResult) -> None:
         else:
             i = _shallowest(st.parent, unbal)[0]
             log.append(("rebalance {} {} -> {}", (i, st.ray[i], st.charges[i])))
-        _sweep(theory, st, i, alive, stack, result)
+        _sweep(st, i, alive, stack, result)
 
 
 def gmn_contribution(theory: Theory, diag: RootedDiagram, w: Fraction,

@@ -257,7 +257,7 @@ def _product(theory: Theory, region: str,
     return compose(theory, states, N)
 
 
-def _check_truncation(N: int) -> None:
+def check_truncation(N: int) -> None:
     """1 <= N <= MAX_N: below degree 1 every product is the identity and a
     check built on it would compare nothing."""
     if N < 1:
@@ -272,7 +272,7 @@ def spectrum_auto(theory: Theory, table: SpectrumTable, region: str,
     its operators (see `_product`), so the result must not be modified.
     Raises FactorizationError when two operators that do not commute share
     a ray, so the region lies on a wall (see `_check_ties`)."""
-    _check_truncation(N)
+    check_truncation(N)
     return _product(theory, region,
                     _operators(theory, table.entries, region, N), N)
 
@@ -364,7 +364,7 @@ def infer_weak_spectrum(theory: Theory, strong: SpectrumTable,
     full weak product of the inferred table at N; both are cached, so
     `verify_wall_identity` of the same tables builds nothing.
     """
-    _check_truncation(N)
+    check_truncation(N)
     _check_radical(theory, N)
     target = spectrum_auto(theory, strong, PLUS, N)
     entries: dict[Charge, int] = {}

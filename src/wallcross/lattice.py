@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd
 
 Charge = tuple[int, ...]
@@ -149,32 +148,15 @@ class Theory:
         return sum(a[i] * self.pairing[i][j] * b[j]
                    for i in range(self.rank) for j in range(self.rank))
 
-    @cached_property
-    def _z_memo(self) -> dict[tuple[str, Charge], Vec2]:
-        # in the instance's __dict__, not a field: out of ==, hash, repr
-        # and dataclasses.replace
-        return {}
-
     def z(self, region: str, gamma: Charge) -> Vec2:
         """Central charge Z_gamma on one side of the wall: the linear sum
-        of the basis central charges (integers in the catalog).
-
-        The first read of each (side, charge) fills a memo of this
-        instance, keyed on tuple(gamma), so later reads are a dict hit.
-        The memo is unbounded: it grows with the charges that a process
-        reads, as the KS product cache does."""
-        key = region, tuple(gamma)
-        memo = self._z_memo
-        z = memo.get(key)
-        if z is not None:
-            return z
+        of the basis central charges (integers in the catalog)."""
         zs = self.z_plus if region == PLUS else self.z_minus
         re = im = 0
         for n, (x, y) in zip(gamma, zs):
             re += n * x
             im += n * y
-        z = memo[key] = re, im
-        return z
+        return re, im
 
     @property
     def sigma_trivial(self) -> bool:
@@ -186,10 +168,6 @@ class Theory:
         if is_zero(gamma):
             return False
         return all(s * n >= 0 for s, n in zip(self.effective_signs, gamma))
-
-    def pinned(self, gamma: Charge) -> bool:
-        """Ray position identical on both sides of the wall."""
-        return same_ray(self.z(PLUS, gamma), self.z(MINUS, gamma))
 
     # -- quadratic refinement ------------------------------------------
     def sigma_value(self, gamma: Charge) -> int:

@@ -137,7 +137,9 @@ def _sweep(theory: Theory, st: _State, i: int, out: list[_State],
     crossings: list[tuple[int, int]] = []
     singular = False
     for j in st.neighbours(i):
-        if st.status[j] == _PLUS and not theory.pinned(st.charges[j]):
+        c = st.charges[j]
+        if st.status[j] == _PLUS and not same_ray(theory.z(PLUS, c),
+                                                  theory.z(MINUS, c)):
             continue
         tgt = st.active_ray(theory, j)
         rel = 1 if st.parent[i] == j else -1

@@ -213,6 +213,17 @@ def test_ks_oracle_degree_is_bounded(tmp_path, capsys):
         f"got {ks.MAX_N + 1}\n")
 
 
+def test_ks_oracle_against_table_names_the_degree_it_refuses(tmp_path, capsys):
+    # the flag sizes the catalog table by N, but the N check comes first,
+    # so the refusal is the one without the flag, not the table's K bound
+    code, rep = run(tmp_path, "ks-oracle", "nf0", "--N", "20000",
+                    "--against-table")
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        f"error: ValueError: truncation degree N must be at most {ks.MAX_N}, "
+        f"got 20000\n")
+
+
 @pytest.mark.parametrize("check", ["scale_invariance", "ov_fixed_point"])
 def test_numeric_rejects_zero_zeta(tmp_path, capsys, check):
     code, rep = run(tmp_path, "numeric", check, "--nodes", "40",

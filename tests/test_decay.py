@@ -1,3 +1,4 @@
+import inspect
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,11 +9,13 @@ from wallcross.cli import main
 from wallcross.decay import conjecture_check, gmn_contribution, run_decay
 from wallcross.gmn import enumerate_diagrams, weight_W
 from wallcross.symbolic import Value
-from wallcross.spectrum import spectrum_table
-from wallcross.lattice import theory_by_name
+from wallcross.spectrum import spectrum_table, strong_table
+from wallcross.lattice import MINUS, PLUS, Theory, theory_by_name
 
 from conftest import diagram_by_describe
 from test_acceptance import CATALOG
+from test_rank3_sweep import TARGETS as RANK3_TARGETS, rank3_theory
+from test_relabelling import SWEEP
 
 Q = Fraction
 DATA = Path(__file__).parent / "data"
@@ -186,3 +189,52 @@ def test_merge_finds_balanced_labels_equal_to_charges(monkeypatch):
                                     target, max_vertices=max_vertices):
             run_decay(theory, d)
     assert merges
+
+
+def test_decay_reads_the_lattice_once_per_vertex_and_side(monkeypatch):
+    # Z+ and Z- of each diagram vertex are read at set-up; a merge adds
+    # the merged Z-, as Z is linear, so no sweep reads the lattice
+    theory = theory_by_name("nf0")
+    diagrams = enumerate_diagrams(theory, strong_table(theory), (3, 4))
+    calls = []
+    z = Theory.z
+
+    def counted(self, region, gamma):
+        calls.append(region)
+        return z(self, region, gamma)
+
+    monkeypatch.setattr(Theory, "z", counted)
+    total = 0
+    for d in diagrams:
+        run_decay(theory, d)
+        assert (calls.count(PLUS), calls.count(MINUS)) == (d.n, d.n), d.describe()
+        total += len(calls)
+        calls.clear()
+    assert (len(diagrams), total) == (92, 996)
+
+
+def test_merge_carries_the_weak_central_charge(monkeypatch):
+    # after every merge each vertex's carried Z- is Z- of its charge, on
+    # the catalog sweep targets and on a rank-3 theory whose Z- has a
+    # half-integer real part
+    rank3 = rank3_theory("triangle", "g1")
+    merges, fractional = 0, False
+    merge = decay._State.merge
+
+    def checked(st, moved, static):
+        nonlocal merges, fractional
+        merge(st, moved, static)
+        assert st.zm == [theory.z(MINUS, c) for c in st.charges], st
+        merges += 1
+        fractional |= any(x.denominator != 1 for z in st.zm for x in z)
+
+    monkeypatch.setattr(decay._State, "merge", checked)
+    for theory, target in SWEEP + [(rank3, t) for t in RANK3_TARGETS]:
+        for d in enumerate_diagrams(theory, strong_table(theory), target):
+            run_decay(theory, d)
+    assert merges and fractional
+
+
+def test_sweeps_take_no_theory():
+    for f in (decay._run, decay._sweep):
+        assert "theory" not in inspect.signature(f).parameters, f.__name__

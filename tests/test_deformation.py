@@ -6,9 +6,9 @@ order, so every exact phase comparison, and with it every number below,
 comes out the same.  Swapping nf0's two sides does cross the wall, and
 is the control that the comparison can fail.
 
-The second deformation splits one of nf2's flavour copies off the ray it
-shares with its twin, by a small move that is checked, not assumed, to
-cross no wall.
+The second deformation splits one flavour copy of nf2 or nf3 off the ray
+it shares with its twins, by a small move that is checked, not assumed,
+to cross no wall.
 """
 import dataclasses
 import functools
@@ -105,37 +105,48 @@ def test_swapping_the_sides_is_seen():
     assert _readings(swapped, (1, 1), None) != _readings(nf0, (1, 1), None)
 
 
-# ROADMAP item 17(a): one nf2 basis copy moves by EPS in the real part of
-# Z+ and Z-, outward (away from the imaginary axis on both sides) or
-# inward, as (basis index, shift of Re Z+, shift of Re Z-).  Parallel Z
-# with pairing p needs a shift of at least 2|p| / degree^2, so EPS stays
-# off every wall up to degree 14 along the whole move
+# ROADMAP item 17(a): one flavour copy of nf2 or nf3 moves by EPS in the
+# real part of Z+ and Z-, outward (away from the imaginary axis on both
+# sides) or inward, as (theory, basis index, shift of Re Z+, shift of
+# Re Z-); nf2's moves are named by the copy alone.  Parallel Z with
+# pairing p needs a shift of at least 2|p| / degree^2, so EPS stays off
+# every wall up to degree 14 along the whole move
 EPS = Fraction(1, 100)
-SPLITS = {"g1_1-out": (0, -EPS, EPS), "g2_1-out": (1, -EPS, EPS),
-          "g1_2-out": (2, EPS, -EPS), "g2_2-out": (3, EPS, -EPS),
-          "g2_1-in": (1, EPS, -EPS), "g2_2-in": (3, -EPS, EPS)}
-NF2_TARGETS = [t for t in product(range(5), repeat=4) if 1 <= sum(t) <= 4]
-NF2_FRAMED = [t for t in NF2_TARGETS if t[0]]
+SPLITS = {"g1_1-out": ("nf2", 0, -EPS, EPS), "g2_1-out": ("nf2", 1, -EPS, EPS),
+          "g1_2-out": ("nf2", 2, EPS, -EPS), "g2_2-out": ("nf2", 3, EPS, -EPS),
+          "g2_1-in": ("nf2", 1, EPS, -EPS), "g2_2-in": ("nf2", 3, -EPS, EPS),
+          "nf3-g1_1-out": ("nf3", 0, -EPS, EPS),
+          "nf3-g2_1-out": ("nf3", 1, -EPS, EPS),
+          "nf3-g3_1-out": ("nf3", 2, -EPS, EPS),
+          "nf3-g1_1-in": ("nf3", 0, EPS, -EPS),
+          "nf3-g4_1-in": ("nf3", 3, EPS, -EPS)}
 
 
-def _split(i, d_plus, d_minus):
-    """nf2 with basis charge i shifted by d_plus in Re Z+ and d_minus in
-    Re Z-."""
-    nf2 = CATALOG["nf2"]
-    zp, zm = list(nf2.z_plus), list(nf2.z_minus)
+def _split(name, i, d_plus, d_minus):
+    """The catalog theory `name` with basis charge i shifted by d_plus in
+    Re Z+ and d_minus in Re Z-."""
+    th = CATALOG[name]
+    zp, zm = list(th.z_plus), list(th.z_minus)
     zp[i] = (zp[i][0] + d_plus, zp[i][1])
     zm[i] = (zm[i][0] + d_minus, zm[i][1])
-    return dataclasses.replace(nf2, z_plus=tuple(zp), z_minus=tuple(zm))
+    return dataclasses.replace(th, z_plus=tuple(zp), z_minus=tuple(zm))
+
+
+def _effective(th, degree):
+    """The effective charges of degree 1..degree (every sign is +1 on the
+    theories split here)."""
+    return [t for t in product(range(degree + 1), repeat=th.rank)
+            if 1 <= sum(t) <= degree]
 
 
 def _walls(th, degree):
     """(side, a, b) for effective charges a, b of degree <= degree whose Z
     are parallel on that side though they pair to nonzero."""
-    charges = [t for t in product(range(degree + 1), repeat=th.rank)
-               if 1 <= sum(t) <= degree]
+    charges = _effective(th, degree)
     return [(side, a, b) for side in (PLUS, MINUS)
-            for a, b in combinations(charges, 2)
-            if cross(th.z(side, a), th.z(side, b)) == 0 and th.pair(a, b)]
+            for (a, za), (b, zb) in combinations(
+                [(c, th.z(side, c)) for c in charges], 2)
+            if cross(za, zb) == 0 and th.pair(a, b)]
 
 
 @functools.cache
@@ -143,13 +154,14 @@ def _split_readings(th):
     """js on every effective target of degree <= 4, the per-multiset sums
     of the js tree values there, and the weak spectrum KS infers at N = 5."""
     table = strong_table(th)
+    targets = _effective(th, 4)
     sums = []
-    for target in NF2_TARGETS:
+    for target in targets:
         by_multiset = defaultdict(Fraction)
         for tv in js_tree_values(th, table, target).values():
             by_multiset[tuple(sorted(tv.charges))] += tv.total
         sums.append({k: v for k, v in by_multiset.items() if v})
-    return ([js_wallcross(th, table, t) for t in NF2_TARGETS], sums,
+    return ([js_wallcross(th, table, t) for t in targets], sums,
             infer_weak_spectrum(th, table, 5).entries)
 
 
@@ -163,18 +175,22 @@ def test_the_coarse_split_lies_on_a_wall():
     # moving g2_1 to Z+ (-3, 20), Z- (2, 20) puts charges that pair to
     # nonzero on one ray from degree 3 on; there the per-multiset sums
     # moved on two targets and KS now refuses the product
-    coarse = _split(1, -1, 1)
+    coarse = _split("nf2", 1, -1, 1)
     assert (coarse.z_plus[1], coarse.z_minus[1]) == ((-3, 20), (2, 20))
     assert _walls(coarse, 2) == []
     assert (MINUS, (0, 1, 0, 2), (1, 0, 0, 1)) in _walls(coarse, 3)
 
 
 # The per-tree values are recorded here, not checked: they move on three
-# targets per move, (1,1,0,2), (1,1,1,1) and (1,1,2,0) for a D copy and
-# (0,2,1,1), (1,1,1,1) and (2,0,1,1) for an M copy; on (1,1,1,1) the four
-# trees of -1/2 become two trees of -1
+# targets per move.  On nf2 these are (1,1,0,2), (1,1,1,1) and (1,1,2,0)
+# for a D copy and (0,2,1,1), (1,1,1,1) and (2,0,1,1) for an M copy; on
+# (1,1,1,1) the four trees of -1/2 become two trees of -1.  On nf3 they
+# are the three targets of g2 charge 2 with the moved copy and one other
+# D copy: for g1_1, (1,0,0,1,2), (1,0,1,0,2) and (1,1,0,0,2)
 @pytest.mark.parametrize("move", SPLITS)
 def test_flavour_split_keeps_the_readings(move):
+    name = SPLITS[move][0]
     th = _split(*SPLITS[move])
-    assert _split_readings(th) == _split_readings(CATALOG["nf2"])
-    assert all(conjecture_check(th, t).ok for t in NF2_FRAMED)
+    assert _split_readings(th) == _split_readings(CATALOG[name])
+    assert all(conjecture_check(th, t).ok
+               for t in _effective(th, 4) if t[th.root_index])
